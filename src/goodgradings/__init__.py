@@ -4,22 +4,23 @@ from .linalg import Matrix, kernel_basis, rank, solve
 from .partitions import (SuperPartition, NotOrthosymplectic, cp_dq,
                          dual_partition, enumerate_super_partitions,
                          is_orthosymplectic, partitions_of, psi_merge)
-from .superalgebra import (AlgebraElement, AmbientMismatch, Realization,
-                           adjoint_matrix, build_gl, build_osp,
-                           invariant_form, is_member_osp, superbracket)
+from .superalgebra import (AlgebraElement, AmbientMismatch, DimensionError,
+                           Realization, RealizationError, adjoint_matrix,
+                           build_gl, build_osp, invariant_form,
+                           is_member_osp, superbracket)
 from .pyramids import (LengthMismatch, MembershipFailure, OspPyramid,
-                       Pyramid, SizeMismatch, dynkin_pyramid_gl,
+                       Pyramid, SizeMismatch, dynkin_pair, dynkin_pyramid_gl,
                        dynkin_pyramid_osp, enumerate_pyr, jordan_type,
                        realize_osp_pyramid, realize_pyramid, render,
                        shift_matrix)
 from .gradings import (CentralizerReport, Grading, NonIntegralGrading,
                        NoSolution, OddGrading, Sl2Triple, centralizer,
                        complete_sl2, dim_formula_gl, dim_formula_osp,
-                       grading_from, is_good, is_good_by_ranks,
-                       is_richardson, s_centralizer)
-from .classification import (GoodGradingSet, brute_force_shifts,
-                             extensions_of_even_grading, good_gradings_gl,
-                             good_gradings_osp)
+                       grading_from, integral_degrees, is_good,
+                       is_good_by_ranks, is_richardson, s_centralizer)
+from .classification import (BoundTooSmall, GoodGradingSet, NotCentral,
+                             brute_force_shifts, extensions_of_even_grading,
+                             good_gradings_gl, good_gradings_osp)
 from .roots import (MarkedBase, Root, RootSystem, build_roots,
                     find_nonnegative_base, is_isotropic, marked_equivalent,
                     reflect_marked)

@@ -12,16 +12,13 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gradings import (Grading, NonIntegralGrading, complete_sl2,
-                       grading_from, s_centralizer)
+from .gradings import (complete_sl2, grading_from, integral_degrees,
+                       parity_kernel, s_centralizer)
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
                          is_orthosymplectic, psi_merge)
-from .pyramids import (Pyramid, dynkin_pyramid_gl, dynkin_pyramid_osp,
-                       enumerate_pyr, realize_osp_pyramid, realize_pyramid,
-                       shift_matrix)
+from .pyramids import dynkin_pair, enumerate_pyr, realize_pyramid, shift_matrix
 from .superalgebra import (EVEN, ODD, adjoint_matrix, build_gl, build_osp,
                            superbracket)
-from .linalg import Matrix, kernel_basis
 
 
 @dataclass
@@ -67,6 +64,14 @@ def good_gradings_gl(sp):
 # brute-force oracle
 
 
+class BoundTooSmall(ValueError):
+    """The oracle's box bound is below the orbit's largest part."""
+
+
+class NotCentral(ValueError):
+    """A shift generator fails to commute with the sl2-centralizer."""
+
+
 class _FastGoodness:
     """Precomputed degree forms and kernel supports for scanning many
     diagonal shifts of one (e, h) pair."""
@@ -74,35 +79,16 @@ class _FastGoodness:
     def __init__(self, R, e, h, generators):
         self.R = R
         self.gens = generators
-        size = R.size
-        base = [h.matrix[i, i] for i in range(size)]
-        gdiags = [[z.matrix[i, i] for i in range(size)] for z in generators]
-        # one degree form per basis element: (2*base_deg, doubled gen coeffs)
-        self.forms = []
-        for b in R.basis:
-            pairs = [(a, c) for a in range(size) for c in range(size)
-                     if b.matrix[a, c]]
-            a0, c0 = pairs[0]
-            bd = base[a0] - base[c0]
-            coefs = [gd[a0] - gd[c0] for gd in gdiags]
-            for a, c in pairs[1:]:
-                assert base[a] - base[c] == bd
-                assert all(gd[a] - gd[c] == cf
-                           for gd, cf in zip(gdiags, coefs)), \
-                    "basis element is not a shift eigenvector"
-            assert bd.denominator == 1
-            assert all(cf.denominator == 1 for cf in coefs)
-            # degrees in doubled units: deg2 = 2*bd + sum(A_g * cf_g) with
-            # A_g = 2 * shift coefficient
-            self.forms.append((2 * int(bd), tuple(int(cf) for cf in coefs)))
+        # one degree form per basis element, in doubled units:
+        # deg2 = 2*base_deg + sum(A_g * gen_deg_g), A_g = 2 * shift coefficient
+        base = integral_degrees(R, h.diag())
+        gen_degrees = [integral_degrees(R, z.diag()) for z in generators]
+        self.forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
+                      for i, d in enumerate(base)]
         ad = adjoint_matrix(e)
-        self.kernel_supports = []
-        for parity in (EVEN, ODD):
-            idx = [i for i, p in enumerate(R.basis_parities) if p == parity]
-            rows = [[ad[r, j] for j in idx] for r in idx]
-            for vec in kernel_basis(Matrix.from_rows(rows)):
-                supp = [idx[t] for t, v in enumerate(vec) if v]
-                self.kernel_supports.append(supp)
+        self.kernel_supports = [[j for j, v in enumerate(vec) if v]
+                                for parity in (EVEN, ODD)
+                                for vec in parity_kernel(R, [ad], parity)]
         ec = R.coords(e)
         self.e_support = [j for j, c in enumerate(ec) if c]
 
@@ -150,33 +136,22 @@ def _center_generators(R, sp, P):
     return gens
 
 
-def _dynkin_pair(sp, kind, R=None):
-    if kind == "gl":
-        if R is None:
-            R = build_gl(sp.m, sp.n)
-        P = dynkin_pyramid_gl(sp)
-        e, h = realize_pyramid(P, R)
-    else:
-        if R is None:
-            R = build_osp(sp.m, sp.n // 2)
-        P = dynkin_pyramid_osp(sp)
-        e, h = realize_osp_pyramid(P, R)
-    return R, P, e, h
-
-
 def brute_force_shifts(R, sp, bound):
     """Independent oracle: scan all central diagonal shifts z of the Dynkin
     pair with entries in half-integers up to the bound, keeping the shifts
     whose grading is integral and good."""
-    assert bound >= max(sp.p + sp.q)
-    kind = R.kind
-    _, P, e, h = _dynkin_pair(sp, kind, R)
+    if bound < max(sp.p + sp.q):
+        raise BoundTooSmall("bound %d is below the largest part %d"
+                            % (bound, max(sp.p + sp.q)))
+    P, e, h = dynkin_pair(sp, R)
     gens = _center_generators(R, sp, P)
     triple = complete_sl2(R, e, h)
     screp = s_centralizer(R, triple)
     for z in gens:
         for b in screp.basis:
-            assert superbracket(z, b).is_zero(), "generator not central"
+            if not superbracket(z, b).is_zero():
+                raise NotCentral("shift generator does not commute with "
+                                 "the sl2-centralizer")
     fast = _FastGoodness(R, e, h, gens)
     ng = len(gens)
     found = {}
@@ -250,7 +225,8 @@ def good_gradings_osp(sp):
     if not is_orthosymplectic(sp):
         raise NotOrthosymplectic(f"{sp} is not orthosymplectic")
     cp, dq = cp_dq(sp)
-    R, P, e, h = _dynkin_pair(sp, "osp")
+    R = build_osp(sp.m, sp.n // 2)
+    P, e, h = dynkin_pair(sp, R)
     if 1 in cp:
         bound = max(sp.p + sp.q)
         out = brute_force_shifts(R, sp, bound)

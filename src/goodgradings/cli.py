@@ -13,22 +13,26 @@ import json
 import sys
 from fractions import Fraction
 
-from .classification import (brute_force_shifts, good_gradings_gl,
-                             good_gradings_osp)
-from .gradings import (centralizer, dim_formula_gl, dim_formula_osp,
-                       complete_sl2, grading_from, is_good, s_centralizer,
-                       block_type_dim)
+from .classification import (BoundTooSmall, brute_force_shifts,
+                             good_gradings_gl, good_gradings_osp)
+from .gradings import (NonIntegralGrading, centralizer, dim_formula_gl,
+                       dim_formula_osp, complete_sl2, grading_from, is_good,
+                       s_centralizer, block_type_dim)
 from .linalg import Matrix
 from .partitions import (NotOrthosymplectic, SuperPartition,
                          enumerate_super_partitions, is_orthosymplectic)
-from .pyramids import (dynkin_pyramid_gl, dynkin_pyramid_osp, enumerate_pyr,
-                       realize_osp_pyramid, realize_pyramid, render)
+from .pyramids import dynkin_pair, dynkin_pyramid_osp, enumerate_pyr, render
 from .roots import find_nonnegative_base
-from .superalgebra import build_gl, build_osp
+from .superalgebra import DimensionError, build_gl, build_osp
 
 
 class UsageError(Exception):
     pass
+
+
+# Errors that mean the request is malformed: exit 2 with a message.
+INPUT_ERRORS = (UsageError, BoundTooSmall, DimensionError,
+                NonIntegralGrading, NotOrthosymplectic)
 
 
 def _parse_orbit(text):
@@ -65,42 +69,60 @@ def _emit(obj, args):
 def cmd_classify(args):
     sp = _parse_orbit(args.orbit)
     _check_orbit_size(sp, args)
-    if args.kind == "gl":
-        out = good_gradings_gl(sp)
-        if args.bound:
-            oracle = brute_force_shifts(build_gl(sp.m, sp.n), sp, args.bound)
-            out.notes["oracleAgrees"] = out.keys() == oracle.keys()
-    else:
-        out = good_gradings_osp(sp)
-        if args.bound:
-            oracle = brute_force_shifts(build_osp(sp.m, sp.n // 2), sp,
-                                        args.bound)
-            out.notes["oracleAgrees"] = out.keys() == oracle.keys()
+    out = (good_gradings_gl if args.kind == "gl" else good_gradings_osp)(sp)
+    if args.bound:
+        oracle = brute_force_shifts(_algebra(args), sp, args.bound)
+        out.notes["oracleAgrees"] = out.keys() == oracle.keys()
     _emit(out.to_json(), args)
     return 0
 
 
+def _json(text, what):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise UsageError("bad %s value %r: %s" % (what, text, exc))
+
+
+def _rationals(items, what):
+    """Numbers or "a/b" strings as Fractions."""
+    if not isinstance(items, list):
+        raise UsageError("%s must be a list, got %r" % (what, items))
+    try:
+        return [Fraction(str(x)) for x in items]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError("bad %s entry: %s" % (what, exc))
+
+
 def _parse_rationals(text):
-    obj = json.loads(text)
-    return [Fraction(str(x)) for x in obj]
+    return _rationals(_json(text, "--H"), "--H")
 
 
 def _parse_e(text, R):
     text = text.strip()
+    s = R.size
     if text.startswith("E"):
         body = text[1:]
-        if "," in body:
-            i, j = (int(x) for x in body.split(","))
-        elif len(body) == 2:
-            i, j = int(body[0]), int(body[1])
-        else:
-            raise UsageError("cannot parse element spec %r" % text)
-        mat = Matrix.zero(R.size, R.size)
-        mat[i - 1, j - 1] = Fraction(1)
-        return R.element(mat)
-    rows = json.loads(text)
-    mat = Matrix.from_rows([[Fraction(str(x)) for x in row] for row in rows])
-    return R.element(mat)
+        try:
+            if "," in body:
+                i, j = (int(x) for x in body.split(","))
+            elif len(body) == 2:
+                i, j = int(body[0]), int(body[1])
+            else:
+                raise ValueError("expected E<i><j> or E<i>,<j>")
+        except ValueError as exc:
+            raise UsageError("cannot parse element spec %r: %s"
+                             % (text, exc))
+        if not (1 <= i <= s and 1 <= j <= s):
+            raise UsageError("%s is outside the %dx%d matrices" % (text, s, s))
+        return R.from_entries({(i - 1, j - 1): 1})
+    rows = _json(text, "--e")
+    if not isinstance(rows, list) or len(rows) != s:
+        raise UsageError("--e must be a %dx%d matrix" % (s, s))
+    rows = [_rationals(row, "--e row") for row in rows]
+    if any(len(row) != s for row in rows):
+        raise UsageError("--e must be a %dx%d matrix" % (s, s))
+    return R.element(Matrix.from_rows(rows))
 
 
 def cmd_verify(args):
@@ -108,28 +130,26 @@ def cmd_verify(args):
     diag = _parse_rationals(args.H)
     if len(diag) != R.size:
         raise UsageError("need %d diagonal entries" % R.size)
-    H = R.element(Matrix.from_rows(
-        [[diag[i] if i == j else Fraction(0) for j in range(R.size)]
-         for i in range(R.size)]))
+    g = grading_from(R, R.from_entries({(i, i): v
+                                        for i, v in enumerate(diag)}))
     e = _parse_e(args.e, R)
-    g = grading_from(R, H)
+    if R.coords(e) is None:
+        raise UsageError("e is not in %s(%d|%d)" % (args.kind, args.m, args.n))
     good = is_good(g, e)
     _emit({"good": good, "degrees": g.to_json()["degrees"]}, args)
     return 0 if good else 1
+
+
+def _dim_formula(sp, kind):
+    return dim_formula_gl(sp) if kind == "gl" else dim_formula_osp(sp)
 
 
 def cmd_centralizer(args):
     sp = _parse_orbit(args.orbit)
     _check_orbit_size(sp, args)
     R = _algebra(args)
-    if args.kind == "gl":
-        P = dynkin_pyramid_gl(sp)
-        e, h = realize_pyramid(P, R)
-        formula = dim_formula_gl(sp)
-    else:
-        P = dynkin_pyramid_osp(sp)
-        e, h = realize_osp_pyramid(P, R)
-        formula = dim_formula_osp(sp)
+    _, e, h = dynkin_pair(sp, R)
+    formula = _dim_formula(sp, args.kind)
     rep = centralizer(R, e)
     triple = complete_sl2(R, e, h)
     srep = s_centralizer(R, triple, sp)
@@ -169,43 +189,35 @@ def cmd_diagram(args):
     sp = _parse_orbit(args.orbit)
     _check_orbit_size(sp, args)
     R = _algebra(args)
-    if args.kind == "gl":
-        e, h = realize_pyramid(dynkin_pyramid_gl(sp), R)
-    else:
-        e, h = realize_osp_pyramid(dynkin_pyramid_osp(sp), R)
-    g = grading_from(R, h)
-    base = find_nonnegative_base(g)
+    _, e, h = dynkin_pair(sp, R)
+    base = find_nonnegative_base(grading_from(R, h))
     _emit(dict(base.to_json(), orbit=sp.to_json()), args)
     return 0
 
 
-def cmd_selftest(args):
-    failures = []
-    limit = args.max_size
+def _selftest_orbits(limit):
+    """(orbit, algebra) for gl(m|n), m+n <= limit, then osp(m|2n),
+    m+2n <= limit, all with m, n >= 1."""
     for m in range(1, limit):
         for n in range(1, limit - m + 1):
             for sp in enumerate_super_partitions(m, n):
-                R = build_gl(m, n)
-                e, h = realize_pyramid(dynkin_pyramid_gl(sp), R)
-                rep = centralizer(R, e)
-                if (rep.evenDim, rep.oddDim) != dim_formula_gl(sp):
-                    failures.append("gl dims %s" % (sp,))
-                g = grading_from(R, h)
-                if not is_good(g, e):
-                    failures.append("gl dynkin not good %s" % (sp,))
+                yield sp, build_gl(m, n)
     for m in range(1, limit + 1):
         for n2 in range(2, limit - m + 1, 2):
             for sp in enumerate_super_partitions(m, n2):
-                if not is_orthosymplectic(sp):
-                    continue
-                R = build_osp(m, n2 // 2)
-                e, h = realize_osp_pyramid(dynkin_pyramid_osp(sp), R)
-                rep = centralizer(R, e)
-                if (rep.evenDim, rep.oddDim) != dim_formula_osp(sp):
-                    failures.append("osp dims %s" % (sp,))
-                g = grading_from(R, h)
-                if not is_good(g, e):
-                    failures.append("osp dynkin not good %s" % (sp,))
+                if is_orthosymplectic(sp):
+                    yield sp, build_osp(m, n2 // 2)
+
+
+def cmd_selftest(args):
+    failures = []
+    for sp, R in _selftest_orbits(args.max_size):
+        _, e, h = dynkin_pair(sp, R)
+        rep = centralizer(R, e)
+        if (rep.evenDim, rep.oddDim) != _dim_formula(sp, R.kind):
+            failures.append("%s dims %s" % (R.kind, sp))
+        if not is_good(grading_from(R, h), e):
+            failures.append("%s dynkin not good %s" % (R.kind, sp))
     _emit({"checked": "all orbits with m+n <= %d" % args.max_size,
            "failures": failures}, args)
     return 0 if not failures else 1
@@ -227,7 +239,6 @@ def build_parser():
             p.add_argument("--orbit", required=True,
                            help='JSON, e.g. {"p":[3,1],"q":[4,2]}')
         p.add_argument("--pretty", action="store_true")
-        p.add_argument("--format", choices=["json", "text"], default="json")
 
     p = sub.add_parser("classify", help="all good gradings for an orbit")
     common(p)
@@ -267,10 +278,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except NotOrthosymplectic as exc:
+    except INPUT_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

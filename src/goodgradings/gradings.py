@@ -41,8 +41,7 @@ class Grading:
         return all(d % 2 == 0 for d in self.degrees)
 
     def to_json(self):
-        diag = [self.H.matrix[i, i] for i in range(self.ambient.size)]
-        return {"H": [_rat_str(x) for x in diag],
+        return {"H": [_rat_str(x) for x in self.H.diag()],
                 "degrees": {str(i): d for i, d in enumerate(self.degrees)}}
 
 
@@ -52,29 +51,24 @@ def _rat_str(x):
         "%d/%d" % (x.numerator, x.denominator)
 
 
+def integral_degrees(R, diag):
+    """Integer ad-degree of every basis element under the diagonal element
+    with entries diag; each basis element must be an eigenvector."""
+    out = []
+    for lam in R.degrees(diag):
+        if lam is None:
+            raise NonIntegralGrading("basis element is not an ad-H "
+                                     "eigenvector")
+        if lam.denominator != 1:
+            raise NonIntegralGrading("non-integer degree %s" % lam)
+        out.append(int(lam))
+    return out
+
+
 def grading_from(R, H):
     """Grading defined by ad H; every homogeneous basis element must be an
     eigenvector with integer eigenvalue."""
-    hmat = H.matrix
-    degrees = []
-    for b in R.basis:
-        lam = None
-        bm = b.matrix
-        for a in range(R.size):
-            for c in range(R.size):
-                if bm[a, c]:
-                    val = hmat[a, a] - hmat[c, c]
-                    if lam is None:
-                        lam = val
-                    elif lam != val:
-                        raise NonIntegralGrading(
-                            "basis element is not an ad-H eigenvector")
-        if lam is None:
-            lam = Fraction(0)
-        if lam.denominator != 1:
-            raise NonIntegralGrading("non-integer degree %s" % lam)
-        degrees.append(int(lam))
-    return Grading(R, H, tuple(degrees))
+    return Grading(R, H, tuple(integral_degrees(R, H.diag())))
 
 
 @dataclass
@@ -98,7 +92,7 @@ class CentralizerReport:
     blockTypes: list = field(default_factory=list)
 
 
-def _parity_kernel(R, adjoints, parity):
+def parity_kernel(R, adjoints, parity):
     """Kernel vectors of the stacked adjoint maps restricted to one parity."""
     idx = [i for i, p in enumerate(R.basis_parities) if p == parity]
     if not idx:
@@ -117,20 +111,12 @@ def _parity_kernel(R, adjoints, parity):
     return out
 
 
-def _element_from_coords(R, coords):
-    mat = Matrix.zero(R.size, R.size)
-    for j, c in enumerate(coords):
-        if c:
-            mat = mat + R.basis[j].matrix.scale(c)
-    return R.element(mat)
-
-
 def centralizer(R, e):
     """ker(ad e), split by parity."""
     ad = adjoint_matrix(e)
-    even = _parity_kernel(R, [ad], EVEN)
-    odd = _parity_kernel(R, [ad], ODD)
-    basis = [_element_from_coords(R, v) for v in even + odd]
+    even = parity_kernel(R, [ad], EVEN)
+    odd = parity_kernel(R, [ad], ODD)
+    basis = [R.from_coords(v) for v in even + odd]
     return CentralizerReport(len(even), len(odd), basis)
 
 
@@ -162,44 +148,24 @@ def dim_formula_osp(sp):
 def complete_sl2(R, e, h):
     """Find f completing (e, h) to an sl2-triple, by a linear solve in the
     (-2)-eigenspace of ad h."""
-    hmat = h.matrix
-    candidates = []
-    for j, b in enumerate(R.basis):
-        if R.basis_parities[j] != EVEN:
-            continue
-        bm = b.matrix
-        lam = None
-        ok = True
-        for a in range(R.size):
-            for c in range(R.size):
-                if bm[a, c]:
-                    val = hmat[a, a] - hmat[c, c]
-                    if lam is None:
-                        lam = val
-                    elif lam != val:
-                        ok = False
-        if ok and lam == -2:
-            candidates.append(b)
+    degrees = R.degrees(h.diag())
+    candidates = [j for j, p in enumerate(R.basis_parities)
+                  if p == EVEN and degrees[j] == -2]
     if not candidates:
         if e.is_zero() and h.is_zero():
             return Sl2Triple(e, R.zero(), h)
         raise NoSolution("no (-2)-eigenspace to search")
-    cols = []
-    for b in candidates:
-        br = superbracket(e, b)
-        cols.append([br.matrix[a, c] for a in range(R.size)
-                     for c in range(R.size)])
+    cols = [superbracket(e, R.basis[j]).matrix.entries for j in candidates]
     A = Matrix.from_rows(cols).transpose()
-    target = [hmat[a, c] for a in range(R.size) for c in range(R.size)]
-    x = solve(A, target)
+    x = solve(A, h.matrix.entries)
     if x is None:
         raise NoSolution("(e, h) does not complete to an sl2-triple")
-    f = R.zero()
-    for c, b in zip(x, candidates):
-        if c:
-            f = f + b.scale(c)
-    triple = Sl2Triple(e, f, h)
-    assert triple.verify()
+    coords = [Fraction(0)] * R.dim
+    for j, c in zip(candidates, x):
+        coords[j] = c
+    triple = Sl2Triple(e, R.from_coords(coords), h)
+    if not triple.verify():
+        raise NoSolution("the solved f breaks the sl2 relations")
     return triple
 
 
@@ -235,15 +201,19 @@ def s_centralizer(R, triple, sp=None):
     when the orbit partition is supplied."""
     ads = [adjoint_matrix(triple.e), adjoint_matrix(triple.f),
            adjoint_matrix(triple.h)]
-    even = _parity_kernel(R, ads, EVEN)
-    odd = _parity_kernel(R, ads, ODD)
-    basis = [_element_from_coords(R, v) for v in even + odd]
+    even = parity_kernel(R, ads, EVEN)
+    odd = parity_kernel(R, ads, ODD)
+    basis = [R.from_coords(v) for v in even + odd]
     types = predicted_block_types(R, sp) if sp is not None else []
     return CentralizerReport(len(even), len(odd), basis, types)
 
 
-def _support_degrees(g, coords):
-    return [g.degrees[j] for j, c in enumerate(coords) if c]
+def _in_degree_2(g, e):
+    """Is e in g(2)?  The zero element counts only for the zero grading."""
+    ec = g.ambient.coords(e)
+    if ec is None or any(g.degrees[j] != 2 for j, c in enumerate(ec) if c):
+        return False
+    return not (e.is_zero() and any(g.degrees))
 
 
 def is_good(g, e):
@@ -252,16 +222,12 @@ def is_good(g, e):
     Valid because ad e is degree-homogeneous, so every degree component of
     a kernel vector is again in the kernel.
     """
-    R = g.ambient
-    ec = R.coords(e)
-    if ec is None or any(g.degrees[j] != 2 for j, c in enumerate(ec) if c):
-        return False
-    if e.is_zero() and any(d != 0 for d in g.degrees):
+    if not _in_degree_2(g, e):
         return False
     ad = adjoint_matrix(e)
     for parity in (EVEN, ODD):
-        for vec in _parity_kernel(R, [ad], parity):
-            if any(d < 0 for d in _support_degrees(g, vec)):
+        for vec in parity_kernel(g.ambient, [ad], parity):
+            if any(g.degrees[j] < 0 for j, c in enumerate(vec) if c):
                 return False
     return True
 
@@ -269,20 +235,14 @@ def is_good(g, e):
 def is_good_by_ranks(g, e):
     """Definition-level check: ad e injective g(j)->g(j+2) for j <= -1 and
     surjective for j >= -1."""
-    R = g.ambient
-    ec = R.coords(e)
-    if ec is None or any(g.degrees[j] != 2 for j, c in enumerate(ec) if c):
-        return False
-    if e.is_zero() and any(d != 0 for d in g.degrees):
+    if not _in_degree_2(g, e):
         return False
     ad = adjoint_matrix(e)
-    degs = sorted(set(g.degrees))
-    for j in degs:
+    for j in sorted(set(g.degrees)):
         src = g.component(j)
         tgt = g.component(j + 2)
-        sub = Matrix.from_rows([[ad[r, c] for c in src] for r in tgt]) \
-            if src and tgt else Matrix.zero(len(tgt), max(len(src), 1))
-        r = rank(sub) if src and tgt else 0
+        r = rank(Matrix.from_rows([[ad[t, c] for c in src] for t in tgt])) \
+            if src and tgt else 0
         if j <= -1 and r != len(src):
             return False
         if j >= -1 and r != len(tgt):

@@ -251,82 +251,3 @@ def solve(A, b):
         x[pc] = s / row[pc]
     return x
 
-
-class LinearSpan:
-    """Span of a list of vectors with exact coordinate extraction.
-
-    Keeps a reduced echelon form together with the expression of each
-    echelon row in the original generators, so coords() answers "write v
-    in terms of the generators" without re-running elimination.
-    """
-
-    def __init__(self, vectors):
-        self.ambient = len(vectors[0]) if vectors else 0
-        self.nvec = len(vectors)
-        # each item: (pivot_col, row_dict, coeff_dict)
-        self._rows = []
-        for idx, vec in enumerate(vectors):
-            row = {j: Fraction(x) for j, x in enumerate(vec) if x}
-            coeff = {idx: Fraction(1)}
-            self._insert(row, coeff)
-
-    @property
-    def dim(self):
-        return len(self._rows)
-
-    def _reduce(self, row, coeff):
-        for pc, prow, pcoeff in self._rows:
-            c = row.get(pc)
-            if c:
-                for j, v in prow.items():
-                    nv = row.get(j, Fraction(0)) - c * v
-                    if nv:
-                        row[j] = nv
-                    elif j in row:
-                        del row[j]
-                for j, v in pcoeff.items():
-                    nv = coeff.get(j, Fraction(0)) - c * v
-                    if nv:
-                        coeff[j] = nv
-                    elif j in coeff:
-                        del coeff[j]
-        return row, coeff
-
-    def _insert(self, row, coeff):
-        row, coeff = self._reduce(row, coeff)
-        if not row:
-            return
-        pc = min(row)
-        inv = 1 / row[pc]
-        row = {j: v * inv for j, v in row.items()}
-        coeff = {j: v * inv for j, v in coeff.items()}
-        # eliminate the new pivot from existing rows
-        for k, (opc, orow, ocoeff) in enumerate(self._rows):
-            c = orow.get(pc)
-            if c:
-                for j, v in row.items():
-                    nv = orow.get(j, Fraction(0)) - c * v
-                    if nv:
-                        orow[j] = nv
-                    elif j in orow:
-                        del orow[j]
-                for j, v in coeff.items():
-                    nv = ocoeff.get(j, Fraction(0)) - c * v
-                    if nv:
-                        ocoeff[j] = nv
-                    elif j in ocoeff:
-                        del ocoeff[j]
-        self._rows.append((pc, row, coeff))
-        self._rows.sort(key=lambda t: t[0])
-
-    def coords(self, vec):
-        """Coefficients over the generators, or None if vec is outside."""
-        row = {j: Fraction(x) for j, x in enumerate(vec) if x}
-        coeff = {}
-        row, coeff = self._reduce(row, coeff)
-        if row:
-            return None
-        return [-coeff.get(i, Fraction(0)) for i in range(self.nvec)]
-
-    def contains(self, vec):
-        return self.coords(vec) is not None

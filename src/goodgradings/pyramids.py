@@ -15,8 +15,7 @@ from fractions import Fraction
 from .linalg import Matrix, rank
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
                          is_orthosymplectic, multiplicities, psi_merge)
-from .superalgebra import (EVEN, ODD, is_member_osp, sigma_coefficient,
-                           superbracket)
+from .superalgebra import EVEN, is_member_osp, superbracket
 
 
 class SizeMismatch(ValueError):
@@ -28,7 +27,8 @@ class LengthMismatch(ValueError):
 
 
 class MembershipFailure(ValueError):
-    pass
+    """A pyramid's (e, h) is not a realization: e outside osp, of the wrong
+    Jordan type, or not of degree 2 under h."""
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +133,21 @@ def realize_pyramid(P, R):
     boxes = P.boxes()
     h = R.diagonal({label: x for x, y, t, label in boxes})
     by_pos = {(x, y): label for x, y, t, label in boxes}
-    emat = Matrix.zero(R.size, R.size)
+    entries = {}
     for x, y, t, label in boxes:
         right = by_pos.get((x + 2, y))
         if right is not None:
-            emat[R.index(right), R.index(label)] = Fraction(1)
-    return R.element(emat), h
+            entries[R.index(right), R.index(label)] = 1
+    return R.from_entries(entries), h
+
+
+def dynkin_pair(sp, R):
+    """The Dynkin pyramid P of the orbit and its (e, h) in R: (P, e, h)."""
+    if R.kind == "gl":
+        P = dynkin_pyramid_gl(sp)
+        return (P,) + realize_pyramid(P, R)
+    P = dynkin_pyramid_osp(sp)
+    return (P,) + realize_osp_pyramid(P, R)
 
 
 # ---------------------------------------------------------------------------
@@ -318,57 +327,27 @@ def jordan_type(R, e):
 
 
 def realize_osp_pyramid(P, R):
-    """(e, h) in osp(m|2n) from an orthosymplectic pyramid."""
+    """(e, h) in osp(m|2n) from an orthosymplectic pyramid; each entry of e
+    takes its sign from the even basis element whose support holds it."""
     if R.kind != "osp" or P.m != R.m or P.n2 != R.odd_dim:
         raise SizeMismatch("pyramid (%d|%d) vs realization (%d|%d)"
                            % (P.m, P.n2, R.m, R.odd_dim))
     h = R.diagonal({lab: x for x, y, t, lab in P.boxes})
-    conns = _osp_connections(P)
-    emat = Matrix.zero(R.size, R.size)
-    for a, b in conns:
-        emat[R.index(a), R.index(b)] = sigma_coefficient(R, a, b)
-    if not is_member_osp(R, emat, EVEN):
-        emat = _resolve_signs(R, conns)
-    e = R.element(emat)
-    if not is_member_osp(R, emat, EVEN):
-        raise MembershipFailure("no sign resolution lands e in osp")
+    signs = {ab: c for sup, p in zip(R.supports, R.basis_parities)
+             if p == EVEN for ab, c in sup.items()}
+    entries = {}
+    for a, b in _osp_connections(P):
+        ab = (R.index(a), R.index(b))
+        entries[ab] = signs.get(ab, 0)
+    e = R.from_entries(entries)
+    if not is_member_osp(R, e.matrix, EVEN):
+        raise MembershipFailure("e is not in osp")
     jt = jordan_type(R, e)
     if jt != (P.sp.p, P.sp.q):
         raise MembershipFailure("Jordan type %s != %s" % (jt, (P.sp.p, P.sp.q)))
-    comm = superbracket(h, e) - e.scale(2)
-    assert comm.is_zero(), "[h,e] != 2e"
+    if not (superbracket(h, e) - e.scale(2)).is_zero():
+        raise MembershipFailure("[h, e] != 2e")
     return e, h
-
-
-def _resolve_signs(R, conns):
-    """Fallback: solve the membership equations on the connection support."""
-    from .linalg import kernel_basis
-    support = sorted({(R.index(a), R.index(b)) for a, b in conns})
-    pos_index = {ab: t for t, ab in enumerate(support)}
-    G = R.phi
-    s = R.size
-    rows = []
-    for b in range(s):
-        for c in range(s):
-            row = [Fraction(0)] * len(support)
-            hit = False
-            for a in range(s):
-                if G[a, c] and (a, b) in pos_index:
-                    row[pos_index[(a, b)]] += G[a, c]
-                    hit = True
-                if G[b, a] and (a, c) in pos_index:
-                    row[pos_index[(a, c)]] += G[b, a]
-                    hit = True
-            if hit:
-                rows.append(row)
-    kern = kernel_basis(Matrix.from_rows(rows))
-    for vec in kern:
-        if all(v != 0 for v in vec):
-            emat = Matrix.zero(s, s)
-            for t, (a, b) in enumerate(support):
-                emat[a, b] = vec[t]
-            return emat
-    raise MembershipFailure("membership system has no full-support solution")
 
 
 def shift_matrix(R, P, s, t):

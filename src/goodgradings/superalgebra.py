@@ -1,24 +1,45 @@
-"""Matrix realizations of gl(m|n) and osp(m|2n).
+"""Matrix realizations of gl(m|n) and osp(m|2n): the sparse algebra core.
 
-gl(m|n) is all of End(V0 + V1) with the elementary-matrix basis.  For
-osp(m|2n) the even part is the explicit Chevalley basis of so(m) x sp(2n)
-and the odd part is computed as the kernel of the membership equations,
-so the signs are guaranteed consistent with the chosen form phi.
+Every homogeneous basis element is stored once, as its support
+{(a, b): c}, the nonzero entries of its matrix (at most two of them).
+Coordinates, brackets, adjoint maps and ad-degrees are read off these
+supports.  gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the
+even part is the Chevalley basis of so(m) x sp(2n) and the odd part is
+the kernel of the membership equations, so its signs are consistent with
+the chosen form phi.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .linalg import LinearSpan, Matrix, kernel_basis
+from .linalg import Matrix, kernel_basis
 
 EVEN = 0
 ODD = 1
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class AmbientMismatch(ValueError):
     pass
+
+
+class DimensionError(ValueError):
+    """The requested gl(m|n) or osp(m|2n) is not one this package builds."""
+
+
+class RealizationError(ValueError):
+    """A realization broke one of its own invariants."""
+
+
+def _entries(mat):
+    """Nonzero entries of a square matrix as {(a, b): c}."""
+    s = mat.cols
+    return {divmod(p, s): c for p, c in enumerate(mat.entries) if c}
 
 
 @dataclass
@@ -48,28 +69,16 @@ class AlgebraElement:
         if other.ambient is not self.ambient:
             raise AmbientMismatch("elements live in different realizations")
 
-    def parity_part(self, parity):
-        """Projection onto the even (0) or odd (1) block part."""
-        R = self.ambient
-        out = Matrix.zero(R.size, R.size)
-        for a in range(R.size):
-            for b in range(R.size):
-                if (R.index_parity(a) + R.index_parity(b)) % 2 == parity:
-                    out[a, b] = self.matrix[a, b]
-        return AlgebraElement(R, out)
-
     def parity(self):
         """0, 1, or None for a mixed (non-homogeneous) element."""
-        even = not self.parity_part(ODD).matrix.is_zero()
-        odd_zero = self.parity_part(ODD).matrix.is_zero()
-        even_zero = self.parity_part(EVEN).matrix.is_zero()
-        if odd_zero and even_zero:
-            return EVEN
-        if odd_zero:
-            return EVEN
-        if even_zero:
-            return ODD
-        return None
+        m = self.ambient.m
+        found = {(a < m) != (b < m) for a, b in _entries(self.matrix)}
+        if len(found) == 2:
+            return None
+        return ODD if True in found else EVEN
+
+    def diag(self):
+        return [self.matrix[i, i] for i in range(self.ambient.size)]
 
     def is_zero(self):
         return self.matrix.is_zero()
@@ -82,10 +91,25 @@ class Realization:
     odd_dim: int           # dim V1: n for gl(m|n), 2n for osp(m|2n)
     labels: list           # V-basis labels in matrix-index order
     phi: Matrix = None     # form on V (osp only)
-    basis: list = field(default_factory=list)        # homogeneous basis of g
+    supports: list = field(default_factory=list)  # basis of g as {(a, b): c}
     basis_parities: list = field(default_factory=list)
-    _span: LinearSpan = None
-    _index_of_label: dict = None
+
+    def __post_init__(self):
+        self._index_of_label = {lab: i for i, lab in enumerate(self.labels)}
+
+    def _set_basis(self, supports, parities):
+        """Install the homogeneous basis and give each element a private
+        entry, one that no other basis element touches."""
+        self.supports = supports
+        self.basis_parities = parities
+        touched = Counter(ab for sup in supports for ab in sup)
+        self._private = {}
+        for i, sup in enumerate(supports):
+            ab = next((ab for ab in sup if touched[ab] == 1), None)
+            if ab is None:
+                raise RealizationError("basis element %d has no private "
+                                       "entry" % i)
+            self._private[ab] = i
 
     @property
     def size(self):
@@ -93,7 +117,12 @@ class Realization:
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.supports)
+
+    @cached_property
+    def basis(self):
+        """The homogeneous basis as dense elements."""
+        return [self.from_entries(sup) for sup in self.supports]
 
     def index_parity(self, idx):
         return EVEN if idx < self.m else ODD
@@ -104,33 +133,68 @@ class Realization:
     def element(self, matrix):
         return AlgebraElement(self, matrix)
 
+    def from_entries(self, entries):
+        """The element with the given matrix entries {(a, b): c}."""
+        mat = Matrix.zero(self.size, self.size)
+        for ab, c in entries.items():
+            mat[ab] = c
+        return AlgebraElement(self, mat)
+
     def zero(self):
-        return AlgebraElement(self, Matrix.zero(self.size, self.size))
+        return self.from_entries({})
 
     def E(self, label_i, label_j):
         """Matrix unit sending the basis vector of label_j to label_i."""
-        mat = Matrix.zero(self.size, self.size)
-        mat[self.index(label_i), self.index(label_j)] = Fraction(1)
-        return AlgebraElement(self, mat)
+        return self.from_entries({(self.index(label_i),
+                                   self.index(label_j)): ONE})
 
     def diagonal(self, values_by_label):
-        mat = Matrix.zero(self.size, self.size)
-        for label, v in values_by_label.items():
-            i = self.index(label)
-            mat[i, i] = Fraction(v)
-        return AlgebraElement(self, mat)
-
-    def span(self):
-        if self._span is None:
-            self._span = LinearSpan([x.matrix.entries for x in self.basis])
-        return self._span
+        return self.from_entries({(self.index(lab), self.index(lab)):
+                                  Fraction(v)
+                                  for lab, v in values_by_label.items()})
 
     def coords(self, x):
-        """Coordinates of x over the homogeneous basis (None if outside g)."""
-        return self.span().coords(x.matrix.entries)
+        """Coordinates over the homogeneous basis of x, an element or its
+        nonzero entries {(a, b): c}; None if x is outside g.
 
-    def contains(self, x):
-        return self.coords(x) is not None
+        Each coordinate is read at its basis element's private entry; x is
+        in g exactly when nothing is left after subtracting the
+        reconstruction."""
+        rest = dict(x) if isinstance(x, dict) else _entries(x.matrix)
+        out = [ZERO] * self.dim
+        hit = []
+        for ab, v in rest.items():
+            i = self._private.get(ab)
+            if i is not None:
+                out[i] = v / self.supports[i][ab]
+                hit.append(i)
+        for i in hit:
+            c = out[i]
+            for ab, w in self.supports[i].items():
+                r = rest.get(ab, 0) - c * w
+                if r:
+                    rest[ab] = r
+                else:
+                    del rest[ab]
+        return None if rest else out
+
+    def from_coords(self, coords):
+        """The element with the given coordinates over the basis."""
+        entries = {}
+        for c, sup in zip(coords, self.supports):
+            if c:
+                for ab, w in sup.items():
+                    entries[ab] = entries.get(ab, 0) + c * w
+        return self.from_entries(entries)
+
+    def degrees(self, diag):
+        """ad-eigenvalue of each basis element under the diagonal element
+        with entries diag, or None where it is not an eigenvector."""
+        out = []
+        for sup in self.supports:
+            vals = {diag[a] - diag[b] for a, b in sup}
+            out.append(vals.pop() if len(vals) == 1 else None)
+        return out
 
 
 def _block_parity(R, a, b):
@@ -144,24 +208,38 @@ def supertrace(R, mat):
     return s
 
 
+def _by_row_and_column(m, x):
+    """Entries of x grouped by column and by row, with their parity."""
+    by_col, by_row = {}, {}
+    for (a, b), u in x.items():
+        odd = (a < m) != (b < m)
+        by_col.setdefault(b, []).append((a, u))
+        by_row.setdefault(a, []).append((b, u, odd))
+    return by_col, by_row
+
+
+def _bracket(m, x_grouped, y):
+    """Nonzero entries of [x, y] by the rule
+    [E_ab, E_cd] = d_bc E_ad - (-1)^{|ab||cd|} d_da E_cb; x is grouped by
+    _by_row_and_column, y is {(c, d): v}, m = dim V0."""
+    by_col, by_row = x_grouped
+    out = {}
+    for (c, d), v in y.items():
+        y_odd = (c < m) != (d < m)
+        for a, u in by_col.get(c, ()):
+            out[a, d] = out.get((a, d), 0) + u * v
+        for b, u, x_odd in by_row.get(d, ()):
+            t = u * v
+            out[c, b] = out.get((c, b), 0) + (t if x_odd and y_odd else -t)
+    return {ab: w for ab, w in out.items() if w}
+
+
 def superbracket(x, y):
     """[x, y] = xy - (-1)^{|x||y|} yx, extended bilinearly."""
     x._same(y)
     R = x.ambient
-    out = Matrix.zero(R.size, R.size)
-    for px in (EVEN, ODD):
-        xp = x.parity_part(px)
-        if xp.matrix.is_zero():
-            continue
-        for py in (EVEN, ODD):
-            yp = y.parity_part(py)
-            if yp.matrix.is_zero():
-                continue
-            ab = xp.matrix @ yp.matrix
-            ba = yp.matrix @ xp.matrix
-            term = ab - ba if (px * py) % 2 == 0 else ab + ba
-            out = out + term
-    return AlgebraElement(R, out)
+    x_grouped = _by_row_and_column(R.m, _entries(x.matrix))
+    return R.from_entries(_bracket(R.m, x_grouped, _entries(y.matrix)))
 
 
 def invariant_form(x, y):
@@ -172,14 +250,13 @@ def invariant_form(x, y):
 
 def build_gl(m, n):
     """gl(m|n) with index order 1..m even, m+1..m+n odd."""
-    assert m >= 0 and n >= 0 and m + n >= 1
-    labels = list(range(1, m + n + 1))
-    R = Realization("gl", m, n, labels)
-    R._index_of_label = {lab: i for i, lab in enumerate(labels)}
-    for a in range(m + n):
-        for b in range(m + n):
-            R.basis.append(R.E(labels[a], labels[b]))
-            R.basis_parities.append(_block_parity(R, a, b))
+    if m < 0 or n < 0 or m + n < 1:
+        raise DimensionError("gl(%d|%d) needs m, n >= 0 and m + n >= 1"
+                             % (m, n))
+    R = Realization("gl", m, n, list(range(1, m + n + 1)))
+    pairs = [(a, b) for a in range(m + n) for b in range(m + n)]
+    R._set_basis([{ab: ONE} for ab in pairs],
+                 [_block_parity(R, a, b) for a, b in pairs])
     return R
 
 
@@ -200,7 +277,8 @@ def is_member_osp(R, mat, parity):
 
 
 def _osp_odd_basis(R):
-    """Kernel of the odd membership equations inside gl(m|2n)_1."""
+    """Supports of a kernel basis of the odd membership equations inside
+    gl(m|2n)_1."""
     s = R.size
     positions = [(a, b) for a in range(s) for b in range(s)
                  if _block_parity(R, a, b) == ODD]
@@ -223,14 +301,8 @@ def _osp_odd_basis(R):
                     hit = True
             if hit:
                 rows.append(row)
-    kern = kernel_basis(Matrix.from_rows(rows))
-    out = []
-    for vec in kern:
-        mat = Matrix.zero(s, s)
-        for t, (a, b) in enumerate(positions):
-            mat[a, b] = vec[t]
-        out.append(AlgebraElement(R, mat))
-    return out
+    return [{positions[t]: v for t, v in enumerate(vec) if v}
+            for vec in kernel_basis(Matrix.from_rows(rows))]
 
 
 def build_osp(m, n):
@@ -239,15 +311,15 @@ def build_osp(m, n):
     V0 labels: 0 (m odd only), +-1..+-k with k = floor(m/2);
     V1 labels: +-(k+1)..+-(k+n).  phi(v_0,v_0)=2, phi(v_i,v_-j)=delta_ij.
     """
-    assert m >= 1 and n >= 1
+    if m < 1 or n < 1:
+        raise DimensionError("osp(%d|%d) needs m >= 1 and n >= 1"
+                             % (m, 2 * n))
     k = m // 2
     even_labels = ([0] if m % 2 else []) \
         + list(range(1, k + 1)) + [-i for i in range(1, k + 1)]
     odd_labels = list(range(k + 1, k + n + 1)) \
         + [-i for i in range(k + 1, k + n + 1)]
-    labels = even_labels + odd_labels
-    R = Realization("osp", m, 2 * n, labels)
-    R._index_of_label = {lab: i for i, lab in enumerate(labels)}
+    R = Realization("osp", m, 2 * n, even_labels + odd_labels)
 
     G = Matrix.zero(R.size, R.size)
     if m % 2:
@@ -260,87 +332,51 @@ def build_osp(m, n):
         G[R.index(-i), R.index(i)] = Fraction(-1)
     R.phi = G
 
-    E = R.E
+    def E(*terms):
+        """Support of sum c E_{a,b} over the (a, b, c) terms, by label."""
+        return {(R.index(a), R.index(b)): Fraction(c) for a, b, c in terms}
+
     even = []
     if m % 2:
         for i in range(1, k + 1):
-            even.append(E(i, 0).scale(2) - E(0, -i))
-            even.append(E(0, i) - E(-i, 0).scale(2))
+            even.append(E((i, 0, 2), (0, -i, -1)))
+            even.append(E((0, i, 1), (-i, 0, -2)))
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            even.append(E(i, -j) - E(j, -i))
-            even.append(E(-j, i) - E(-i, j))
+            even.append(E((i, -j, 1), (j, -i, -1)))
+            even.append(E((-j, i, 1), (-i, j, -1)))
     for i in range(1, k + 1):
         for j in range(1, k + 1):
-            even.append(E(i, j) - E(-j, -i))
+            even.append(E((i, j, 1), (-j, -i, -1)))
     for i in range(k + 1, k + n + 1):
         for j in range(k + 1, k + n + 1):
-            even.append(E(i, j) - E(-j, -i))
+            even.append(E((i, j, 1), (-j, -i, -1)))
     for i in range(k + 1, k + n + 1):
-        even.append(E(i, -i))
-        even.append(E(-i, i))
+        even.append(E((i, -i, 1)))
+        even.append(E((-i, i, 1)))
     for i in range(k + 1, k + n + 1):
         for j in range(i + 1, k + n + 1):
-            even.append(E(i, -j) + E(j, -i))
-            even.append(E(-i, j) + E(-j, i))
+            even.append(E((i, -j, 1), (j, -i, 1)))
+            even.append(E((-i, j, 1), (-j, i, 1)))
 
     odd = _osp_odd_basis(R)
-    expected_odd = 2 * m * n
-    assert len(odd) == expected_odd, (len(odd), expected_odd)
-
-    R.basis = even + odd
-    R.basis_parities = [EVEN] * len(even) + [ODD] * len(odd)
+    if len(odd) != 2 * m * n:
+        raise RealizationError("odd part of osp(%d|%d) has dimension %d, "
+                               "not %d" % (m, 2 * n, len(odd), 2 * m * n))
+    R._set_basis(even + odd, [EVEN] * len(even) + [ODD] * len(odd))
     return R
-
-
-def sigma_coefficient(R, a, b):
-    """Coefficient of E_{a,b} in the Chevalley basis element containing it
-    (0 when no even basis element involves E_{a,b})."""
-    assert R.kind == "osp"
-    k = R.m // 2
-    in_so = abs(a) <= k and abs(b) <= k
-    in_sp = abs(a) > k and abs(b) > k
-    if not (in_so or in_sp):
-        return Fraction(0)
-    if in_so:
-        if a == 0 and b == 0:
-            return Fraction(0)
-        if b == 0:
-            return Fraction(2 if a > 0 else -2)
-        if a == 0:
-            return Fraction(1 if b > 0 else -1)
-        if a > 0 and b > 0:
-            return Fraction(1)
-        if a < 0 and b < 0:
-            return Fraction(-1)
-        if a > 0 and b < 0:
-            if a == -b:
-                return Fraction(0)
-            return Fraction(1 if a < -b else -1)
-        # a < 0 < b
-        if b == -a:
-            return Fraction(0)
-        return Fraction(1 if b < -a else -1)
-    # sp block
-    if a > 0 and b > 0:
-        return Fraction(1)
-    if a < 0 and b < 0:
-        return Fraction(-1)
-    return Fraction(1)
 
 
 def adjoint_matrix(x):
     """Matrix of ad x on the homogeneous basis of its ambient algebra."""
     R = x.ambient
-    cols = []
-    for b in R.basis:
-        bracket = superbracket(x, b)
-        c = R.coords(bracket)
-        if c is None:
-            raise ValueError("bracket left the algebra; realization broken")
-        cols.append(c)
+    x_grouped = _by_row_and_column(R.m, _entries(x.matrix))
     out = Matrix.zero(R.dim, R.dim)
-    for j, col in enumerate(cols):
+    for j, sup in enumerate(R.supports):
+        col = R.coords(_bracket(R.m, x_grouped, sup))
+        if col is None:
+            raise RealizationError("bracket left the algebra")
         for i, v in enumerate(col):
-            out[i, j] = v
+            if v:
+                out[i, j] = v
     return out

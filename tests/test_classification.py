@@ -1,4 +1,7 @@
-from goodgradings.classification import (brute_force_shifts,
+import pytest
+
+from goodgradings import classification
+from goodgradings.classification import (NotCentral, brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
 from goodgradings.gradings import is_good
@@ -21,6 +24,14 @@ def test_gl_members_are_good():
     e, _ = realize_pyramid(dynkin_pyramid_gl(sp), R)
     for g in gs.gradings:
         assert is_good(g, e)
+
+
+def test_oracle_checks_centrality(monkeypatch):
+    # a bracket that returns its first argument makes no generator central
+    monkeypatch.setattr(classification, "superbracket", lambda x, y: x)
+    sp = SuperPartition((2,), (1,))
+    with pytest.raises(NotCentral):
+        brute_force_shifts(build_gl(sp.m, sp.n), sp, 2)
 
 
 def test_oracle_small_gl():

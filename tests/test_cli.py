@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from goodgradings.cli import main
 
 
@@ -86,6 +88,42 @@ def test_verify_wrong_h_length(capsys):
     code, _, err = _run(capsys, [
         "verify", "gl", "2", "0", "--H", "[1]", "--e", "E12"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "E99"],
+    ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "E01"],
+    ["verify", "gl", "2", "0", "--H", '[1,"a"]', "--e", "E12"],
+    ["verify", "gl", "2", "0", "--H", "[1/2,0]", "--e", "E12"],
+    ["verify", "gl", "2", "0", "--H", '["1/0",0]', "--e", "E12"],
+    ["verify", "gl", "2", "0", "--H", "5", "--e", "E12"],
+    ["verify", "osp", "2", "2", "--H", "[1,0,0,0]", "--e", "E12"],
+    ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "[[0,1]]"],
+    ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "[[0,1],5]"],
+    ["classify", "gl", "0", "0", "--orbit", '{"p":[],"q":[]}'],
+    ["classify", "osp", "1", "0", "--orbit", '{"p":[1],"q":[]}'],
+    ["classify", "gl", "2", "1", "--orbit", '{"p":[2],"q":[1]}',
+     "--bound", "1"],
+])
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_e_outside_algebra(capsys):
+    code, out, err = _run(capsys, [
+        "verify", "osp", "2", "2", "--H", "[1,-1,0,0]", "--e", "E12"])
+    assert code == 2
+    assert err == "error: e is not in osp(2|2)\n"
+
+
+def test_format_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "gl", "2", "1", "--orbit", '{"p":[2],"q":[1]}',
+              "--format", "text"])
+    assert exc.value.code == 2
 
 
 def test_centralizer(capsys):

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from goodgradings.gradings import (NonIntegralGrading, OddGrading,
-                                   block_type_dim, centralizer, complete_sl2,
+from goodgradings.gradings import (NonIntegralGrading, NoSolution,
+                                   OddGrading, Sl2Triple, block_type_dim, centralizer, complete_sl2,
                                    dim_formula_gl, dim_formula_osp,
                                    grading_from, is_good, is_good_by_ranks,
                                    is_richardson, s_centralizer)
@@ -89,6 +89,13 @@ def test_complete_sl2_zero():
     R = build_gl(1, 1)
     tr = complete_sl2(R, R.zero(), R.zero())
     assert tr.f.is_zero()
+
+
+def test_complete_sl2_checks_relations(monkeypatch):
+    monkeypatch.setattr(Sl2Triple, "verify", lambda self: False)
+    R = build_gl(2, 0)
+    with pytest.raises(NoSolution, match="sl2 relations"):
+        complete_sl2(R, R.E(1, 2), R.diagonal({1: 1, 2: -1}))
 
 
 def test_complete_sl2_gl46():

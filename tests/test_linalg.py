@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from goodgradings.linalg import LinearSpan, Matrix, kernel_basis, rank, solve
+from goodgradings.linalg import Matrix, kernel_basis, rank, solve
+from goodgradings.superalgebra import build_gl, build_osp
 
 
 def M(rows):
@@ -72,30 +74,26 @@ def test_solve_fractional():
         [Fraction(1, 2), Fraction(1, 3)]
 
 
-def test_linear_span_coords():
-    gens = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    span = LinearSpan(gens)
-    assert span.dim == 2
-    c = span.coords([Fraction(3), Fraction(2)])
-    # 3,2 = 1*(1,0) + 2*(1,1)
-    assert c == [1, 2]
-    assert span.coords([Fraction(0), Fraction(0)]) == [0, 0]
+ALGEBRAS = [build_gl(2, 1), build_osp(3, 1), build_osp(2, 2)]
 
 
-def test_linear_span_outside():
-    span = LinearSpan([[Fraction(1), Fraction(0), Fraction(0)]])
-    assert span.coords([Fraction(0), Fraction(1), Fraction(0)]) is None
-    assert span.contains([Fraction(5), Fraction(0), Fraction(0)])
+@pytest.mark.parametrize("R", ALGEBRAS, ids=["gl21", "osp31", "osp22"])
+def test_coords_of_basis_are_unit_vectors(R):
+    for i, b in enumerate(R.basis):
+        assert R.coords(b) == [int(j == i) for j in range(R.dim)]
 
 
-@given(matrices())
-def test_span_roundtrip(m):
-    rows = [m.row(i) for i in range(m.rows)]
-    span = LinearSpan(rows)
-    for i in range(m.rows):
-        c = span.coords(rows[i])
-        assert c is not None
-        # the expressed combination reproduces the row
-        combo = [sum(ci * rows[j][k] for j, ci in enumerate(c))
-                 for k in range(m.cols)]
-        assert combo == rows[i]
+@pytest.mark.parametrize("R", ALGEBRAS, ids=["gl21", "osp31", "osp22"])
+@given(data=st.data())
+def test_coords_roundtrip(R, data):
+    c = [Fraction(v) for v in data.draw(
+        st.lists(small_entries, min_size=R.dim, max_size=R.dim))]
+    x = R.from_coords(c)
+    assert R.coords(x) == c
+    assert R.from_coords(R.coords(x)).matrix == x.matrix
+
+
+@pytest.mark.parametrize("R", ALGEBRAS[1:], ids=["osp31", "osp22"])
+def test_coords_outside_osp(R):
+    assert R.coords(R.element(Matrix.identity(R.size))) is None
+    assert R.coords(R.from_entries({(0, 1): 1})) is None      # E12

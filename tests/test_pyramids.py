@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from goodgradings import pyramids
 from goodgradings.partitions import (SuperPartition,
                                      enumerate_super_partitions)
-from goodgradings.pyramids import (LengthMismatch, Pyramid, SizeMismatch,
+from goodgradings.pyramids import (LengthMismatch, MembershipFailure,
+                                   Pyramid, SizeMismatch,
                                    dynkin_pyramid_gl, dynkin_pyramid_osp,
                                    enumerate_pyr, jordan_type,
                                    realize_osp_pyramid, realize_pyramid,
@@ -109,6 +111,14 @@ def test_osp_pyramid_441_6():
 def test_osp_pyramid_1_2():
     P = dynkin_pyramid_osp(SuperPartition((1,), (2,)))
     assert _box_shape(P) == sorted([(0, 0, "+"), (1, 2, "-"), (-1, -2, "-")])
+
+
+def test_realize_osp_checks_degree_of_e(monkeypatch):
+    # with a bracket that always vanishes, [h, e] = 2e fails
+    monkeypatch.setattr(pyramids, "superbracket", lambda x, y: x.ambient.zero())
+    P = dynkin_pyramid_osp(SuperPartition((3,), (2,)))
+    with pytest.raises(MembershipFailure, match=r"\[h, e\] != 2e"):
+        realize_osp_pyramid(P, build_osp(3, 1))
 
 
 def test_osp_central_symmetry():

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from goodgradings import superalgebra
 from goodgradings.linalg import Matrix, rank
 from goodgradings.superalgebra import (EVEN, ODD, AmbientMismatch,
-                                       adjoint_matrix, build_gl, build_osp,
-                                       invariant_form, is_member_osp,
-                                       superbracket, supertrace)
+                                       RealizationError, adjoint_matrix,
+                                       build_gl, build_osp, invariant_form,
+                                       is_member_osp, superbracket,
+                                       supertrace)
 
 
 def test_build_gl_counts():
@@ -61,6 +63,22 @@ def test_superbracket_examples():
     assert b.matrix == (R.E(1, 1) + R.E(3, 3)).matrix
     x = R.E(1, 2) + R.E(2, 1)
     assert superbracket(x, x).is_zero()
+
+
+def test_superbracket_matches_matrix_products():
+    # the matrix-level definition is the reference for the entrywise rule
+    for R in (build_gl(2, 1), build_osp(2, 1)):
+        for x, px in zip(R.basis, R.basis_parities):
+            for y, py in zip(R.basis, R.basis_parities):
+                xy, yx = x.matrix @ y.matrix, y.matrix @ x.matrix
+                expected = xy + yx if px and py else xy - yx
+                assert superbracket(x, y).matrix == expected
+
+
+def test_build_osp_checks_odd_dimension(monkeypatch):
+    monkeypatch.setattr(superalgebra, "_osp_odd_basis", lambda R: [])
+    with pytest.raises(RealizationError, match="odd part"):
+        build_osp(2, 1)
 
 
 def test_ambient_mismatch():
