@@ -18,11 +18,12 @@ from .gradings import (CentralizerReport, Grading, NonIntegralGrading,
                        complete_sl2, dim_formula_gl, dim_formula_osp,
                        grading_from, integral_degrees, is_good,
                        is_good_by_ranks, is_richardson, s_centralizer)
-from .classification import (BoundTooSmall, GoodGradingSet, NotCentral,
-                             brute_force_shifts, extensions_of_even_grading,
-                             good_gradings_gl, good_gradings_osp)
-from .roots import (MarkedBase, Root, RootSystem, build_roots,
-                    find_nonnegative_base, is_isotropic, marked_equivalent,
-                    reflect_marked)
+from .classification import (BoundTooSmall, DegreeMismatch, GoodGradingSet,
+                             NotCentral, brute_force_shifts,
+                             extensions_of_even_grading, good_gradings_gl,
+                             good_gradings_osp)
+from .roots import (MarkedBase, Root, RootSystem, RootSystemError,
+                    build_roots, find_nonnegative_base, is_isotropic,
+                    marked_equivalent, reflect_marked)
 
 __version__ = "0.1.0"

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gradings import (complete_sl2, grading_from, integral_degrees,
-                       parity_kernel, s_centralizer)
+                       kernel_support, s_centralizer)
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
                          is_orthosymplectic, psi_merge)
 from .pyramids import dynkin_pair, enumerate_pyr, realize_pyramid, shift_matrix
-from .superalgebra import (EVEN, ODD, adjoint_matrix, build_gl, build_osp,
-                           superbracket)
+from .superalgebra import build_gl, build_osp, superbracket
 
 
 @dataclass
@@ -72,45 +71,47 @@ class NotCentral(ValueError):
     """A shift generator fails to commute with the sl2-centralizer."""
 
 
-class _FastGoodness:
-    """Precomputed degree forms and kernel supports for scanning many
-    diagonal shifts of one (e, h) pair."""
+class DegreeMismatch(ValueError):
+    """A grading rebuilt from a scanned shift has another degree map."""
 
-    def __init__(self, R, e, h, generators):
-        self.R = R
-        self.gens = generators
-        # one degree form per basis element, in doubled units:
-        # deg2 = 2*base_deg + sum(A_g * gen_deg_g), A_g = 2 * shift coefficient
-        base = integral_degrees(R, h.diag())
-        gen_degrees = [integral_degrees(R, z.diag()) for z in generators]
-        self.forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
-                      for i, d in enumerate(base)]
-        ad = adjoint_matrix(e)
-        self.kernel_supports = [[j for j, v in enumerate(vec) if v]
-                                for parity in (EVEN, ODD)
-                                for vec in parity_kernel(R, [ad], parity)]
-        ec = R.coords(e)
-        self.e_support = [j for j, c in enumerate(ec) if c]
 
-    def degrees2(self, doubled_coeffs):
-        """Doubled degrees for the shift with doubled coefficients."""
-        out = []
-        for bd, coefs in self.forms:
-            out.append(bd + sum(a * c for a, c in zip(doubled_coeffs, coefs)))
-        return out
-
-    def classify(self, doubled_coeffs):
-        """None if non-integral, else (is_good, degrees tuple)."""
-        d2 = self.degrees2(doubled_coeffs)
+def _scan_shifts(R, e, h, gens, candidates):
+    """Scan diagonal shifts h + sum(a/2 * gen) of the pair (e, h), each
+    given by its doubled coefficients a.  Returns the good gradings, one
+    per degree map (from the first shift reaching it) in degree-map
+    order, and the number of integral candidates that are not good."""
+    # one degree form per basis element, in doubled units:
+    # deg2 = 2 * base_deg + sum(a_g * gen_deg_g)
+    gen_degrees = [integral_degrees(R, z.diag()) for z in gens]
+    forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
+             for i, d in enumerate(integral_degrees(R, h.diag()))]
+    e_support = [j for j, c in enumerate(R.coords(e)) if c]
+    ker_support = kernel_support(R, e)
+    found = {}
+    not_good = 0
+    for doubled in candidates:
+        d2 = [bd + sum(a * c for a, c in zip(doubled, coefs))
+              for bd, coefs in forms]
         if any(d % 2 for d in d2):
-            return None
-        degs = [d // 2 for d in d2]
-        if any(degs[j] != 2 for j in self.e_support):
-            return (False, tuple(degs))
-        for supp in self.kernel_supports:
-            if any(degs[j] < 0 for j in supp):
-                return (False, tuple(degs))
-        return (True, tuple(degs))
+            continue
+        degs = tuple(d // 2 for d in d2)
+        if any(degs[j] != 2 for j in e_support) \
+                or any(degs[j] < 0 for j in ker_support):
+            not_good += 1
+        elif degs not in found:
+            found[degs] = doubled
+    gradings = []
+    for degs in sorted(found):
+        H = h
+        for a, gen in zip(found[degs], gens):
+            if a:
+                H = H + gen.scale(Fraction(a, 2))
+        g = grading_from(R, H)
+        if g.key() != degs:
+            raise DegreeMismatch("shift %s rebuilds another degree map"
+                                 % (found[degs],))
+        gradings.append(g)
+    return gradings, not_good
 
 
 def _center_generators(R, sp, P):
@@ -137,9 +138,10 @@ def _center_generators(R, sp, P):
 
 
 def brute_force_shifts(R, sp, bound):
-    """Independent oracle: scan all central diagonal shifts z of the Dynkin
-    pair with entries in half-integers up to the bound, keeping the shifts
-    whose grading is integral and good."""
+    """Oracle: scan all central diagonal shifts z of the Dynkin pair with
+    entries in half-integers up to the bound, keeping the shifts whose
+    grading is integral and good.  It shares the shift generators and the
+    scan with the osp classifier, which differs in its candidates only."""
     if bound < max(sp.p + sp.q):
         raise BoundTooSmall("bound %d is below the largest part %d"
                             % (bound, max(sp.p + sp.q)))
@@ -152,41 +154,12 @@ def brute_force_shifts(R, sp, bound):
             if not superbracket(z, b).is_zero():
                 raise NotCentral("shift generator does not commute with "
                                  "the sl2-centralizer")
-    fast = _FastGoodness(R, e, h, gens)
     ng = len(gens)
-    found = {}
-    if ng == 0:
-        ranges = [[()]]
-    else:
-        ints = [tuple(v) for v in
-                itertools.product(range(-2 * bound, 2 * bound + 1, 2),
-                                  repeat=ng)]
-        halves = [tuple(v) for v in
-                  itertools.product(range(-2 * bound + 1, 2 * bound, 2),
-                                    repeat=ng)]
-        ranges = [ints, halves]
-    for lattice in ranges:
-        for doubled in lattice:
-            res = fast.classify(doubled)
-            if res is None:
-                continue
-            good, degs = res
-            if good and degs not in found:
-                found[degs] = doubled
-    gradings = []
-    prov = []
-    for degs in sorted(found):
-        doubled = found[degs]
-        z = R.zero()
-        for a2, gen in zip(doubled, gens):
-            if a2:
-                z = z + gen.scale(Fraction(a2, 2))
-        H = h + z
-        g = grading_from(R, H)
-        assert g.key() == degs
-        gradings.append(g)
-        prov.append("shift-vector")
-    return GoodGradingSet(sp, gradings, prov)
+    candidates = itertools.chain(
+        itertools.product(range(-2 * bound, 2 * bound + 1, 2), repeat=ng),
+        itertools.product(range(-2 * bound + 1, 2 * bound, 2), repeat=ng))
+    gradings, _ = _scan_shifts(R, e, h, gens, candidates)
+    return GoodGradingSet(sp, gradings, ["shift-vector"] * len(gradings))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +167,10 @@ def brute_force_shifts(R, sp, bound):
 
 
 def _pair_constraint_ok(cp, dq, s, t):
+    """|s_k - t_l| <= 1 wherever |p_k - q_l| = 1, on doubled shifts."""
     for k, pk in enumerate(cp):
         for l, ql in enumerate(dq):
-            if abs(pk - ql) == 1 and abs(s[k] - t[l]) > 1:
+            if abs(pk - ql) == 1 and abs(s[k] - t[l]) > 2:
                 return False
     return True
 
@@ -236,36 +210,18 @@ def good_gradings_osp(sp):
 
     jp, jq = set(sp.p), set(sp.q)
     half_case = (sp.m % 2 == 0 and set(cp) == jp and set(dq) == jq)
+    # doubled shifts: integers in {-1, 0, 1}, then halves +-1/2
     ng = len(cp) + len(dq)
-    candidates = [tuple(v) for v in
-                  itertools.product((-1, 0, 1), repeat=ng)]
+    candidates = itertools.product((-2, 0, 2), repeat=ng)
     if half_case:
-        candidates += [tuple(v) for v in
-                       itertools.product((Fraction(-1, 2), Fraction(1, 2)),
-                                         repeat=ng)]
-    gens = _center_generators(R, sp, P)
-    fast = _FastGoodness(R, e, h, gens)
-    found = {}
-    not_good = 0
-    for vec in candidates:
-        s, t = vec[:len(cp)], vec[len(cp):]
-        if not _pair_constraint_ok(cp, dq, s, t):
-            continue
-        doubled = tuple(int(2 * Fraction(v)) for v in vec)
-        res = fast.classify(doubled)
-        if res is None:
-            continue
-        good, degs = res
-        if not good:
-            # stated shift conditions admit it, goodness rejects it
-            # (the mirror pairing adds a |s_k + t_l| constraint)
-            not_good += 1
-            continue
-        if degs not in found:
-            z = shift_matrix(R, P, s, t)
-            found[degs] = grading_from(R, h + z)
-            assert found[degs].key() == degs
-    gradings = [found[k] for k in sorted(found)]
+        candidates = itertools.chain(candidates,
+                                     itertools.product((-1, 1), repeat=ng))
+    # the stated shift conditions admit the candidates that goodness then
+    # rejects (the mirror pairing adds a |s_k + t_l| constraint)
+    gradings, not_good = _scan_shifts(
+        R, e, h, _center_generators(R, sp, P),
+        (v for v in candidates
+         if _pair_constraint_ok(cp, dq, v[:len(cp)], v[len(cp):])))
     out = GoodGradingSet(sp, gradings, ["shift-vector"] * len(gradings))
     out.notes["case"] = "half-integer shifts allowed" if half_case \
         else "integer shifts in {-1,0,1}"

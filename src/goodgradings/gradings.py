@@ -8,7 +8,8 @@ from fractions import Fraction
 from .linalg import Matrix, kernel_basis, rank, solve
 from .partitions import (NotOrthosymplectic, is_orthosymplectic,
                          multiplicities)
-from .superalgebra import EVEN, ODD, adjoint_matrix, superbracket
+from .superalgebra import (EVEN, ODD, ad_columns, adjoint_matrix,
+                           superbracket)
 
 
 class NonIntegralGrading(ValueError):
@@ -92,32 +93,36 @@ class CentralizerReport:
     blockTypes: list = field(default_factory=list)
 
 
-def parity_kernel(R, adjoints, parity):
-    """Kernel vectors of the stacked adjoint maps restricted to one parity."""
-    idx = [i for i, p in enumerate(R.basis_parities) if p == parity]
-    if not idx:
-        return []
-    rows = []
-    for ad in adjoints:
-        for r in range(ad.rows):
-            rows.append([ad[r, j] for j in idx])
-    kern = kernel_basis(Matrix.from_rows(rows))
+def parity_kernels(R, adjoints, cols):
+    """(even, odd) kernel vectors of the stacked even adjoint maps on the
+    basis columns cols, padded with zeros to full coordinates."""
     out = []
-    for vec in kern:
-        full = [Fraction(0)] * R.dim
-        for t, j in enumerate(idx):
-            full[j] = vec[t]
-        out.append(full)
+    for parity in (EVEN, ODD):
+        idx = [j for j in cols if R.basis_parities[j] == parity]
+        rows = [[ad[r, j] for j in idx]
+                for ad in adjoints for r in range(ad.rows)]
+        vecs = []
+        for vec in kernel_basis(Matrix.from_rows(rows)):
+            full = [Fraction(0)] * R.dim
+            for t, j in enumerate(idx):
+                full[j] = vec[t]
+            vecs.append(full)
+        out.append(vecs)
     return out
 
 
 def centralizer(R, e):
     """ker(ad e), split by parity."""
-    ad = adjoint_matrix(e)
-    even = parity_kernel(R, [ad], EVEN)
-    odd = parity_kernel(R, [ad], ODD)
+    even, odd = parity_kernels(R, [adjoint_matrix(e)], range(R.dim))
     basis = [R.from_coords(v) for v in even + odd]
     return CentralizerReport(len(even), len(odd), basis)
+
+
+def kernel_support(R, e):
+    """Basis indices on which some element of ker(ad e) is nonzero: the
+    union of the supports of a kernel basis."""
+    even, odd = parity_kernels(R, [adjoint_matrix(e)], range(R.dim))
+    return {j for vec in even + odd for j, c in enumerate(vec) if c}
 
 
 def dim_formula_gl(sp):
@@ -146,8 +151,8 @@ def dim_formula_osp(sp):
 
 
 def complete_sl2(R, e, h):
-    """Find f completing (e, h) to an sl2-triple, by a linear solve in the
-    (-2)-eigenspace of ad h."""
+    """Find f completing (e, h) to an sl2-triple: solve [e, f] = h in basis
+    coordinates over the (-2)-eigenspace of ad h."""
     degrees = R.degrees(h.diag())
     candidates = [j for j, p in enumerate(R.basis_parities)
                   if p == EVEN and degrees[j] == -2]
@@ -155,9 +160,10 @@ def complete_sl2(R, e, h):
         if e.is_zero() and h.is_zero():
             return Sl2Triple(e, R.zero(), h)
         raise NoSolution("no (-2)-eigenspace to search")
-    cols = [superbracket(e, R.basis[j]).matrix.entries for j in candidates]
-    A = Matrix.from_rows(cols).transpose()
-    x = solve(A, h.matrix.entries)
+    hc = R.coords(h)
+    if hc is None:
+        raise NoSolution("h is not in the algebra")
+    x = solve(Matrix.from_rows(list(zip(*ad_columns(e, candidates)))), hc)
     if x is None:
         raise NoSolution("(e, h) does not complete to an sl2-triple")
     coords = [Fraction(0)] * R.dim
@@ -198,11 +204,11 @@ def block_type_dim(t):
 
 def s_centralizer(R, triple, sp=None):
     """Simultaneous centralizer of {e, f, h}, with predicted factor types
-    when the orbit partition is supplied."""
-    ads = [adjoint_matrix(triple.e), adjoint_matrix(triple.f),
-           adjoint_matrix(triple.h)]
-    even = parity_kernel(R, ads, EVEN)
-    odd = parity_kernel(R, ads, ODD)
+    when the orbit partition is supplied.  ad h is diagonal with the
+    degrees on the diagonal, so its kernel is the degree-0 columns."""
+    degree0 = [j for j, d in enumerate(R.degrees(triple.h.diag())) if d == 0]
+    even, odd = parity_kernels(
+        R, [adjoint_matrix(triple.e), adjoint_matrix(triple.f)], degree0)
     basis = [R.from_coords(v) for v in even + odd]
     types = predicted_block_types(R, sp) if sp is not None else []
     return CentralizerReport(len(even), len(odd), basis, types)
@@ -224,12 +230,7 @@ def is_good(g, e):
     """
     if not _in_degree_2(g, e):
         return False
-    ad = adjoint_matrix(e)
-    for parity in (EVEN, ODD):
-        for vec in parity_kernel(g.ambient, [ad], parity):
-            if any(g.degrees[j] < 0 for j, c in enumerate(vec) if c):
-                return False
-    return True
+    return all(g.degrees[j] >= 0 for j in kernel_support(g.ambient, e))
 
 
 def is_good_by_ranks(g, e):

@@ -11,7 +11,10 @@ class NotOrthosymplectic(ValueError):
 
 
 def _check_partition(parts):
-    parts = tuple(int(x) for x in parts)
+    parts = tuple(parts)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in parts):
+        raise ValueError("partition parts must be integers, got %r"
+                         % (parts,))
     if any(x <= 0 for x in parts):
         raise ValueError("partition parts must be positive")
     if list(parts) != sorted(parts, reverse=True):

@@ -13,6 +13,10 @@ from fractions import Fraction
 from .superalgebra import EVEN, ODD
 
 
+class RootSystemError(ValueError):
+    """A root computation broke an invariant of the root system."""
+
+
 @dataclass(frozen=True)
 class Root:
     coeffs: tuple          # integers over (eps_1..eps_k, delta_1..delta_n)
@@ -153,9 +157,7 @@ def reflect_marked(b, k):
                 new_marks.append(-dk)
             elif sys.form(beta, alpha) != 0:
                 summed = beta.plus(alpha, None)
-                root = sys.find(summed.coeffs)
-                assert root is not None, "reflected root left the system"
-                new_simple.append(root)
+                new_simple.append(_find(sys, summed.coeffs))
                 new_marks.append(di + dk)
             else:
                 new_simple.append(beta)
@@ -164,25 +166,25 @@ def reflect_marked(b, k):
         aa = sys.form(alpha, alpha)
         for beta, di in zip(b.simple, b.marks):
             c = Fraction(2 * sys.form(beta, alpha), aa)
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise RootSystemError("non-integral Cartan integer %s" % c)
             c = int(c)
-            coeffs = tuple(x - c * a for x, a in
-                           zip(beta.coeffs, alpha.coeffs))
-            root = sys.find(coeffs)
-            assert root is not None, "reflected root left the system"
-            new_simple.append(root)
+            new_simple.append(_find(sys, tuple(
+                x - c * a for x, a in zip(beta.coeffs, alpha.coeffs))))
             new_marks.append(di - c * dk)
     return MarkedBase(sys, tuple(new_simple), tuple(new_marks))
 
 
-def _positive_system(sys, functional):
-    pos = []
-    for r in sys.roots:
-        val = sum(f * c for f, c in zip(functional, r.coeffs))
-        assert val != 0, "functional vanishes on a root"
-        if val > 0:
-            pos.append(r)
-    return pos
+def _find(sys, coeffs):
+    root = sys.find(coeffs)
+    if root is None:
+        raise RootSystemError("reflected root %s left the system"
+                              % (tuple(coeffs),))
+    return root
+
+
+def _value(vals, root):
+    return sum(v * c for v, c in zip(vals, root.coeffs))
 
 
 def _base_of(sys, pos):
@@ -225,15 +227,21 @@ def degree_functional(grading):
 
 
 def _deg(vals, root):
-    d = sum(v * c for v, c in zip(vals, root.coeffs))
-    assert Fraction(d).denominator == 1
+    d = Fraction(_value(vals, root))
+    if d.denominator != 1:
+        raise RootSystemError("root %s has non-integral degree %s"
+                              % (root.coeffs, d))
     return int(d)
 
 
 def find_nonnegative_base(grading, seed=3):
-    """A base on which the grading's degree map is nonnegative: start from
-    a generic positive system and reflect away negative-degree simple
-    roots, lowest index first."""
+    """A base on which the grading's degree map is nonnegative.
+
+    Reflecting the negative-degree simple roots of a generic positive
+    system away, one at a time, moves only roots of negative degree; it
+    ends at the positive system read here in one pass: every root of
+    positive degree, and those of degree 0 that the generic functional
+    makes positive."""
     R = grading.ambient
     if R.kind == "gl":
         sys = build_roots("gl", R.m, R.odd_dim)
@@ -242,21 +250,17 @@ def find_nonnegative_base(grading, seed=3):
     vals = degree_functional(grading)
     n = sys.eps_count + sys.delta_count
     functional = [Fraction(seed) ** (n - l) for l in range(n)]
-    pos = _positive_system(sys, functional)
-    while True:
-        simple = _base_of(sys, pos)
-        neg = [a for a in simple if _deg(vals, a) < 0]
-        if not neg:
-            marks = tuple(_deg(vals, a) for a in simple)
-            return MarkedBase(sys, tuple(simple), marks)
-        alpha = neg[0]
-        remove = {alpha.coeffs}
-        add = [-alpha]
-        double = sys.find(tuple(2 * c for c in alpha.coeffs))
-        if alpha.parity == ODD and not is_isotropic(sys, alpha) and double:
-            remove.add(double.coeffs)
-            add.append(-double)
-        pos = [r for r in pos if r.coeffs not in remove] + add
+    pos = []
+    for r in sys.roots:
+        generic = _value(functional, r)
+        if generic == 0:
+            raise RootSystemError("functional vanishes on root %s"
+                                  % (r.coeffs,))
+        if (_value(vals, r), generic) > (0, 0):
+            pos.append(r)
+    simple = _base_of(sys, pos)
+    return MarkedBase(sys, tuple(simple),
+                      tuple(_deg(vals, a) for a in simple))
 
 
 def _diagram_match(b1, b2):

@@ -367,15 +367,22 @@ def build_osp(m, n):
     return R
 
 
+def ad_columns(x, cols):
+    """Coordinates of [x, b_j] for each basis index j in cols, in turn."""
+    R = x.ambient
+    x_grouped = _by_row_and_column(R.m, _entries(x.matrix))
+    for j in cols:
+        col = R.coords(_bracket(R.m, x_grouped, R.supports[j]))
+        if col is None:
+            raise RealizationError("bracket left the algebra")
+        yield col
+
+
 def adjoint_matrix(x):
     """Matrix of ad x on the homogeneous basis of its ambient algebra."""
     R = x.ambient
-    x_grouped = _by_row_and_column(R.m, _entries(x.matrix))
     out = Matrix.zero(R.dim, R.dim)
-    for j, sup in enumerate(R.supports):
-        col = R.coords(_bracket(R.m, x_grouped, sup))
-        if col is None:
-            raise RealizationError("bracket left the algebra")
+    for j, col in enumerate(ad_columns(x, range(R.dim))):
         for i, v in enumerate(col):
             if v:
                 out[i, j] = v

@@ -1,10 +1,11 @@
 import pytest
 
 from goodgradings import classification
-from goodgradings.classification import (NotCentral, brute_force_shifts,
+from goodgradings.classification import (DegreeMismatch, NotCentral,
+                                         brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
-from goodgradings.gradings import is_good
+from goodgradings.gradings import Grading, is_good
 from goodgradings.partitions import SuperPartition
 from goodgradings.pyramids import Pyramid
 from goodgradings.superalgebra import build_gl, build_osp
@@ -32,6 +33,17 @@ def test_oracle_checks_centrality(monkeypatch):
     sp = SuperPartition((2,), (1,))
     with pytest.raises(NotCentral):
         brute_force_shifts(build_gl(sp.m, sp.n), sp, 2)
+
+
+def test_scan_checks_rebuilt_degrees(monkeypatch):
+    # a rebuilt grading whose degree map is not the scanned one
+    monkeypatch.setattr(classification, "grading_from",
+                        lambda R, H: Grading(R, H, ()))
+    sp = SuperPartition((2,), (1,))
+    with pytest.raises(DegreeMismatch):
+        brute_force_shifts(build_gl(sp.m, sp.n), sp, 2)
+    with pytest.raises(DegreeMismatch):
+        good_gradings_osp(SuperPartition((3, 3), (4,)))
 
 
 def test_oracle_small_gl():

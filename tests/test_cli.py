@@ -104,6 +104,8 @@ def test_verify_wrong_h_length(capsys):
     ["classify", "osp", "1", "0", "--orbit", '{"p":[1],"q":[]}'],
     ["classify", "gl", "2", "1", "--orbit", '{"p":[2],"q":[1]}',
      "--bound", "1"],
+    ["classify", "gl", "1", "0", "--orbit", '{"p":[1.5],"q":[]}'],
+    ["classify", "gl", "1", "0", "--orbit", '{"p":[true],"q":[]}'],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = _run(capsys, argv)

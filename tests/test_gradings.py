@@ -7,14 +7,16 @@ from goodgradings.gradings import (NonIntegralGrading, NoSolution,
                                    dim_formula_gl, dim_formula_osp,
                                    grading_from, is_good, is_good_by_ranks,
                                    is_richardson, s_centralizer)
-from goodgradings.linalg import Matrix
+from goodgradings.linalg import Matrix, kernel_basis, solve
 from goodgradings.partitions import (SuperPartition, dual_partition,
                                      enumerate_super_partitions,
                                      is_orthosymplectic, psi_merge)
-from goodgradings.pyramids import (dynkin_pyramid_gl, dynkin_pyramid_osp,
+from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
+                                   dynkin_pyramid_osp,
                                    realize_osp_pyramid, realize_pyramid,
                                    shift_matrix)
-from goodgradings.superalgebra import (build_gl, build_osp, invariant_form,
+from goodgradings.superalgebra import (EVEN, ODD, adjoint_matrix, build_gl,
+                                       build_osp, invariant_form,
                                        superbracket)
 
 
@@ -226,3 +228,67 @@ def test_s_centralizer_in_degree_zero():
         for b in rep.basis:
             c = R.coords(b)
             assert all(g.degrees[j] == 0 for j, v in enumerate(c) if v)
+
+
+def _stacked_kernel(R, ads):
+    """Reference: kernel of the stacked adjoint maps, parity by parity, in
+    full coordinates (even vectors first)."""
+    out = []
+    for parity in (EVEN, ODD):
+        idx = [j for j, p in enumerate(R.basis_parities) if p == parity]
+        rows = [[ad[r, j] for j in idx] for ad in ads for r in range(ad.rows)]
+        for vec in kernel_basis(Matrix.from_rows(rows)):
+            full = [Fraction(0)] * R.dim
+            for t, j in enumerate(idx):
+                full[j] = vec[t]
+            out.append(full)
+    return out
+
+
+@pytest.mark.parametrize("kind, pq", [
+    ("gl", ((3, 1), (4, 2))),
+    ("osp", ((3, 3), (4,))),
+    ("osp", ((3, 3, 1, 1), (2, 2))),
+])
+def test_s_centralizer_equals_stacked_kernel(kind, pq):
+    # the degree-0 columns give the kernel of ad e, ad f and ad h
+    sp = SuperPartition(*pq)
+    R = build_gl(sp.m, sp.n) if kind == "gl" else build_osp(sp.m, sp.n // 2)
+    _, e, h = dynkin_pair(sp, R)
+    triple = complete_sl2(R, e, h)
+    rep = s_centralizer(R, triple)
+    ref = _stacked_kernel(R, [adjoint_matrix(triple.e),
+                              adjoint_matrix(triple.f),
+                              adjoint_matrix(triple.h)])
+    assert [R.coords(b) for b in rep.basis] == ref
+    assert rep.evenDim + rep.oddDim == len(ref)
+
+
+@pytest.mark.parametrize("kind, pq", [
+    ("gl", ((3, 1), (4, 2))),
+    ("gl", ((2, 2), (1,))),
+    ("osp", ((3, 3), (4,))),
+    ("osp", ((3, 3, 1, 1), (2, 2))),
+])
+def test_complete_sl2_matches_dense_solve(kind, pq):
+    # reference: [e, f] = h solved over matrix entries with the dense basis
+    sp = SuperPartition(*pq)
+    R = build_gl(sp.m, sp.n) if kind == "gl" else build_osp(sp.m, sp.n // 2)
+    _, e, h = dynkin_pair(sp, R)
+    degrees = R.degrees(h.diag())
+    cand = [j for j, p in enumerate(R.basis_parities)
+            if p == EVEN and degrees[j] == -2]
+    cols = [superbracket(e, R.basis[j]).matrix.entries for j in cand]
+    x = solve(Matrix.from_rows(cols).transpose(), h.matrix.entries)
+    assert R.coords(complete_sl2(R, e, h).f) == \
+        [x[cand.index(j)] if j in cand else 0 for j in range(R.dim)]
+
+
+def test_complete_sl2_needs_h_in_algebra():
+    # h + 1 has the degrees of h but is not in osp
+    sp = SuperPartition((3, 3), (4,))
+    R = build_osp(6, 2)
+    _, e, h = dynkin_pair(sp, R)
+    shifted = R.diagonal({lab: x + 1 for lab, x in zip(R.labels, h.diag())})
+    with pytest.raises(NoSolution):
+        complete_sl2(R, e, shifted)

@@ -20,6 +20,11 @@ def test_partition_validation():
         SuperPartition((1, 2), (1,))
     with pytest.raises(ValueError):
         SuperPartition((0,), (1,))
+    # parts are ints: no truncation of 1.5, no bool read as 1
+    with pytest.raises(ValueError):
+        SuperPartition((1.5,), ())
+    with pytest.raises(ValueError):
+        SuperPartition((True,), ())
 
 
 def test_is_orthosymplectic():

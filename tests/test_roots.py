@@ -1,12 +1,20 @@
 from fractions import Fraction
 
+import pytest
+
+from goodgradings.classification import good_gradings_gl
 from goodgradings.gradings import grading_from
-from goodgradings.partitions import SuperPartition, enumerate_super_partitions
-from goodgradings.pyramids import (dynkin_pyramid_gl, dynkin_pyramid_osp,
-                                   realize_osp_pyramid, realize_pyramid)
-from goodgradings.roots import (MarkedBase, Root, build_roots,
-                                find_nonnegative_base, is_isotropic,
-                                marked_equivalent, reflect_marked)
+from goodgradings.partitions import (SuperPartition,
+                                     enumerate_super_partitions,
+                                     is_orthosymplectic)
+from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
+                                   dynkin_pyramid_osp, realize_osp_pyramid,
+                                   realize_pyramid)
+from goodgradings.roots import (MarkedBase, Root, RootSystem, RootSystemError,
+                                _base_of, _deg, build_roots,
+                                degree_functional, find_nonnegative_base,
+                                is_isotropic, marked_equivalent,
+                                reflect_marked)
 from goodgradings.superalgebra import EVEN, ODD, build_gl, build_osp
 
 
@@ -150,3 +158,60 @@ def test_distinct_mark_multisets_not_equivalent():
     # the two unit shifts are mirror images: equivalent characteristics
     if len(g1) == 2:
         assert marked_equivalent(g1[0], g1[1])
+
+
+def test_reflect_checks_reflected_root(monkeypatch):
+    sys = build_roots("gl", 2, 1)
+    b = MarkedBase(sys, (sys.find((1, -1, 0)), sys.find((0, 1, -1))), (0, 1))
+    monkeypatch.setattr(RootSystem, "find", lambda self, coeffs: None)
+    with pytest.raises(RootSystemError):
+        reflect_marked(b, 1)
+    with pytest.raises(RootSystemError):
+        reflect_marked(b, 0)
+
+
+def _base_by_reflections(grading, seed=3):
+    """Reference: start from the generic positive system and reflect away
+    the lowest negative-degree simple root until none is left."""
+    R = grading.ambient
+    kind, d = ("gl", R.odd_dim) if R.kind == "gl" else ("osp", R.odd_dim // 2)
+    sys = build_roots(kind, R.m, d)
+    vals = degree_functional(grading)
+    n = sys.eps_count + sys.delta_count
+    functional = [Fraction(seed) ** (n - l) for l in range(n)]
+    pos = [r for r in sys.roots
+           if sum(f * c for f, c in zip(functional, r.coeffs)) > 0]
+    while True:
+        simple = _base_of(sys, pos)
+        neg = [a for a in simple if _deg(vals, a) < 0]
+        if not neg:
+            return MarkedBase(sys, tuple(simple),
+                              tuple(_deg(vals, a) for a in simple))
+        alpha = neg[0]
+        remove = {alpha.coeffs}
+        add = [-alpha]
+        double = sys.find(tuple(2 * c for c in alpha.coeffs))
+        if alpha.parity == ODD and not is_isotropic(sys, alpha) and double:
+            remove.add(double.coeffs)
+            add.append(-double)
+        pos = [r for r in pos if r.coeffs not in remove] + add
+
+
+def _osp_dynkin_gradings(limit):
+    for m in range(1, limit):
+        for n2 in range(2, limit - m + 1, 2):
+            R = build_osp(m, n2 // 2)
+            for sp in enumerate_super_partitions(m, n2):
+                if is_orthosymplectic(sp):
+                    _, e, h = dynkin_pair(sp, R)
+                    yield grading_from(R, h)
+
+
+def test_one_pass_base_matches_reflections():
+    gs = good_gradings_gl(SuperPartition((3, 1), (4, 2)))
+    gradings = list(gs.gradings) + list(_osp_dynkin_gradings(7))
+    assert len(gs.gradings) == 27
+    for g in gradings:
+        b = find_nonnegative_base(g)
+        ref = _base_by_reflections(g)
+        assert (b.simple, b.marks) == (ref.simple, ref.marks)
