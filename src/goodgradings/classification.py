@@ -8,9 +8,9 @@ center of the sl2-centralizer.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 
 from .gradings import (complete_sl2, grading_from, integral_degrees,
                        kernel_support, s_centralizer)
@@ -75,41 +75,58 @@ class DegreeMismatch(ValueError):
     """A grading rebuilt from a scanned shift has another degree map."""
 
 
-def _scan_shifts(R, e, h, gens, candidates):
+def _scan_shifts(R, e, h, gens, boxes, admissible=None):
     """Scan diagonal shifts h + sum(a/2 * gen) of the pair (e, h), each
-    given by its doubled coefficients a.  Returns the good gradings, one
-    per degree map (from the first shift reaching it) in degree-map
-    order, and the number of integral candidates that are not good."""
-    # one degree form per basis element, in doubled units:
-    # deg2 = 2 * base_deg + sum(a_g * gen_deg_g)
+    given by its doubled coefficients a: box after box, a box listing the
+    values of each coefficient, in itertools.product order, skipping the
+    a that fail admissible(a).  Returns the good gradings, one per degree
+    map (from the first shift reaching it) in degree-map order, and the
+    number of integral candidates that are not good."""
+    # basis elements sharing a degree form in doubled units,
+    # deg2 = 2 * base_deg + sum(a_g * gen_deg_g), are scanned once;
+    # base and columns[g] hold each form's 2 * base_deg and gen_deg_g
     gen_degrees = [integral_degrees(R, z.diag()) for z in gens]
-    forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
-             for i, d in enumerate(integral_degrees(R, h.diag()))]
-    e_support = [j for j, c in enumerate(R.coords(e)) if c]
-    ker_support = kernel_support(R, e)
+    form_index = {}
+    form_of = [form_index.setdefault(
+        (2 * d,) + tuple(gd[i] for gd in gen_degrees), len(form_index))
+        for i, d in enumerate(integral_degrees(R, h.diag()))]
+    base, *columns = zip(*form_index)
+    # a form's parity depends on its generator degrees' parities only
+    parity_forms = list({tuple(c & 1 for c in key[1:]): f
+                         for key, f in form_index.items()}.values())
+    e_forms = {form_of[j] for j, c in enumerate(R.coords(e)) if c}
+    ker_forms = {form_of[j] for j in kernel_support(R, e)}
     found = {}
     not_good = 0
-    for doubled in candidates:
-        d2 = [bd + sum(a * c for a, c in zip(doubled, coefs))
-              for bd, coefs in forms]
-        if any(d % 2 for d in d2):
-            continue
-        degs = tuple(d // 2 for d in d2)
-        if any(degs[j] != 2 for j in e_support) \
-                or any(degs[j] < 0 for j in ker_support):
+
+    def descend(steps, doubled, d2):
+        # d2: doubled degree of each form, the coefficients so far added
+        nonlocal not_good
+        if len(doubled) < len(steps):
+            for a, shift in steps[len(doubled)]:
+                descend(steps, doubled + (a,), list(map(add, d2, shift)))
+        elif any(d2[f] & 1 for f in parity_forms) \
+                or (admissible and not admissible(doubled)):
+            return
+        elif any(d2[f] != 4 for f in e_forms) \
+                or any(d2[f] < 0 for f in ker_forms):
             not_good += 1
-        elif degs not in found:
-            found[degs] = doubled
+        elif tuple(d2) not in found:
+            found[tuple(d2)] = (tuple(d2[f] // 2 for f in form_of), doubled)
+
+    for box in boxes:
+        descend([[(a, [a * c for c in col]) for a in values]
+                 for col, values in zip(columns, box)], (), list(base))
     gradings = []
-    for degs in sorted(found):
+    for degs, doubled in sorted(found.values()):
         H = h
-        for a, gen in zip(found[degs], gens):
+        for a, gen in zip(doubled, gens):
             if a:
                 H = H + gen.scale(Fraction(a, 2))
         g = grading_from(R, H)
         if g.key() != degs:
             raise DegreeMismatch("shift %s rebuilds another degree map"
-                                 % (found[degs],))
+                                 % (doubled,))
         gradings.append(g)
     return gradings, not_good
 
@@ -155,10 +172,9 @@ def brute_force_shifts(R, sp, bound):
                 raise NotCentral("shift generator does not commute with "
                                  "the sl2-centralizer")
     ng = len(gens)
-    candidates = itertools.chain(
-        itertools.product(range(-2 * bound, 2 * bound + 1, 2), repeat=ng),
-        itertools.product(range(-2 * bound + 1, 2 * bound, 2), repeat=ng))
-    gradings, _ = _scan_shifts(R, e, h, gens, candidates)
+    boxes = [[range(-2 * bound, 2 * bound + 1, 2)] * ng,
+             [range(-2 * bound + 1, 2 * bound, 2)] * ng]
+    gradings, _ = _scan_shifts(R, e, h, gens, boxes)
     return GoodGradingSet(sp, gradings, ["shift-vector"] * len(gradings))
 
 
@@ -212,16 +228,12 @@ def good_gradings_osp(sp):
     half_case = (sp.m % 2 == 0 and set(cp) == jp and set(dq) == jq)
     # doubled shifts: integers in {-1, 0, 1}, then halves +-1/2
     ng = len(cp) + len(dq)
-    candidates = itertools.product((-2, 0, 2), repeat=ng)
-    if half_case:
-        candidates = itertools.chain(candidates,
-                                     itertools.product((-1, 1), repeat=ng))
+    boxes = [[(-2, 0, 2)] * ng] + ([[(-1, 1)] * ng] if half_case else [])
     # the stated shift conditions admit the candidates that goodness then
     # rejects (the mirror pairing adds a |s_k + t_l| constraint)
     gradings, not_good = _scan_shifts(
-        R, e, h, _center_generators(R, sp, P),
-        (v for v in candidates
-         if _pair_constraint_ok(cp, dq, v[:len(cp)], v[len(cp):])))
+        R, e, h, _center_generators(R, sp, P), boxes,
+        lambda v: _pair_constraint_ok(cp, dq, v[:len(cp)], v[len(cp):]))
     out = GoodGradingSet(sp, gradings, ["shift-vector"] * len(gradings))
     out.notes["case"] = "half-integer shifts allowed" if half_case \
         else "integer shifts in {-1,0,1}"

@@ -210,6 +210,9 @@ def _selftest_orbits(limit):
 
 
 def cmd_selftest(args):
+    if args.max_size < 2:
+        raise UsageError("--max-size must be at least 2, the size of "
+                         "gl(1|1)")
     failures = []
     for sp, R in _selftest_orbits(args.max_size):
         _, e, h = dynkin_pair(sp, R)

@@ -99,8 +99,8 @@ def parity_kernels(R, adjoints, cols):
     out = []
     for parity in (EVEN, ODD):
         idx = [j for j in cols if R.basis_parities[j] == parity]
-        rows = [[ad[r, j] for j in idx]
-                for ad in adjoints for r in range(ad.rows)]
+        rows = [[row[j] for j in idx] for ad in adjoints
+                for row in map(ad.row, range(ad.rows))]
         vecs = []
         for vec in kernel_basis(Matrix.from_rows(rows)):
             full = [Fraction(0)] * R.dim

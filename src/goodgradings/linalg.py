@@ -8,7 +8,10 @@ anywhere and all rank / kernel / solve answers are exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class Matrix:
@@ -17,7 +20,8 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = [Fraction(x) for x in entries]
+        entries = [x if type(x) is Fraction else Fraction(x)
+                   for x in entries]
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         self.rows = rows
@@ -52,7 +56,8 @@ class Matrix:
 
     def __setitem__(self, ij, value):
         i, j = ij
-        self.entries[i * self.cols + j] = Fraction(value)
+        self.entries[i * self.cols + j] = \
+            value if type(value) is Fraction else Fraction(value)
 
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -64,25 +69,31 @@ class Matrix:
     def __hash__(self):
         return hash((self.rows, self.cols, tuple(self.entries)))
 
+    def _same_shape(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("matrix shapes differ")
+
     def __add__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)])
+        self._same_shape(other)
+        return Matrix(self.rows, self.cols, [a + b if b else a for a, b in
+                                             zip(self.entries, other.entries)])
 
     def __sub__(self, other):
-        assert self.rows == other.rows and self.cols == other.cols
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)])
+        self._same_shape(other)
+        return Matrix(self.rows, self.cols, [a - b if b else a for a, b in
+                                             zip(self.entries, other.entries)])
 
     def __neg__(self):
         return Matrix(self.rows, self.cols, [-a for a in self.entries])
 
     def scale(self, c):
         c = Fraction(c)
-        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
+        return Matrix(self.rows, self.cols,
+                      [c * a if a else a for a in self.entries])
 
     def __matmul__(self, other):
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError("inner matrix dimensions differ")
         n, k, m = self.rows, self.cols, other.cols
         out = [Fraction(0)] * (n * m)
         a, b = self.entries, other.entries
@@ -110,7 +121,8 @@ class Matrix:
 
     def apply(self, vec):
         """Matrix-vector product, vec of length cols."""
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ValueError("vector length is not the column count")
         out = []
         for i in range(self.rows):
             s = Fraction(0)
@@ -125,22 +137,17 @@ class Matrix:
         return "Matrix(%d x %d)" % (self.rows, self.cols)
 
 
+def _int_row(row):
+    """A rational row scaled to coprime integers."""
+    denom = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (denom // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
 def _int_rows(M):
     """Rows of M scaled to coprime integers."""
-    out = []
-    for i in range(M.rows):
-        row = M.row(i)
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
+    return [_int_row(M.row(i)) for i in range(M.rows)]
 
 
 def _eliminate(rows, ncols):
@@ -190,46 +197,71 @@ def rank(M):
     return len(_eliminate(rows, M.cols))
 
 
+def _column_blocks(M):
+    """M's columns split into blocks that share no nonzero row, each with
+    its nonzero rows: a union-find over the rows joins the columns of each
+    row.  Blocks come in order of their first column."""
+    parent = list(range(M.cols))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    supports = []
+    for i in range(M.rows):
+        row = M.row(i)
+        cols = [j for j, x in enumerate(row) if x]
+        if cols:
+            r = root(cols[0])
+            for j in cols[1:]:
+                parent[root(j)] = r
+            supports.append((row, cols[0]))
+    blocks = {}
+    for j in range(M.cols):
+        blocks.setdefault(root(j), ([], []))[0].append(j)
+    for row, first in supports:
+        blocks[root(first)][1].append(row)
+    return blocks.values()
+
+
 def kernel_basis(M):
     """Basis of the right null space of M, as exact column vectors.
 
     Each free column yields one vector; the returned vectors have a 1 in
     their free coordinate, so distinct kernel elements stay recognizable.
+    Column blocks are eliminated apart.  A free column is one in the span
+    of the columns before it, and its vector is 0 at the other free
+    columns, so both are those of the whole matrix.
     """
     n = M.cols
-    if n == 0:
-        return []
-    if M.rows == 0:
-        basis = []
-        for j in range(n):
-            v = [Fraction(0)] * n
-            v[j] = Fraction(1)
-            basis.append(v)
-        return basis
-    rows = _int_rows(M)
-    pivots = _eliminate(rows, n)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        # back substitution over the echelon rows
-        for i in range(len(pivots) - 1, -1, -1):
-            pc = pivots[i]
-            row = rows[i]
-            s = Fraction(0)
-            for j in range(pc + 1, n):
-                if row[j] and v[j]:
-                    s += row[j] * v[j]
-            v[pc] = -s / row[pc]
-        basis.append(v)
-    return basis
+    found = []
+    for cols, rows in _column_blocks(M):
+        ints = [_int_row([row[j] for j in cols]) for row in rows]
+        pivots = _eliminate(ints, len(cols))
+        # echelon rows as (pivot column, pivot, nonzero entries after it)
+        echelon = [(pc, ints[i][pc], [(j, a) for j, a in
+                                      enumerate(ints[i][pc + 1:], pc + 1)
+                                      if a])
+                   for i, pc in enumerate(pivots)][::-1]
+        for fc in set(range(len(cols))).difference(pivots):
+            v = {fc: ONE}
+            for pc, p, tail in echelon:
+                s = sum(a * v[j] for j, a in tail if j in v)
+                if s:
+                    v[pc] = -s / p
+            full = [ZERO] * n
+            for j, c in v.items():
+                full[cols[j]] = c
+            found.append((cols[fc], full))
+    return [v for _, v in sorted(found, key=lambda t: t[0])]
 
 
 def solve(A, b):
     """A particular solution x of A x = b, or None if inconsistent."""
-    assert len(b) == A.rows
+    if len(b) != A.rows:
+        raise ValueError("right-hand side length is not the row count")
     n = A.cols
     aug = Matrix.zero(A.rows, n + 1)
     for i in range(A.rows):

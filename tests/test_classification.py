@@ -1,3 +1,6 @@
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from goodgradings import classification
@@ -5,9 +8,10 @@ from goodgradings.classification import (DegreeMismatch, NotCentral,
                                          brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
-from goodgradings.gradings import Grading, is_good
-from goodgradings.partitions import SuperPartition
-from goodgradings.pyramids import Pyramid
+from goodgradings.gradings import (Grading, integral_degrees, is_good,
+                                   kernel_support)
+from goodgradings.partitions import SuperPartition, cp_dq
+from goodgradings.pyramids import Pyramid, dynkin_pair
 from goodgradings.superalgebra import build_gl, build_osp
 
 
@@ -128,3 +132,69 @@ def test_json_report():
     js = gs.to_json()
     assert js["count"] == 3
     assert all(g["provenance"] == "shift-vector" for g in js["gradings"])
+
+
+def _scan_per_candidate(R, e, h, gens, candidates):
+    """The scan one candidate at a time over the full degree tuple: the
+    reference for the box scan.  Returns (degree map, H diagonal) pairs
+    in degree-map order and the count of integral candidates not good."""
+    gen_degrees = [integral_degrees(R, z.diag()) for z in gens]
+    forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
+             for i, d in enumerate(integral_degrees(R, h.diag()))]
+    e_support = [j for j, c in enumerate(R.coords(e)) if c]
+    ker_support = kernel_support(R, e)
+    found = {}
+    not_good = 0
+    for doubled in candidates:
+        d2 = [bd + sum(a * c for a, c in zip(doubled, coefs))
+              for bd, coefs in forms]
+        if any(d % 2 for d in d2):
+            continue
+        degs = tuple(d // 2 for d in d2)
+        if any(degs[j] != 2 for j in e_support) \
+                or any(degs[j] < 0 for j in ker_support):
+            not_good += 1
+        elif degs not in found:
+            found[degs] = doubled
+    out = []
+    for degs in sorted(found):
+        H = h
+        for a, gen in zip(found[degs], gens):
+            if a:
+                H = H + gen.scale(Fraction(a, 2))
+        out.append((degs, H.diag()))
+    return out, not_good
+
+
+@pytest.mark.parametrize("kind, p, q, bound", [
+    ("gl", (3, 1), (4, 2), 4),
+    ("osp", (3, 3), (4,), 4),
+    ("osp", (3, 3, 1, 1), (2, 2), 3),
+    ("osp", (3, 3), (2, 2), None),          # the half case, pair filter
+])
+def test_box_scan_matches_per_candidate_scan(kind, p, q, bound):
+    sp = SuperPartition(p, q)
+    R = build_gl(sp.m, sp.n) if kind == "gl" else build_osp(sp.m, sp.n // 2)
+    P, e, h = dynkin_pair(sp, R)
+    gens = classification._center_generators(R, sp, P)
+    ng = len(gens)
+    admissible = None
+    if bound is not None:           # the oracle's even and odd boxes
+        boxes = [[range(-2 * bound, 2 * bound + 1, 2)] * ng,
+                 [range(-2 * bound + 1, 2 * bound, 2)] * ng]
+    else:
+        cp, dq = cp_dq(sp)
+        boxes = [[(-2, 0, 2)] * ng, [(-1, 1)] * ng]
+
+        def admissible(v):
+            return classification._pair_constraint_ok(
+                cp, dq, v[:len(cp)], v[len(cp):])
+    candidates = [v for box in boxes for v in itertools.product(*box)
+                  if admissible is None or admissible(v)]
+    expected, expected_not_good = _scan_per_candidate(R, e, h, gens,
+                                                      candidates)
+    gradings, not_good = classification._scan_shifts(R, e, h, gens, boxes,
+                                                     admissible)
+    assert [g.key() for g in gradings] == [degs for degs, _ in expected]
+    assert [g.H.diag() for g in gradings] == [diag for _, diag in expected]
+    assert not_good == expected_not_good

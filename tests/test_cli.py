@@ -106,6 +106,8 @@ def test_verify_wrong_h_length(capsys):
      "--bound", "1"],
     ["classify", "gl", "1", "0", "--orbit", '{"p":[1.5],"q":[]}'],
     ["classify", "gl", "1", "0", "--orbit", '{"p":[true],"q":[]}'],
+    ["selftest", "--max-size", "-1"],
+    ["selftest", "--max-size", "0"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = _run(capsys, argv)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -97,3 +98,94 @@ def test_coords_roundtrip(R, data):
 def test_coords_outside_osp(R):
     assert R.coords(R.element(Matrix.identity(R.size))) is None
     assert R.coords(R.from_entries({(0, 1): 1})) is None      # E12
+
+
+def _dense_kernel(M):
+    """Whole-matrix elimination and back substitution, the reference that
+    the block-split kernel_basis must reproduce vector for vector."""
+    n = M.cols
+    rows = []
+    for i in range(M.rows):
+        row = M.row(i)
+        denom = 1
+        for x in row:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        rows.append([int(x * denom) for x in row])
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        for i in range(r + 1, len(rows)):
+            q = rows[i][c]
+            if q:
+                rows[i] = [prow[c] * a - q * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for i in range(len(pivots) - 1, -1, -1):
+            pc = pivots[i]
+            s = sum(rows[i][j] * v[j] for j in range(pc + 1, n))
+            v[pc] = -Fraction(s) / rows[i][pc]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def block_matrices(draw):
+    """Block-diagonal matrices, with zero rows and zero columns among the
+    blocks, and the columns permuted."""
+    blocks = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=1, max_size=4))
+    rows = sum(r for r, _ in blocks) + draw(st.integers(0, 2))
+    cols = sum(c for _, c in blocks) + draw(st.integers(0, 2))
+    dense = [[Fraction(0)] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for r, c in blocks:
+        for i in range(r0, r0 + r):
+            for j in range(c0, c0 + c):
+                dense[i][j] = Fraction(draw(small_entries),
+                                       draw(st.integers(1, 3)))
+        r0, c0 = r0 + r, c0 + c
+    perm = draw(st.permutations(range(cols)))
+    return Matrix(rows, cols, [row[j] for row in dense for j in perm])
+
+
+@given(st.one_of(matrices(), block_matrices()))
+def test_kernel_matches_dense_elimination(m):
+    assert kernel_basis(m) == _dense_kernel(m)
+
+
+def test_kernel_of_empty_shapes():
+    assert kernel_basis(Matrix.zero(0, 3)) == _dense_kernel(Matrix.zero(0, 3))
+    assert kernel_basis(Matrix.zero(2, 0)) == []
+
+
+@pytest.mark.parametrize("op", [
+    lambda: Matrix.zero(2, 2) + Matrix.zero(2, 3),
+    lambda: Matrix.zero(2, 2) - Matrix.zero(3, 2),
+    lambda: Matrix.zero(2, 3) @ Matrix.zero(2, 3),
+    lambda: Matrix.zero(2, 3).apply([Fraction(1)] * 2),
+    lambda: solve(Matrix.zero(2, 3), [Fraction(1)] * 3),
+], ids=["add", "sub", "matmul", "apply", "solve"])
+def test_shape_mismatch_raises_value_error(op):
+    with pytest.raises(ValueError):
+        op()
+
+
+def test_fraction_entries_are_kept_and_others_coerced():
+    x = Fraction(1, 3)
+    m = Matrix(1, 3, [x, 2, "1/2"])
+    assert m.entries[0] is x
+    assert m.entries[1:] == [Fraction(2), Fraction(1, 2)]
+    assert all(type(v) is Fraction for v in m.entries)
+    m[0, 1] = "3/4"
+    m[0, 2] = x
+    assert m[0, 1] == Fraction(3, 4) and type(m[0, 1]) is Fraction
+    assert m[0, 2] is x
