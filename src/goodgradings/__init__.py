@@ -9,15 +9,15 @@ from .superalgebra import (AlgebraElement, AmbientMismatch, DimensionError,
                            build_gl, build_osp, invariant_form,
                            is_member_osp, superbracket)
 from .pyramids import (LengthMismatch, MembershipFailure, OspPyramid,
-                       Pyramid, SizeMismatch, dynkin_pair, dynkin_pyramid_gl,
-                       dynkin_pyramid_osp, enumerate_pyr, jordan_type,
-                       realize_osp_pyramid, realize_pyramid, render,
-                       shift_matrix)
-from .gradings import (CentralizerReport, Grading, NonIntegralGrading,
-                       NoSolution, OddGrading, Sl2Triple, centralizer,
-                       complete_sl2, dim_formula_gl, dim_formula_osp,
-                       grading_from, integral_degrees, is_good,
-                       is_good_by_ranks, is_richardson, s_centralizer)
+                       Pyramid, PyramidError, SizeMismatch, dynkin_pair,
+                       dynkin_pyramid_gl, dynkin_pyramid_osp, enumerate_pyr,
+                       jordan_type, realize_osp_pyramid, realize_pyramid,
+                       render, shift_matrix)
+from .gradings import (CentralizerReport, FormulaError, Grading,
+                       NonIntegralGrading, NoSolution, OddGrading, Sl2Triple,
+                       centralizer, complete_sl2, dim_formula_gl,
+                       dim_formula_osp, grading_from, integral_degrees,
+                       is_good, is_good_by_ranks, is_richardson, s_centralizer)
 from .classification import (BoundTooSmall, DegreeMismatch, GoodGradingSet,
                              NotCentral, brute_force_shifts,
                              extensions_of_even_grading, good_gradings_gl,

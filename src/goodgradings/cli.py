@@ -9,6 +9,7 @@ and ASCII pyramids.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -226,7 +227,10 @@ def cmd_selftest(args):
     return 0 if not failures else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process (parsing leaves it
+    unchanged)."""
     ap = argparse.ArgumentParser(
         prog="goodgradings",
         description="Classify and verify good Z-gradings of gl(m|n) "
@@ -277,8 +281,7 @@ def build_parser():
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

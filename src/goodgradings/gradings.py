@@ -24,6 +24,10 @@ class NoSolution(ValueError):
     pass
 
 
+class FormulaError(ValueError):
+    """A closed-form dimension formula gave a non-integer."""
+
+
 @dataclass
 class Grading:
     ambient: object
@@ -55,14 +59,13 @@ def _rat_str(x):
 def integral_degrees(R, diag):
     """Integer ad-degree of every basis element under the diagonal element
     with entries diag; each basis element must be an eigenvector."""
-    out = []
-    for lam in R.degrees(diag):
+    out = R.degrees(diag)
+    for lam in out:
         if lam is None:
             raise NonIntegralGrading("basis element is not an ad-H "
                                      "eigenvector")
-        if lam.denominator != 1:
+        if type(lam) is not int:
             raise NonIntegralGrading("non-integer degree %s" % lam)
-        out.append(int(lam))
     return out
 
 
@@ -145,7 +148,8 @@ def dim_formula_osp(sp):
     sp_part = Fraction(sp.n, 2) + sum((j - 1) * v for j, v in enumerate(q, 1)) \
         + Fraction(sum(1 for v in q if v % 2 == 1), 2)
     even = so_part + sp_part
-    assert even.denominator == 1
+    if even.denominator != 1:
+        raise FormulaError("%s gives even dimension %s" % (sp, even))
     odd = sum(min(a, b) for a in p for b in q)
     return int(even), odd
 

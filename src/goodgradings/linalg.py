@@ -137,10 +137,16 @@ class Matrix:
         return "Matrix(%d x %d)" % (self.rows, self.cols)
 
 
+def scaled_to_ints(row):
+    """(ints, den) with den the lcm of the row's denominators and
+    ints[i] / den == row[i]; the entries are Fractions or ints."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
 def _int_row(row):
     """A rational row scaled to coprime integers."""
-    denom = lcm(*[x.denominator for x in row])
-    ints = [x.numerator * (denom // x.denominator) for x in row]
+    ints, _ = scaled_to_ints(row)
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 

@@ -26,6 +26,10 @@ class LengthMismatch(ValueError):
     pass
 
 
+class PyramidError(ValueError):
+    """A partition the pyramid rules cannot place, or a row not found."""
+
+
 class MembershipFailure(ValueError):
     """A pyramid's (e, h) is not a realization: e outside osp, of the wrong
     Jordan type, or not of degree 2 under h."""
@@ -209,13 +213,12 @@ def dynkin_pyramid_osp(sp):
 
     odd_mult_parts = sorted((v for v, c in p_mult.items() if c % 2 == 1),
                             reverse=True)
-    assert len(odd_mult_parts) % 2 == 0
-    pairs = {}  # c_i -> d_i
-    for i in range(0, len(odd_mult_parts), 2):
-        c, d = odd_mult_parts[i], odd_mult_parts[i + 1]
-        pairs[c] = d
+    pairs = dict(zip(odd_mult_parts[::2], odd_mult_parts[1::2]))  # c -> d
+    for c, d in pairs.items():
         p_mult[c] -= 1
         p_mult[d] -= 1
+    if any(c % 2 for c in p_mult.values()):
+        raise PyramidError("%s leaves a part of p unpaired" % (sp,))
 
     upper = []  # row specs above the axis, in bottom-up emission order
     values = sorted(set(p_mult) | set(q_mult), reverse=True)
@@ -224,14 +227,14 @@ def dynkin_pyramid_osp(sp):
             c, d = v, pairs[v]
             upper.append({"kind": "even_skew", "part": (c, d), "parity": "+",
                           "cols": list(range(1 - d, c, 2))})
-        cnt = p_mult.get(v, 0)
-        assert cnt % 2 == 0
-        for _ in range(cnt // 2):
+        for _ in range(p_mult.get(v, 0) // 2):
             upper.append({"kind": "even", "part": v, "parity": "+",
                           "cols": _centered_cols(v)})
         qcnt = q_mult.get(v, 0)
         if qcnt % 2 == 1:
-            assert v % 2 == 0
+            if v % 2:
+                raise PyramidError("odd part %d of q has odd multiplicity"
+                                   % v)
             upper.append({"kind": "odd_skew", "part": v, "parity": "-",
                           "cols": list(range(1, v, 2))})
         for _ in range(qcnt // 2):
@@ -265,7 +268,9 @@ def dynkin_pyramid_osp(sp):
             elif y == 0 and x == 0:
                 boxes.append((0, 0, spec["parity"], 0))
     total = m + sp.n
-    assert len(boxes) == total, (len(boxes), total)
+    if len(boxes) != total:
+        raise PyramidError("%d boxes for %d basis vectors"
+                           % (len(boxes), total))
     return OspPyramid(sp, rows, boxes)
 
 
@@ -363,7 +368,9 @@ def shift_matrix(R, P, s, t):
         kind = "even" if part in cp else "odd"
         matches = [labs for (k, pv), labs in label_rows.items()
                    if k == kind and pv == part]
-        assert len(matches) == 1, (part, matches)
+        if len(matches) != 1:
+            raise PyramidError("part %s has %d shiftable rows, not 1"
+                               % (part, len(matches)))
         for lab in matches[0]:
             diag[lab] = Fraction(val)
             diag[-lab] = -Fraction(val)

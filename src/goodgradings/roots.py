@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from .linalg import scaled_to_ints
 from .superalgebra import EVEN, ODD
 
 
@@ -188,18 +189,14 @@ def _value(vals, root):
 
 
 def _base_of(sys, pos):
-    """Simple roots: positive roots that are not sums of two positives."""
-    coeff_set = {r.coeffs for r in pos}
-    simple = []
-    for r in pos:
-        decomposable = False
-        for s in pos:
-            diff = tuple(a - b for a, b in zip(r.coeffs, s.coeffs))
-            if any(diff) and diff in coeff_set:
-                decomposable = True
-                break
-        if not decomposable:
-            simple.append(r)
+    """Simple roots: positive roots that are not sums of two positives.
+    Vectors are packed as sum c_i * 16**i, linear and injective while all
+    |c_i| <= 7; root coefficients lie in [-2, 2], so r - s is a root exactly
+    when code(r) - code(s) is a root's code (0 is none)."""
+    codes = [sum(c << 4 * i for i, c in enumerate(r.coeffs)) for r in pos]
+    code_set = set(codes)
+    simple = [r for r, a in zip(pos, codes)
+              if not any(a - b in code_set for b in codes)]
     simple.sort(key=lambda r: r.coeffs)
     return simple
 
@@ -208,30 +205,20 @@ def degree_functional(grading):
     """Values of the grading on (eps_1..eps_k, delta_1..delta_n), read off
     the diagonal of H."""
     R = grading.ambient
-    H = grading.H.matrix
-    vals = []
+    diag = grading.H.diag()
     if R.kind == "gl":
-        for i in range(R.m):
-            vals.append(H[i, i])
-        for j in range(R.odd_dim):
-            vals.append(H[R.m + j, R.m + j])
-    else:
-        k = R.m // 2
-        for i in range(1, k + 1):
-            idx = R.index(i)
-            vals.append(H[idx, idx])
-        for j in range(k + 1, k + R.odd_dim // 2 + 1):
-            idx = R.index(j)
-            vals.append(H[idx, idx])
-    return vals
+        return diag
+    # osp: the labels 1..k of V0, then k+1..k+n of V1
+    return [diag[R.index(i)] for i in range(1, R.m // 2 + R.odd_dim // 2 + 1)]
 
 
-def _deg(vals, root):
-    d = Fraction(_value(vals, root))
-    if d.denominator != 1:
-        raise RootSystemError("root %s has non-integral degree %s"
-                              % (root.coeffs, d))
-    return int(d)
+def _deg(vals, root, den=1):
+    """The integer degree of root under the functional vals / den."""
+    d, r = divmod(_value(vals, root), den)
+    if r:
+        raise RootSystemError("root %s has non-integral degree %s" % (
+            root.coeffs, Fraction(_value(vals, root), den)))
+    return d
 
 
 def find_nonnegative_base(grading, seed=3):
@@ -247,9 +234,9 @@ def find_nonnegative_base(grading, seed=3):
         sys = build_roots("gl", R.m, R.odd_dim)
     else:
         sys = build_roots("osp", R.m, R.odd_dim // 2)
-    vals = degree_functional(grading)
+    vals, den = scaled_to_ints(degree_functional(grading))
     n = sys.eps_count + sys.delta_count
-    functional = [Fraction(seed) ** (n - l) for l in range(n)]
+    functional = [seed ** (n - l) for l in range(n)]
     pos = []
     for r in sys.roots:
         generic = _value(functional, r)
@@ -260,7 +247,7 @@ def find_nonnegative_base(grading, seed=3):
             pos.append(r)
     simple = _base_of(sys, pos)
     return MarkedBase(sys, tuple(simple),
-                      tuple(_deg(vals, a) for a in simple))
+                      tuple(_deg(vals, a, den) for a in simple))
 
 
 def _diagram_match(b1, b2):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, kernel_basis, scaled_to_ints
 
 EVEN = 0
 ODD = 1
@@ -49,7 +49,8 @@ class AlgebraElement:
 
     def __post_init__(self):
         s = self.ambient.size
-        assert self.matrix.rows == s and self.matrix.cols == s
+        if self.matrix.rows != s or self.matrix.cols != s:
+            raise ValueError("element matrix is not %dx%d" % (s, s))
 
     def __add__(self, other):
         self._same(other)
@@ -99,17 +100,20 @@ class Realization:
 
     def _set_basis(self, supports, parities):
         """Install the homogeneous basis and give each element a private
-        entry, one that no other basis element touches."""
+        entry, one that no other basis element touches; each element's
+        entries (a, b) + (c, d) are kept for the degree table."""
         self.supports = supports
         self.basis_parities = parities
         touched = Counter(ab for sup in supports for ab in sup)
         self._private = {}
+        self._degree_entries = []
         for i, sup in enumerate(supports):
             ab = next((ab for ab in sup if touched[ab] == 1), None)
-            if ab is None:
-                raise RealizationError("basis element %d has no private "
-                                       "entry" % i)
+            if ab is None or len(sup) > 2:
+                raise RealizationError("basis element %d needs a private "
+                                       "entry and at most two" % i)
             self._private[ab] = i
+            self._degree_entries.append(min(sup) + max(sup))
 
     @property
     def size(self):
@@ -189,12 +193,16 @@ class Realization:
 
     def degrees(self, diag):
         """ad-eigenvalue of each basis element under the diagonal element
-        with entries diag, or None where it is not an eigenvector."""
-        out = []
-        for sup in self.supports:
-            vals = {diag[a] - diag[b] for a, b in sup}
-            out.append(vals.pop() if len(vals) == 1 else None)
-        return out
+        with entries diag, or None where it is not an eigenvector: exact
+        int differences of diag scaled by the lcm den of its denominators,
+        divided by den at the end (an int where integral, else a Fraction)."""
+        v, den = scaled_to_ints(diag)
+        out = [d if (d := v[a] - v[b]) == v[c] - v[e] else None
+               for a, b, c, e in self._degree_entries]
+        if den == 1:
+            return out
+        return [d if d is None else Fraction(d, den) if d % den else d // den
+                for d in out]
 
 
 def _block_parity(R, a, b):
@@ -262,7 +270,8 @@ def build_gl(m, n):
 
 def is_member_osp(R, mat, parity):
     """Does mat satisfy phi(z u, v) = -(-1)^{parity |u|} phi(u, z v)?"""
-    assert R.kind == "osp"
+    if R.kind != "osp":
+        raise ValueError("%s is not an osp realization" % R.kind)
     G = R.phi
     s = R.size
     # z^T G + S G z == 0, with S = diag((-1)^{parity * |u|}) on rows

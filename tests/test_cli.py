@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from goodgradings.cli import main
+from goodgradings.cli import build_parser, main
 
 
 def _run(capsys, argv):
@@ -108,12 +108,32 @@ def test_verify_wrong_h_length(capsys):
     ["classify", "gl", "1", "0", "--orbit", '{"p":[true],"q":[]}'],
     ["selftest", "--max-size", "-1"],
     ["selftest", "--max-size", "0"],
+    ["verify", "gl", "2", "1", "--H", '["1/3","0","0"]', "--e", "E12"],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("first, second", [
+    (["classify", "gl", "2", "1", "--orbit", '{"p":[2],"q":[1]}',
+      "--bound", "4"],
+     ["classify", "gl", "2", "1", "--orbit", '{"p":[2],"q":[1]}']),
+    (["verify", "gl", "2", "1", "--H", '["1/2","-1/2","1/2"]', "--e", "E12"],
+     ["diagram", "gl", "2", "1", "--orbit", '{"p":[2],"q":[1]}']),
+], ids=["classify-bound-then-none", "verify-then-diagram"])
+def test_shared_parser_keeps_no_state(capsys, first, second):
+    build_parser.cache_clear()
+    shared = [_run(capsys, first), _run(capsys, second)]
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    fresh = []
+    for argv in (first, second):
+        build_parser.cache_clear()
+        fresh.append(_run(capsys, argv))
+    assert shared == fresh
 
 
 def test_verify_e_outside_algebra(capsys):

@@ -39,3 +39,14 @@ def test_cli_output_is_pinned(capsys, argv, sha):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_verify_half_integer_diagonal_is_pinned(capsys):
+    """A half-integer H with integral degrees; e = E12 sits in degree 1,
+    so the answer is "not good", exit code 1."""
+    argv = ["verify", "gl", "2", "1", "--H", '["1/2","-1/2","1/2"]',
+            "--e", "E12"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6f7ecb163a44b61f37c3264a74c6bfb4d8fe5cc2f19459f2e431038cc95a6832"

@@ -1,9 +1,12 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from goodgradings.gradings import (NonIntegralGrading, NoSolution,
-                                   OddGrading, Sl2Triple, block_type_dim, centralizer, complete_sl2,
+from goodgradings import gradings
+from goodgradings.gradings import (FormulaError, NonIntegralGrading,
+                                   NoSolution, OddGrading, Sl2Triple,
+                                   block_type_dim, centralizer, complete_sl2,
                                    dim_formula_gl, dim_formula_osp,
                                    grading_from, is_good, is_good_by_ranks,
                                    is_richardson, s_centralizer)
@@ -76,6 +79,13 @@ def test_dim_formula_osp_examples():
     e, h = realize_osp_pyramid(dynkin_pyramid_osp(sp), R)
     rep = centralizer(R, e)
     assert (rep.evenDim, rep.oddDim) == dim_formula_osp(sp)
+
+
+def test_dim_formula_osp_checks_integrality(monkeypatch):
+    # parts that do not add up to m give a half-integer so(m) part
+    monkeypatch.setattr(gradings, "is_orthosymplectic", lambda sp: True)
+    with pytest.raises(FormulaError, match="1/2"):
+        dim_formula_osp(SimpleNamespace(p=(1,), q=(), m=2, n=0))
 
 
 def test_complete_sl2_gl2():

@@ -6,7 +6,7 @@ from goodgradings import pyramids
 from goodgradings.partitions import (SuperPartition,
                                      enumerate_super_partitions)
 from goodgradings.pyramids import (LengthMismatch, MembershipFailure,
-                                   Pyramid, SizeMismatch,
+                                   Pyramid, PyramidError, SizeMismatch,
                                    dynkin_pyramid_gl, dynkin_pyramid_osp,
                                    enumerate_pyr, jordan_type,
                                    realize_osp_pyramid, realize_pyramid,
@@ -188,6 +188,33 @@ def test_shift_matrix_length_check():
     P = dynkin_pyramid_osp(sp)
     with pytest.raises(LengthMismatch):
         shift_matrix(R, P, [], [Fraction(1)])
+
+
+def test_shift_matrix_checks_row_lookup(monkeypatch):
+    sp = SuperPartition((3, 3), (4,))
+    R = build_osp(6, 2)
+    P = dynkin_pyramid_osp(sp)
+    monkeypatch.setattr(pyramids, "_upper_row_labels", lambda P: {})
+    with pytest.raises(PyramidError, match="0 shiftable rows"):
+        shift_matrix(R, P, [Fraction(1)], [])
+
+
+@pytest.mark.parametrize("p, q, match", [
+    ((3, 2), (), "unpaired"),               # odd m: 2 is left alone
+    ((2, 1), (), "unpaired"),               # even part of odd multiplicity
+    ((1, 1), (1,), "odd part 1 of q"),
+])
+def test_osp_pyramid_checks_pairing(monkeypatch, p, q, match):
+    monkeypatch.setattr(pyramids, "is_orthosymplectic", lambda sp: True)
+    with pytest.raises(PyramidError, match=match):
+        dynkin_pyramid_osp(SuperPartition(p, q))
+
+
+def test_osp_pyramid_checks_box_count(monkeypatch):
+    monkeypatch.setattr(pyramids, "_centered_cols",
+                        lambda r: list(range(1 - r, r + 2, 2)))
+    with pytest.raises(PyramidError, match="boxes for 10"):
+        dynkin_pyramid_osp(SuperPartition((3, 3), (4,)))
 
 
 def test_render():

@@ -215,3 +215,48 @@ def test_one_pass_base_matches_reflections():
         b = find_nonnegative_base(g)
         ref = _base_by_reflections(g)
         assert (b.simple, b.marks) == (ref.simple, ref.marks)
+
+
+def _tuple_base_of(pos):
+    """Reference: simple roots found by comparing coefficient tuples."""
+    coeff_set = {r.coeffs for r in pos}
+    simple = []
+    for r in pos:
+        diffs = (tuple(a - b for a, b in zip(r.coeffs, s.coeffs))
+                 for s in pos)
+        if not any(any(d) and d in coeff_set for d in diffs):
+            simple.append(r)
+    return sorted(simple, key=lambda r: r.coeffs)
+
+
+def _gl_dynkin_gradings(limit):
+    for size in range(1, limit + 1):
+        for m in range(size + 1):
+            R = build_gl(m, size - m)
+            for sp in enumerate_super_partitions(m, size - m):
+                _, e, h = dynkin_pair(sp, R)
+                yield grading_from(R, h)
+
+
+def test_packed_base_matches_tuple_base():
+    """_base_of on the generic positive system and on the nonnegative one
+    of every grading (the latter read with Fraction arithmetic here)."""
+    gs = good_gradings_gl(SuperPartition((3, 1), (4, 2)))
+    gradings = list(gs.gradings) + list(_gl_dynkin_gradings(5)) \
+        + list(_osp_dynkin_gradings(7))
+    assert len(gradings) == 27 + 73 + 46
+    for g in gradings:
+        R = g.ambient
+        sys = build_roots(R.kind, R.m, R.odd_dim if R.kind == "gl"
+                          else R.odd_dim // 2)
+        vals = degree_functional(g)
+        n = len(vals)
+        functional = [Fraction(3) ** (n - l) for l in range(n)]
+        generic = [r for r in sys.roots
+                   if sum(f * c for f, c in zip(functional, r.coeffs)) > 0]
+        nonneg = [r for r in sys.roots if (
+            sum(v * c for v, c in zip(vals, r.coeffs)),
+            sum(f * c for f, c in zip(functional, r.coeffs))) > (0, 0)]
+        for pos in (generic, nonneg):
+            assert _base_of(sys, pos) == _tuple_base_of(pos)
+        assert find_nonnegative_base(g).simple == tuple(_tuple_base_of(nonneg))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from goodgradings import superalgebra
 from goodgradings.linalg import Matrix, rank
@@ -181,3 +183,55 @@ def test_phi_shape():
             else:
                 assert G[a, b] == -G[b, a]
     assert rank(G) == R.size
+
+
+def test_element_shape_is_checked():
+    with pytest.raises(ValueError, match="not 3x3"):
+        build_gl(2, 1).element(Matrix.zero(2, 2))
+
+
+def test_is_member_osp_needs_osp():
+    R = build_gl(2, 1)
+    with pytest.raises(ValueError, match="not an osp"):
+        is_member_osp(R, Matrix.zero(3, 3), EVEN)
+
+
+def test_set_basis_rejects_three_entries():
+    R = build_gl(1, 1)
+    with pytest.raises(RealizationError, match="at most two"):
+        R._set_basis([{(0, 0): 1, (0, 1): 1, (1, 1): 1}], [EVEN])
+
+
+def _fraction_degrees(R, diag):
+    """Reference degree table: Fraction differences over each support,
+    None where they differ."""
+    out = []
+    for sup in R.supports:
+        vals = {diag[a] - diag[b] for a, b in sup}
+        out.append(vals.pop() if len(vals) == 1 else None)
+    return out
+
+
+DEGREE_ALGEBRAS = {"gl21": build_gl(2, 1), "gl32": build_gl(3, 2),
+                   "osp32": build_osp(3, 1), "osp24": build_osp(2, 2)}
+
+
+@pytest.mark.parametrize("R", DEGREE_ALGEBRAS.values(),
+                         ids=list(DEGREE_ALGEBRAS))
+@given(den=st.sampled_from([1, 2, 3]), in_algebra=st.booleans(),
+       data=st.data())
+def test_degrees_match_fraction_differences(R, den, in_algebra, data):
+    """Integral, half-integral and third diagonals; for osp a diagonal
+    outside the algebra (no phi-skew symmetry) gives non-eigenvectors."""
+    diag = [Fraction(v, den) for v in data.draw(
+        st.lists(st.integers(-6, 6), min_size=R.size, max_size=R.size))]
+    if in_algebra and R.kind == "osp":
+        diag = [diag[R.index(lab)] if lab > 0 else
+                -diag[R.index(-lab)] if lab else Fraction(0)
+                for lab in R.labels]
+    got = R.degrees(diag)
+    assert got == _fraction_degrees(R, diag)
+    assert all((type(d) is int) == (d.denominator == 1)
+               for d in got if d is not None)
+    if R.kind == "osp" and in_algebra:
+        assert None not in got
