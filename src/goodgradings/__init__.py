@@ -24,6 +24,6 @@ from .classification import (BoundTooSmall, DegreeMismatch, GoodGradingSet,
                              good_gradings_osp)
 from .roots import (MarkedBase, Root, RootSystem, RootSystemError,
                     build_roots, find_nonnegative_base, is_isotropic,
-                    marked_equivalent, reflect_marked)
+                    marked_equivalent, reflect_marked, root_system)
 
 __version__ = "0.1.0"

@@ -264,7 +264,7 @@ def extensions_of_even_grading(sp, even_pyramids, full_set=None):
     picked = []
     prov = []
     for g, pv in zip(full_set.gradings, full_set.provenance):
-        diag = [g.H.matrix[i, i] for i in range(g.ambient.size)]
+        diag = g.H.diag()
         dp = {diag[i] - hp[i] for i in range(m)}
         dq_ = {diag[m + j] - hq[j] for j in range(len(hq))}
         if len(dp) == 1 and len(dq_) == 1:

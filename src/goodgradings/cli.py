@@ -24,7 +24,7 @@ from .partitions import (NotOrthosymplectic, SuperPartition,
                          enumerate_super_partitions, is_orthosymplectic)
 from .pyramids import dynkin_pair, dynkin_pyramid_osp, enumerate_pyr, render
 from .roots import find_nonnegative_base
-from .superalgebra import DimensionError, build_gl, build_osp
+from .superalgebra import DimensionError, build_gl, build_osp, check_size
 
 
 class UsageError(Exception):
@@ -44,14 +44,18 @@ def _parse_orbit(text):
         raise UsageError("bad --orbit value: %s" % exc)
 
 
+def _size(args):
+    """(m, n) of the requested gl(m|n) or osp(m|2n), checked without
+    building the algebra."""
+    if args.kind == "osp" and args.n % 2:
+        raise UsageError("osp odd dimension must be even (osp(m|2n))")
+    m, n = args.m, args.n if args.kind == "gl" else args.n // 2
+    check_size(args.kind, m, n)
+    return m, n
+
+
 def _algebra(args):
-    if args.kind == "gl":
-        return build_gl(args.m, args.n)
-    if args.kind == "osp":
-        if args.n % 2:
-            raise UsageError("osp odd dimension must be even (osp(m|2n))")
-        return build_osp(args.m, args.n // 2)
-    raise UsageError("unknown algebra kind %r" % args.kind)
+    return (build_gl if args.kind == "gl" else build_osp)(*_size(args))
 
 
 def _check_orbit_size(sp, args):
@@ -168,6 +172,7 @@ def cmd_centralizer(args):
 def cmd_pyramids(args):
     sp = _parse_orbit(args.orbit)
     _check_orbit_size(sp, args)
+    _size(args)
     if args.kind == "gl":
         pyrs = enumerate_pyr(sp)
         if args.pretty:

@@ -269,12 +269,7 @@ def solve(A, b):
     if len(b) != A.rows:
         raise ValueError("right-hand side length is not the row count")
     n = A.cols
-    aug = Matrix.zero(A.rows, n + 1)
-    for i in range(A.rows):
-        for j in range(n):
-            aug[i, j] = A[i, j]
-        aug[i, n] = b[i]
-    rows = _int_rows(aug)
+    rows = [_int_row(A.row(i) + [b[i]]) for i in range(A.rows)]
     pivots = _eliminate(rows, n + 1)
     if n in pivots:
         return None  # pivot in the augmented column: inconsistent

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from .linalg import Matrix, rank
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
-                         is_orthosymplectic, multiplicities, psi_merge)
-from .superalgebra import EVEN, is_member_osp, superbracket
+                         dual_partition, is_orthosymplectic, multiplicities,
+                         psi_merge)
+from .superalgebra import EVEN, superbracket
 
 
 class SizeMismatch(ValueError):
@@ -318,7 +319,6 @@ def _restricted_jordan_type(mat, indices):
             break
         power = power @ sub
     # ranks[k] = rank(sub^k); the differences form the conjugate partition
-    from .partitions import dual_partition
     dual = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
     return dual_partition(dual)
 
@@ -345,7 +345,9 @@ def realize_osp_pyramid(P, R):
         ab = (R.index(a), R.index(b))
         entries[ab] = signs.get(ab, 0)
     e = R.from_entries(entries)
-    if not is_member_osp(R, e.matrix, EVEN):
+    coords = R.coords(e)
+    if coords is None or any(c and p != EVEN for c, p in
+                             zip(coords, R.basis_parities)):
         raise MembershipFailure("e is not in osp")
     jt = jordan_type(R, e)
     if jt != (P.sp.p, P.sp.q):

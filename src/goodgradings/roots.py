@@ -10,8 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from .linalg import scaled_to_ints
-from .superalgebra import EVEN, ODD
+from .superalgebra import build_gl, build_osp
 
 
 class RootSystemError(ValueError):
@@ -56,73 +55,34 @@ def is_isotropic(system, alpha):
     return system.form(alpha, alpha) == 0
 
 
-def _unit(total, i, c=1):
-    v = [0] * total
-    v[i] = c
-    return v
+def root_system(R):
+    """The root system of the realization R and each root's basis index.
+
+    Every basis element off the Cartan spans a root space; its root is
+    weight(a) - weight(b) at any entry (a, b) of its support, where the
+    V-basis vector of label l has weight sign(l) * unit(|l| - 1) (label 0
+    has weight 0)."""
+    k, d = (R.m, R.odd_dim) if R.kind == "gl" else (R.m // 2, R.odd_dim // 2)
+    weights = []
+    for lab in R.labels:
+        w = [0] * (k + d)
+        if lab:
+            w[abs(lab) - 1] = 1 if lab > 0 else -1
+        weights.append(w)
+    roots, index = [], []
+    for j, sup in enumerate(R.supports):
+        a, b = next(iter(sup))
+        coeffs = tuple(x - y for x, y in zip(weights[a], weights[b]))
+        if any(coeffs):
+            roots.append(Root(coeffs, R.basis_parities[j]))
+            index.append(j)
+    return RootSystem(R.kind, k, d, roots), index
 
 
 def build_roots(kind, m, n):
     """Root system of gl(m|n) or osp(m|2n) (the latter with k = m // 2
     epsilons and n deltas)."""
-    roots = []
-    if kind == "gl":
-        k, d = m, n
-        tot = k + d
-        for i in range(k):
-            for j in range(k):
-                if i != j:
-                    v = _unit(tot, i)
-                    v[j] -= 1
-                    roots.append(Root(tuple(v), EVEN))
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    v = _unit(tot, k + i)
-                    v[k + j] -= 1
-                    roots.append(Root(tuple(v), EVEN))
-        for i in range(k):
-            for j in range(d):
-                v = _unit(tot, i)
-                v[k + j] = -1
-                roots.append(Root(tuple(v), ODD))
-                roots.append(Root(tuple(-x for x in v), ODD))
-    else:
-        k, d = m // 2, n
-        tot = k + d
-        for i in range(k):
-            for j in range(i + 1, k):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = _unit(tot, i, si)
-                        v[j] = sj
-                        roots.append(Root(tuple(v), EVEN))
-        if m % 2 == 1:
-            for i in range(k):
-                roots.append(Root(tuple(_unit(tot, i, 1)), EVEN))
-                roots.append(Root(tuple(_unit(tot, i, -1)), EVEN))
-        for i in range(d):
-            for j in range(i + 1, d):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = _unit(tot, k + i, si)
-                        v[k + j] = sj
-                        roots.append(Root(tuple(v), EVEN))
-        for i in range(d):
-            roots.append(Root(tuple(_unit(tot, k + i, 2)), EVEN))
-            roots.append(Root(tuple(_unit(tot, k + i, -2)), EVEN))
-        for i in range(k):
-            for j in range(d):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = _unit(tot, i, si)
-                        v[k + j] = sj
-                        roots.append(Root(tuple(v), ODD))
-        if m % 2 == 1:
-            for j in range(d):
-                roots.append(Root(tuple(_unit(tot, k + j, 1)), ODD))
-                roots.append(Root(tuple(_unit(tot, k + j, -1)), ODD))
-    return RootSystem(kind, k, d, roots)
+    return root_system(build_gl(m, n) if kind == "gl" else build_osp(m, n))[0]
 
 
 @dataclass(frozen=True)
@@ -201,26 +161,6 @@ def _base_of(sys, pos):
     return simple
 
 
-def degree_functional(grading):
-    """Values of the grading on (eps_1..eps_k, delta_1..delta_n), read off
-    the diagonal of H."""
-    R = grading.ambient
-    diag = grading.H.diag()
-    if R.kind == "gl":
-        return diag
-    # osp: the labels 1..k of V0, then k+1..k+n of V1
-    return [diag[R.index(i)] for i in range(1, R.m // 2 + R.odd_dim // 2 + 1)]
-
-
-def _deg(vals, root, den=1):
-    """The integer degree of root under the functional vals / den."""
-    d, r = divmod(_value(vals, root), den)
-    if r:
-        raise RootSystemError("root %s has non-integral degree %s" % (
-            root.coeffs, Fraction(_value(vals, root), den)))
-    return d
-
-
 def find_nonnegative_base(grading, seed=3):
     """A base on which the grading's degree map is nonnegative.
 
@@ -228,26 +168,23 @@ def find_nonnegative_base(grading, seed=3):
     system away, one at a time, moves only roots of negative degree; it
     ends at the positive system read here in one pass: every root of
     positive degree, and those of degree 0 that the generic functional
-    makes positive."""
-    R = grading.ambient
-    if R.kind == "gl":
-        sys = build_roots("gl", R.m, R.odd_dim)
-    else:
-        sys = build_roots("osp", R.m, R.odd_dim // 2)
-    vals, den = scaled_to_ints(degree_functional(grading))
+    makes positive.  A root's degree is its basis element's entry of
+    grading.degrees."""
+    sys, index = root_system(grading.ambient)
     n = sys.eps_count + sys.delta_count
     functional = [seed ** (n - l) for l in range(n)]
-    pos = []
-    for r in sys.roots:
+    pos, mark = [], {}
+    for r, j in zip(sys.roots, index):
         generic = _value(functional, r)
         if generic == 0:
             raise RootSystemError("functional vanishes on root %s"
                                   % (r.coeffs,))
-        if (_value(vals, r), generic) > (0, 0):
+        if (grading.degrees[j], generic) > (0, 0):
             pos.append(r)
+            mark[r.coeffs] = grading.degrees[j]
     simple = _base_of(sys, pos)
     return MarkedBase(sys, tuple(simple),
-                      tuple(_deg(vals, a, den) for a in simple))
+                      tuple(mark[a.coeffs] for a in simple))
 
 
 def _diagram_match(b1, b2):

@@ -256,11 +256,20 @@ def invariant_form(x, y):
     return supertrace(x.ambient, x.matrix @ y.matrix)
 
 
-def build_gl(m, n):
-    """gl(m|n) with index order 1..m even, m+1..m+n odd."""
-    if m < 0 or n < 0 or m + n < 1:
+def check_size(kind, m, n):
+    """Raise DimensionError unless gl(m|n), or osp(m|2n), is one this
+    package builds."""
+    if kind == "gl" and (m < 0 or n < 0 or m + n < 1):
         raise DimensionError("gl(%d|%d) needs m, n >= 0 and m + n >= 1"
                              % (m, n))
+    if kind == "osp" and (m < 1 or n < 1):
+        raise DimensionError("osp(%d|%d) needs m >= 1 and n >= 1"
+                             % (m, 2 * n))
+
+
+def build_gl(m, n):
+    """gl(m|n) with index order 1..m even, m+1..m+n odd."""
+    check_size("gl", m, n)
     R = Realization("gl", m, n, list(range(1, m + n + 1)))
     pairs = [(a, b) for a in range(m + n) for b in range(m + n)]
     R._set_basis([{ab: ONE} for ab in pairs],
@@ -320,9 +329,7 @@ def build_osp(m, n):
     V0 labels: 0 (m odd only), +-1..+-k with k = floor(m/2);
     V1 labels: +-(k+1)..+-(k+n).  phi(v_0,v_0)=2, phi(v_i,v_-j)=delta_ij.
     """
-    if m < 1 or n < 1:
-        raise DimensionError("osp(%d|%d) needs m >= 1 and n >= 1"
-                             % (m, 2 * n))
+    check_size("osp", m, n)
     k = m // 2
     even_labels = ([0] if m % 2 else []) \
         + list(range(1, k + 1)) + [-i for i in range(1, k + 1)]

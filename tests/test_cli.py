@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goodgradings.cli import build_parser, main
+from goodgradings.partitions import (enumerate_super_partitions,
+                                     is_orthosymplectic)
 
 
 def _run(capsys, argv):
@@ -109,6 +115,10 @@ def test_verify_wrong_h_length(capsys):
     ["selftest", "--max-size", "-1"],
     ["selftest", "--max-size", "0"],
     ["verify", "gl", "2", "1", "--H", '["1/3","0","0"]', "--e", "E12"],
+    ["pyramids", "gl", "0", "0", "--orbit", '{"p":[],"q":[]}'],
+    ["pyramids", "osp", "0", "0", "--orbit", '{"p":[],"q":[]}'],
+    ["pyramids", "osp", "2", "0", "--orbit", '{"p":[1,1],"q":[]}'],
+    ["pyramids", "osp", "0", "2", "--orbit", '{"p":[],"q":[2]}'],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -195,3 +205,68 @@ def test_selftest(capsys):
     code, out, _ = _run(capsys, ["selftest", "--max-size", "3"])
     assert code == 0
     assert json.loads(out)["failures"] == []
+
+
+# Random argv for the input contract: mostly well-formed requests on sizes
+# 0-4, each part of which may be replaced by a malformed one.  selftest's
+# --max-size is at most 3 and --bound at most 4, so no example starts a
+# large sweep.
+_junk = st.sampled_from(["", "x", "-1", "2.5", "1e9", "null", "[1,", "[1]",
+                         '{"p":[2]', '{"q":[2]}', '{"p":"x","q":[]}',
+                         '{"p":[1.5],"q":[]}', '{"p":[true],"q":[]}',
+                         '["1/0"]', '[[0,1],5]', "E1", "Exy", "E99"])
+
+
+@st.composite
+def _argv(draw):
+    def maybe_junk(value):
+        return draw(_junk) if draw(st.integers(0, 9)) == 0 else value
+
+    verb = draw(st.sampled_from(["classify", "verify", "centralizer",
+                                 "pyramids", "diagram", "selftest"]))
+    if verb == "selftest":
+        argv = [verb, "--max-size", maybe_junk(str(draw(st.integers(-1, 3))))]
+        return argv + draw(st.sampled_from([[], ["--pretty"]]))
+    kind = draw(st.sampled_from(["gl", "osp"]))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    argv = [verb, maybe_junk(kind), maybe_junk(str(m)), maybe_junk(str(n))]
+    if verb == "verify":
+        size = max(0, m + n + draw(st.sampled_from([0, 0, 0, 1, -1])))
+        diag = draw(st.lists(st.sampled_from([-2, -1, 0, 1, 2, "1/2"]),
+                             min_size=size, max_size=size))
+        argv += ["--H", maybe_junk(json.dumps(diag))]
+        if draw(st.booleans()):
+            e = "E%d%d" % (draw(st.integers(0, size + 1)),
+                           draw(st.integers(0, size + 1)))
+        else:
+            e = json.dumps(draw(st.lists(st.lists(
+                st.integers(-1, 1), min_size=size, max_size=size),
+                min_size=size, max_size=size)))
+        argv += ["--e", maybe_junk(e)]
+    else:
+        orbits = enumerate_super_partitions(m, n)
+        if kind == "osp":
+            orbits = [sp for sp in orbits if is_orthosymplectic(sp)] or orbits
+        orbit = draw(st.sampled_from(orbits)).to_json()
+        argv += ["--orbit", maybe_junk(json.dumps(orbit))]
+        if verb == "classify" and draw(st.booleans()):
+            argv += ["--bound", maybe_junk(str(draw(st.integers(0, 4))))]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_junk))
+    return argv + draw(st.sampled_from([[], ["--pretty"]]))
+
+
+@settings(max_examples=200)
+@given(_argv())
+def test_main_never_raises(argv):
+    """main exits 0, 1 or 2, never with a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        else:
+            if code == 2:
+                assert err.getvalue().startswith("error: ")
+    assert code in (0, 1, 2)

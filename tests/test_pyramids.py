@@ -121,6 +121,19 @@ def test_realize_osp_checks_degree_of_e(monkeypatch):
         realize_osp_pyramid(P, build_osp(3, 1))
 
 
+def test_realize_osp_checks_membership_of_e(monkeypatch):
+    # one entry of a two-entry even support is not an element of osp
+    R = build_osp(3, 1)
+    sup = next(sup for sup, p in zip(R.supports, R.basis_parities)
+               if p == EVEN and len(sup) == 2)
+    a, b = next(iter(sup))
+    monkeypatch.setattr(pyramids, "_osp_connections",
+                        lambda P: [(R.labels[a], R.labels[b])])
+    P = dynkin_pyramid_osp(SuperPartition((3,), (2,)))
+    with pytest.raises(MembershipFailure, match="e is not in osp"):
+        realize_osp_pyramid(P, R)
+
+
 def test_osp_central_symmetry():
     for pq in [((5, 3, 1), (3, 3)), ((3, 3), (4,)), ((5, 1), (2, 2)),
                ((2, 2, 1), (2, 2))]:

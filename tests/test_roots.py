@@ -11,11 +11,11 @@ from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
                                    dynkin_pyramid_osp, realize_osp_pyramid,
                                    realize_pyramid)
 from goodgradings.roots import (MarkedBase, Root, RootSystem, RootSystemError,
-                                _base_of, _deg, build_roots,
-                                degree_functional, find_nonnegative_base,
+                                _base_of, build_roots, find_nonnegative_base,
                                 is_isotropic, marked_equivalent,
-                                reflect_marked)
-from goodgradings.superalgebra import EVEN, ODD, build_gl, build_osp
+                                reflect_marked, root_system)
+from goodgradings.superalgebra import (EVEN, ODD, build_gl, build_osp,
+                                       superbracket)
 
 
 def test_root_counts_gl():
@@ -170,6 +170,26 @@ def test_reflect_checks_reflected_root(monkeypatch):
         reflect_marked(b, 0)
 
 
+def degree_functional(grading):
+    """Reference: values of the grading on (eps_1..eps_k, delta_1..delta_n),
+    read off the diagonal of H."""
+    R = grading.ambient
+    diag = grading.H.diag()
+    if R.kind == "gl":
+        return diag
+    # osp: the labels 1..k of V0, then k+1..k+n of V1
+    return [diag[R.index(i)] for i in range(1, R.m // 2 + R.odd_dim // 2 + 1)]
+
+
+def _deg(vals, root):
+    """Reference: the integer degree of root under the functional vals."""
+    d, r = divmod(sum(v * c for v, c in zip(vals, root.coeffs)), 1)
+    if r:
+        raise RootSystemError("root %s has non-integral degree"
+                              % (root.coeffs,))
+    return d
+
+
 def _base_by_reflections(grading, seed=3):
     """Reference: start from the generic positive system and reflect away
     the lowest negative-degree simple root until none is left."""
@@ -260,3 +280,46 @@ def test_packed_base_matches_tuple_base():
         for pos in (generic, nonneg):
             assert _base_of(sys, pos) == _tuple_base_of(pos)
         assert find_nonnegative_base(g).simple == tuple(_tuple_base_of(nonneg))
+
+
+def _small_realizations():
+    """gl(m|n) with m+n <= 7 and osp(m|2n) with m+2n <= 12."""
+    for size in range(1, 8):
+        for m in range(size + 1):
+            yield build_gl(m, size - m)
+    for m in range(1, 11):
+        for n in range(1, (12 - m) // 2 + 1):
+            yield build_osp(m, n)
+
+
+def test_root_system_matches_brackets():
+    """Each root is the eigenvalue of its basis element under a generic
+    Cartan element t, found by brackets and not by the degree table."""
+    count = 0
+    for R in _small_realizations():
+        sys, index = root_system(R)
+        n = sys.eps_count + sys.delta_count
+        weight = [5 ** i for i in range(n)]
+        t = R.diagonal({lab: (1 if lab > 0 else -1) * weight[abs(lab) - 1]
+                        for lab in R.labels if lab})
+        for r, j in zip(sys.roots, index):
+            x = R.from_entries(R.supports[j])
+            value = sum(c * w for c, w in zip(r.coeffs, weight))
+            assert (superbracket(t, x) - x.scale(value)).is_zero()
+            assert r.parity == R.basis_parities[j]
+        diagonal = sum(1 for sup in R.supports
+                       if all(a == b for a, b in sup))
+        assert len({r.coeffs for r in sys.roots}) == len(sys.roots)
+        assert len(sys.roots) == R.dim - diagonal
+        count += 1
+    assert count == 35 + 30
+
+
+def test_marks_ignore_a_central_shift():
+    """H and H + 1 have the same ad-degrees, so the same marked base."""
+    R = build_osp(2, 1)
+    _, e, h = dynkin_pair(SuperPartition((1, 1), (2,)), R)
+    shifted = R.from_entries({(i, i): v + 1 for i, v in enumerate(h.diag())})
+    b = find_nonnegative_base(grading_from(R, h))
+    assert find_nonnegative_base(grading_from(R, shifted)) == b
+    assert b.marks == (1, 1)
