@@ -15,7 +15,7 @@ from operator import add
 from .gradings import (complete_sl2, grading_from, integral_degrees,
                        kernel_support, s_centralizer)
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
-                         is_orthosymplectic, psi_merge)
+                         is_orthosymplectic)
 from .pyramids import dynkin_pair, enumerate_pyr, realize_pyramid, shift_matrix
 from .superalgebra import build_gl, build_osp, superbracket
 
@@ -134,24 +134,18 @@ def _scan_shifts(R, e, h, gens, boxes, admissible=None):
 def _center_generators(R, sp, P):
     """Diagonal generators of the center of the even sl2-centralizer."""
     if R.kind == "gl":
-        merged = psi_merge(sp)
         boxes = P.boxes()
         gens = []
-        for value in sorted({r for r, t in merged}, reverse=True):
+        for value in sorted({r for r, t, f in P.rows}, reverse=True):
             rows_of_value = [y for y, (r, t, f) in enumerate(P.rows, start=1)
                              if r == value]
             diag = {lab: 1 for x, y, t, lab in boxes if y in rows_of_value}
             gens.append(R.diagonal(diag))
         return gens
     cp, dq = cp_dq(sp)
-    gens = []
-    for i in range(len(cp)):
-        s = [Fraction(1) if j == i else Fraction(0) for j in range(len(cp))]
-        gens.append(shift_matrix(R, P, s, [Fraction(0)] * len(dq)))
-    for j in range(len(dq)):
-        t = [Fraction(1) if i == j else Fraction(0) for i in range(len(dq))]
-        gens.append(shift_matrix(R, P, [Fraction(0)] * len(cp), t))
-    return gens
+    k, units = len(cp), range(len(cp) + len(dq))
+    return [shift_matrix(R, P, u[:k], u[k:])
+            for u in ([int(i == j) for j in units] for i in units)]
 
 
 def brute_force_shifts(R, sp, bound):

@@ -19,7 +19,6 @@ from .classification import (BoundTooSmall, brute_force_shifts,
 from .gradings import (NonIntegralGrading, centralizer, dim_formula_gl,
                        dim_formula_osp, complete_sl2, grading_from, is_good,
                        s_centralizer, block_type_dim)
-from .linalg import Matrix
 from .partitions import (NotOrthosymplectic, SuperPartition,
                          enumerate_super_partitions, is_orthosymplectic)
 from .pyramids import dynkin_pair, dynkin_pyramid_osp, enumerate_pyr, render
@@ -127,7 +126,8 @@ def _parse_e(text, R):
     rows = [_rationals(row, "--e row") for row in rows]
     if any(len(row) != s for row in rows):
         raise UsageError("--e must be a %dx%d matrix" % (s, s))
-    return R.element(Matrix.from_rows(rows))
+    return R.from_entries({(i, j): v for i, row in enumerate(rows)
+                           for j, v in enumerate(row)})
 
 
 def cmd_verify(args):

@@ -8,8 +8,7 @@ from fractions import Fraction
 from .linalg import Matrix, kernel_basis, rank, solve
 from .partitions import (NotOrthosymplectic, is_orthosymplectic,
                          multiplicities)
-from .superalgebra import (EVEN, ODD, ad_columns, adjoint_matrix,
-                           superbracket)
+from .superalgebra import EVEN, ODD, adjoint_matrix, superbracket
 
 
 class NonIntegralGrading(ValueError):
@@ -46,14 +45,8 @@ class Grading:
         return all(d % 2 == 0 for d in self.degrees)
 
     def to_json(self):
-        return {"H": [_rat_str(x) for x in self.H.diag()],
+        return {"H": [str(x) for x in self.H.diag()],
                 "degrees": {str(i): d for i, d in enumerate(self.degrees)}}
-
-
-def _rat_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else \
-        "%d/%d" % (x.numerator, x.denominator)
 
 
 def integral_degrees(R, diag):
@@ -96,19 +89,22 @@ class CentralizerReport:
     blockTypes: list = field(default_factory=list)
 
 
-def parity_kernels(R, adjoints, cols):
-    """(even, odd) kernel vectors of the stacked even adjoint maps on the
-    basis columns cols, padded with zeros to full coordinates."""
+def parity_kernels(R, elements, cols):
+    """(even, odd) kernel vectors of the stacked ad maps of the even
+    elements on the basis columns cols, padded with zeros to full
+    coordinates; each ad map is built once, on cols only."""
+    adjoints = [adjoint_matrix(x, cols) for x in elements]
     out = []
     for parity in (EVEN, ODD):
-        idx = [j for j in cols if R.basis_parities[j] == parity]
-        rows = [[row[j] for j in idx] for ad in adjoints
+        idx = [t for t, j in enumerate(cols)
+               if R.basis_parities[j] == parity]
+        rows = [[row[t] for t in idx] for ad in adjoints
                 for row in map(ad.row, range(ad.rows))]
         vecs = []
         for vec in kernel_basis(Matrix.from_rows(rows)):
             full = [Fraction(0)] * R.dim
-            for t, j in enumerate(idx):
-                full[j] = vec[t]
+            for t, c in zip(idx, vec):
+                full[cols[t]] = c
             vecs.append(full)
         out.append(vecs)
     return out
@@ -116,7 +112,7 @@ def parity_kernels(R, adjoints, cols):
 
 def centralizer(R, e):
     """ker(ad e), split by parity."""
-    even, odd = parity_kernels(R, [adjoint_matrix(e)], range(R.dim))
+    even, odd = parity_kernels(R, [e], range(R.dim))
     basis = [R.from_coords(v) for v in even + odd]
     return CentralizerReport(len(even), len(odd), basis)
 
@@ -124,7 +120,7 @@ def centralizer(R, e):
 def kernel_support(R, e):
     """Basis indices on which some element of ker(ad e) is nonzero: the
     union of the supports of a kernel basis."""
-    even, odd = parity_kernels(R, [adjoint_matrix(e)], range(R.dim))
+    even, odd = parity_kernels(R, [e], range(R.dim))
     return {j for vec in even + odd for j, c in enumerate(vec) if c}
 
 
@@ -167,7 +163,7 @@ def complete_sl2(R, e, h):
     hc = R.coords(h)
     if hc is None:
         raise NoSolution("h is not in the algebra")
-    x = solve(Matrix.from_rows(list(zip(*ad_columns(e, candidates)))), hc)
+    x = solve(adjoint_matrix(e, candidates), hc)
     if x is None:
         raise NoSolution("(e, h) does not complete to an sl2-triple")
     coords = [Fraction(0)] * R.dim
@@ -211,8 +207,7 @@ def s_centralizer(R, triple, sp=None):
     when the orbit partition is supplied.  ad h is diagonal with the
     degrees on the diagonal, so its kernel is the degree-0 columns."""
     degree0 = [j for j, d in enumerate(R.degrees(triple.h.diag())) if d == 0]
-    even, odd = parity_kernels(
-        R, [adjoint_matrix(triple.e), adjoint_matrix(triple.f)], degree0)
+    even, odd = parity_kernels(R, [triple.e, triple.f], degree0)
     basis = [R.from_coords(v) for v in even + odd]
     types = predicted_block_types(R, sp) if sp is not None else []
     return CentralizerReport(len(even), len(odd), basis, types)

@@ -86,11 +86,6 @@ class Matrix:
     def __neg__(self):
         return Matrix(self.rows, self.cols, [-a for a in self.entries])
 
-    def scale(self, c):
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols,
-                      [c * a if a else a for a in self.entries])
-
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("inner matrix dimensions differ")
@@ -115,9 +110,6 @@ class Matrix:
             for j in range(self.cols):
                 out[j, i] = self[i, j]
         return out
-
-    def is_zero(self):
-        return all(x == 0 for x in self.entries)
 
     def apply(self, vec):
         """Matrix-vector product, vec of length cols."""

@@ -325,10 +325,9 @@ def _restricted_jordan_type(mat, indices):
 
 def jordan_type(R, e):
     """Jordan type of an even nilpotent element on (V0, V1)."""
-    ev = list(range(R.m))
-    od = list(range(R.m, R.size))
-    return (_restricted_jordan_type(e.matrix, ev),
-            _restricted_jordan_type(e.matrix, od))
+    mat = e.matrix
+    return (_restricted_jordan_type(mat, range(R.m)),
+            _restricted_jordan_type(mat, range(R.m, R.size)))
 
 
 def realize_osp_pyramid(P, R):
@@ -343,7 +342,9 @@ def realize_osp_pyramid(P, R):
     entries = {}
     for a, b in _osp_connections(P):
         ab = (R.index(a), R.index(b))
-        entries[ab] = signs.get(ab, 0)
+        if ab not in signs:
+            raise MembershipFailure("e is not in osp")
+        entries[ab] = signs[ab]
     e = R.from_entries(entries)
     coords = R.coords(e)
     if coords is None or any(c and p != EVEN for c, p in

@@ -36,35 +36,45 @@ class RealizationError(ValueError):
     """A realization broke one of its own invariants."""
 
 
-def _entries(mat):
-    """Nonzero entries of a square matrix as {(a, b): c}."""
-    s = mat.cols
-    return {divmod(p, s): c for p, c in enumerate(mat.entries) if c}
-
-
 @dataclass
 class AlgebraElement:
+    """An element stored as its support: the nonzero entries {(a, b): c}
+    of its matrix, Fractions; `Realization.from_entries` checks them."""
     ambient: "Realization"
-    matrix: Matrix
+    entries: dict
 
-    def __post_init__(self):
-        s = self.ambient.size
-        if self.matrix.rows != s or self.matrix.cols != s:
-            raise ValueError("element matrix is not %dx%d" % (s, s))
+    @property
+    def matrix(self):
+        """Dense size x size view, for the algorithms on whole matrices."""
+        mat = Matrix.zero(self.ambient.size, self.ambient.size)
+        for ab, c in self.entries.items():
+            mat[ab] = c
+        return mat
+
+    def _plus(self, other, sign):
+        self._same(other)
+        out = dict(self.entries)
+        for ab, c in other.entries.items():
+            v = out.get(ab, 0) + sign * c
+            if v:
+                out[ab] = v
+            else:
+                del out[ab]
+        return AlgebraElement(self.ambient, out)
 
     def __add__(self, other):
-        self._same(other)
-        return AlgebraElement(self.ambient, self.matrix + other.matrix)
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        self._same(other)
-        return AlgebraElement(self.ambient, self.matrix - other.matrix)
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return AlgebraElement(self.ambient, -self.matrix)
+        return self.scale(-1)
 
     def scale(self, c):
-        return AlgebraElement(self.ambient, self.matrix.scale(c))
+        c = Fraction(c)
+        return AlgebraElement(self.ambient, {ab: c * v for ab, v in
+                                             self.entries.items()} if c else {})
 
     def _same(self, other):
         if other.ambient is not self.ambient:
@@ -73,16 +83,17 @@ class AlgebraElement:
     def parity(self):
         """0, 1, or None for a mixed (non-homogeneous) element."""
         m = self.ambient.m
-        found = {(a < m) != (b < m) for a, b in _entries(self.matrix)}
+        found = {(a < m) != (b < m) for a, b in self.entries}
         if len(found) == 2:
             return None
         return ODD if True in found else EVEN
 
     def diag(self):
-        return [self.matrix[i, i] for i in range(self.ambient.size)]
+        return [self.entries.get((i, i), ZERO)
+                for i in range(self.ambient.size)]
 
     def is_zero(self):
-        return self.matrix.is_zero()
+        return not self.entries
 
 
 @dataclass
@@ -125,7 +136,7 @@ class Realization:
 
     @cached_property
     def basis(self):
-        """The homogeneous basis as dense elements."""
+        """The homogeneous basis as elements."""
         return [self.from_entries(sup) for sup in self.supports]
 
     def index_parity(self, idx):
@@ -134,15 +145,16 @@ class Realization:
     def index(self, label):
         return self._index_of_label[label]
 
-    def element(self, matrix):
-        return AlgebraElement(self, matrix)
-
     def from_entries(self, entries):
-        """The element with the given matrix entries {(a, b): c}."""
-        mat = Matrix.zero(self.size, self.size)
-        for ab, c in entries.items():
-            mat[ab] = c
-        return AlgebraElement(self, mat)
+        """The element with the given matrix entries {(a, b): c}, values
+        made Fractions and zeros dropped; ValueError on an index outside
+        size x size."""
+        s = self.size
+        if any(not (0 <= a < s and 0 <= b < s) for a, b in entries):
+            raise ValueError("element entry outside %dx%d" % (s, s))
+        return AlgebraElement(self, {ab: c if type(c) is Fraction
+                                     else Fraction(c)
+                                     for ab, c in entries.items() if c})
 
     def zero(self):
         return self.from_entries({})
@@ -153,8 +165,7 @@ class Realization:
                                    self.index(label_j)): ONE})
 
     def diagonal(self, values_by_label):
-        return self.from_entries({(self.index(lab), self.index(lab)):
-                                  Fraction(v)
+        return self.from_entries({(self.index(lab), self.index(lab)): v
                                   for lab, v in values_by_label.items()})
 
     def coords(self, x):
@@ -164,7 +175,7 @@ class Realization:
         Each coordinate is read at its basis element's private entry; x is
         in g exactly when nothing is left after subtracting the
         reconstruction."""
-        rest = dict(x) if isinstance(x, dict) else _entries(x.matrix)
+        rest = dict(x if isinstance(x, dict) else x.entries)
         out = [ZERO] * self.dim
         hit = []
         for ab, v in rest.items():
@@ -246,8 +257,8 @@ def superbracket(x, y):
     """[x, y] = xy - (-1)^{|x||y|} yx, extended bilinearly."""
     x._same(y)
     R = x.ambient
-    x_grouped = _by_row_and_column(R.m, _entries(x.matrix))
-    return R.from_entries(_bracket(R.m, x_grouped, _entries(y.matrix)))
+    x_grouped = _by_row_and_column(R.m, x.entries)
+    return AlgebraElement(R, _bracket(R.m, x_grouped, y.entries))
 
 
 def invariant_form(x, y):
@@ -383,23 +394,19 @@ def build_osp(m, n):
     return R
 
 
-def ad_columns(x, cols):
-    """Coordinates of [x, b_j] for each basis index j in cols, in turn."""
+def adjoint_matrix(x, cols=None):
+    """Matrix of ad x on the homogeneous basis of its ambient algebra, on
+    the basis columns cols (all by default): column t holds the
+    coordinates of [x, b_j] for j = cols[t]."""
     R = x.ambient
-    x_grouped = _by_row_and_column(R.m, _entries(x.matrix))
-    for j in cols:
+    cols = range(R.dim) if cols is None else cols
+    x_grouped = _by_row_and_column(R.m, x.entries)
+    out = Matrix.zero(R.dim, len(cols))
+    for t, j in enumerate(cols):
         col = R.coords(_bracket(R.m, x_grouped, R.supports[j]))
         if col is None:
             raise RealizationError("bracket left the algebra")
-        yield col
-
-
-def adjoint_matrix(x):
-    """Matrix of ad x on the homogeneous basis of its ambient algebra."""
-    R = x.ambient
-    out = Matrix.zero(R.dim, R.dim)
-    for j, col in enumerate(ad_columns(x, range(R.dim))):
         for i, v in enumerate(col):
             if v:
-                out[i, j] = v
+                out[i, t] = v
     return out

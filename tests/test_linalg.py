@@ -96,7 +96,8 @@ def test_coords_roundtrip(R, data):
 
 @pytest.mark.parametrize("R", ALGEBRAS[1:], ids=["osp31", "osp22"])
 def test_coords_outside_osp(R):
-    assert R.coords(R.element(Matrix.identity(R.size))) is None
+    identity = R.from_entries({(i, i): 1 for i in range(R.size)})
+    assert R.coords(identity) is None
     assert R.coords(R.from_entries({(0, 1): 1})) is None      # E12
 
 

@@ -11,7 +11,7 @@ from goodgradings.pyramids import (LengthMismatch, MembershipFailure,
                                    enumerate_pyr, jordan_type,
                                    realize_osp_pyramid, realize_pyramid,
                                    render, shift_matrix)
-from goodgradings.superalgebra import (EVEN, build_gl, build_osp,
+from goodgradings.superalgebra import (EVEN, ODD, build_gl, build_osp,
                                        is_member_osp, superbracket)
 
 
@@ -170,6 +170,18 @@ def test_realize_osp_51_22_membership():
     rhs = G @ e.matrix
     assert lhs == -rhs
     assert jordan_type(R, e) == (sp.p, sp.q)
+
+
+def test_realize_osp_rejects_connection_outside_even_part(monkeypatch):
+    """A connection that lies in no even support means e is not in osp; it
+    must not become a zero entry that fails later as a Jordan type."""
+    sp = SuperPartition((3,), (2,))
+    R = build_osp(3, 1)
+    a, b = next(iter(R.supports[R.basis_parities.index(ODD)]))
+    monkeypatch.setattr(pyramids, "_osp_connections",
+                        lambda P: [(R.labels[a], R.labels[b])])
+    with pytest.raises(MembershipFailure, match="e is not in osp"):
+        realize_osp_pyramid(dynkin_pyramid_osp(sp), R)
 
 
 def test_shift_matrix():

@@ -16,3 +16,34 @@ def test_no_assert_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _owners(is_target):
+    """Names of the functions in the package source that hold a node
+    is_target accepts (None at module level)."""
+    owners = set()
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if is_target(node):
+            owners.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), None)
+    return owners
+
+
+def test_one_element_representation():
+    """Elements are supports: only the dense view itself and the two
+    dense algorithms read `.matrix`, and ad maps are built in one place."""
+    readers = _owners(lambda node: isinstance(node, ast.Attribute)
+                      and node.attr == "matrix")
+    assert "jordan_type" in readers
+    assert readers <= {"matrix", "invariant_form", "jordan_type"}
+    callers = _owners(lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "_bracket")
+    assert callers == {"superbracket", "adjoint_matrix"}

@@ -145,7 +145,7 @@ def test_osp_closure():
 
 def test_adjoint_matrix():
     R = build_gl(2, 1)
-    assert adjoint_matrix(R.zero()).is_zero()
+    assert adjoint_matrix(R.zero()) == Matrix.zero(R.dim, R.dim)
     h = R.diagonal({1: 1, 2: 2, 3: 5})
     ad = adjoint_matrix(h)
     # diagonal with weights h_i - h_j on the E_{ij} basis
@@ -186,8 +186,56 @@ def test_phi_shape():
 
 
 def test_element_shape_is_checked():
-    with pytest.raises(ValueError, match="not 3x3"):
-        build_gl(2, 1).element(Matrix.zero(2, 2))
+    for ab in [(0, 3), (3, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="outside 3x3"):
+            build_gl(2, 1).from_entries({ab: 1})
+
+
+def test_from_entries_drops_zeros():
+    R = build_gl(2, 1)
+    x = R.from_entries({(0, 0): 0, (0, 1): 2, (2, 2): Fraction(0)})
+    assert x.entries == {(0, 1): 2}
+    assert type(x.entries[0, 1]) is Fraction
+    assert R.from_entries({(1, 1): 0}).is_zero()
+
+
+SPARSE = [build_gl(2, 1), build_osp(3, 1), build_osp(2, 2)]
+SPARSE_IDS = ["gl21", "osp32", "osp24"]
+
+
+def _element(R, data):
+    return R.from_coords(data.draw(st.lists(
+        st.integers(-2, 2), min_size=R.dim, max_size=R.dim)))
+
+
+@pytest.mark.parametrize("R", SPARSE, ids=SPARSE_IDS)
+@given(data=st.data())
+def test_sparse_element_matches_dense_reference(R, data):
+    """Element arithmetic on supports agrees with the dense matrices, and
+    no stored value is zero."""
+    x, y = _element(R, data), _element(R, data)
+    c = data.draw(st.integers(-3, 3))
+    X, Y = x.matrix, y.matrix
+    assert (x + y).matrix == X + Y
+    assert (x - y).matrix == X - Y
+    assert (-x).matrix == -X
+    assert x.scale(c).matrix == Matrix(R.size, R.size,
+                                       [c * a for a in X.entries])
+    assert x.is_zero() == (X == Matrix.zero(R.size, R.size))
+    assert x.diag() == [X[i, i] for i in range(R.size)]
+    assert (x - x).is_zero() and x.scale(0).is_zero()
+    for z in (x, x + y, x - y, -x, x.scale(c), superbracket(x, y)):
+        assert all(type(v) is Fraction and v for v in z.entries.values())
+
+
+@pytest.mark.parametrize("R", SPARSE, ids=SPARSE_IDS)
+@given(data=st.data())
+def test_adjoint_matrix_on_columns(R, data):
+    x = _element(R, data)
+    cols = data.draw(st.lists(st.integers(0, R.dim - 1), unique=True))
+    full = adjoint_matrix(x)
+    assert adjoint_matrix(x, cols) == Matrix.from_rows(
+        [[full[i, j] for j in cols] for i in range(R.dim)])
 
 
 def test_is_member_osp_needs_osp():
