@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
-from .gradings import (complete_sl2, grading_from, integral_degrees,
-                       kernel_support, s_centralizer)
+from .gradings import (ad_kernel, complete_sl2, grading_from,
+                       integral_degrees, s_centralizer)
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
                          is_orthosymplectic)
 from .pyramids import dynkin_pair, enumerate_pyr, realize_pyramid, shift_matrix
@@ -95,7 +95,7 @@ def _scan_shifts(R, e, h, gens, boxes, admissible=None):
     parity_forms = list({tuple(c & 1 for c in key[1:]): f
                          for key, f in form_index.items()}.values())
     e_forms = {form_of[j] for j, c in enumerate(R.coords(e)) if c}
-    ker_forms = {form_of[j] for j in kernel_support(R, e)}
+    ker_forms = {form_of[j] for j in ad_kernel(R, e)[2]}
     found = {}
     not_good = 0
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from .linalg import Matrix, kernel_basis, rank, solve
 from .partitions import (NotOrthosymplectic, is_orthosymplectic,
                          multiplicities)
-from .superalgebra import EVEN, ODD, adjoint_matrix, superbracket
+from .superalgebra import EVEN, adjoint_matrix, superbracket
 
 
 class NonIntegralGrading(ValueError):
@@ -89,39 +89,36 @@ class CentralizerReport:
     blockTypes: list = field(default_factory=list)
 
 
-def parity_kernels(R, elements, cols):
-    """(even, odd) kernel vectors of the stacked ad maps of the even
-    elements on the basis columns cols, padded with zeros to full
-    coordinates; each ad map is built once, on cols only."""
-    adjoints = [adjoint_matrix(x, cols) for x in elements]
-    out = []
-    for parity in (EVEN, ODD):
-        idx = [t for t, j in enumerate(cols)
-               if R.basis_parities[j] == parity]
-        rows = [[row[t] for t in idx] for ad in adjoints
-                for row in map(ad.row, range(ad.rows))]
-        vecs = []
-        for vec in kernel_basis(Matrix.from_rows(rows)):
-            full = [Fraction(0)] * R.dim
-            for t, c in zip(idx, vec):
-                full[cols[t]] = c
-            vecs.append(full)
-        out.append(vecs)
-    return out
+def ad_kernel(R, e):
+    """(ad e as a tuple of rows, a basis of ker(ad e) as coordinate tuples,
+    the union of their supports), computed once per element of R and kept
+    in R.ad_kernels, keyed by e's entries."""
+    key = frozenset(e.entries.items())
+    if key not in R.ad_kernels:
+        ad = adjoint_matrix(e)
+        vectors = tuple(map(tuple, kernel_basis(ad)))
+        R.ad_kernels[key] = (tuple(map(ad.row, range(ad.rows))), vectors,
+                             frozenset(j for v in vectors
+                                       for j, c in enumerate(v) if c))
+    return R.ad_kernels[key]
+
+
+def _report(R, vectors, types=()):
+    """CentralizerReport of even or odd kernel vectors, even first; the
+    parity of each is read at its 1, the one at its free column."""
+    by_parity = ([], [])
+    for v in vectors:
+        by_parity[R.basis_parities[v.index(1)]].append(R.from_coords(v))
+    even, odd = by_parity
+    return CentralizerReport(len(even), len(odd), even + odd, list(types))
 
 
 def centralizer(R, e):
-    """ker(ad e), split by parity."""
-    even, odd = parity_kernels(R, [e], range(R.dim))
-    basis = [R.from_coords(v) for v in even + odd]
-    return CentralizerReport(len(even), len(odd), basis)
-
-
-def kernel_support(R, e):
-    """Basis indices on which some element of ker(ad e) is nonzero: the
-    union of the supports of a kernel basis."""
-    even, odd = parity_kernels(R, [e], range(R.dim))
-    return {j for vec in even + odd for j, c in enumerate(vec) if c}
+    """ker(ad e), split by parity.  For e even or odd, ad e links no even
+    column to an odd one, so each kernel vector is even or odd."""
+    if e.parity() is None:
+        raise ValueError("ker(ad e) of a mixed e is not split by parity")
+    return _report(R, ad_kernel(R, e)[1])
 
 
 def dim_formula_gl(sp):
@@ -163,7 +160,8 @@ def complete_sl2(R, e, h):
     hc = R.coords(h)
     if hc is None:
         raise NoSolution("h is not in the algebra")
-    x = solve(adjoint_matrix(e, candidates), hc)
+    x = solve(Matrix.from_rows([[row[j] for j in candidates]
+                                for row in ad_kernel(R, e)[0]]), hc)
     if x is None:
         raise NoSolution("(e, h) does not complete to an sl2-triple")
     coords = [Fraction(0)] * R.dim
@@ -203,14 +201,20 @@ def block_type_dim(t):
 
 
 def s_centralizer(R, triple, sp=None):
-    """Simultaneous centralizer of {e, f, h}, with predicted factor types
-    when the orbit partition is supplied.  ad h is diagonal with the
-    degrees on the diagonal, so its kernel is the degree-0 columns."""
-    degree0 = [j for j, d in enumerate(R.degrees(triple.h.diag())) if d == 0]
-    even, odd = parity_kernels(R, [triple.e, triple.f], degree0)
-    basis = [R.from_coords(v) for v in even + odd]
-    types = predicted_block_types(R, sp) if sp is not None else []
-    return CentralizerReport(len(even), len(odd), basis, types)
+    """Simultaneous centralizer g^s of an sl2-triple {e, f, h} with e even
+    and h diagonal, with predicted factor types when the orbit partition
+    is supplied: the kernel vectors of ad e in h-degree 0.
+
+    g is a finite-dimensional module over the even sl2 <e, h, f>, so a
+    weight-0 vector that ad e kills spans a trivial submodule and f kills
+    it too.  ad e has degree 2, so each kernel vector (the unique one with
+    a 1 at its free column) lies in a single degree."""
+    if triple.e.parity() != EVEN or not triple.verify():
+        raise NoSolution("(e, f, h) is not an even sl2-triple")
+    degrees = R.degrees(triple.h.diag())
+    return _report(R, [v for v in ad_kernel(R, triple.e)[1]
+                        if all(degrees[j] == 0 for j, c in enumerate(v) if c)],
+                   predicted_block_types(R, sp) if sp is not None else [])
 
 
 def _in_degree_2(g, e):
@@ -229,7 +233,7 @@ def is_good(g, e):
     """
     if not _in_degree_2(g, e):
         return False
-    return all(g.degrees[j] >= 0 for j in kernel_support(g.ambient, e))
+    return all(g.degrees[j] >= 0 for j in ad_kernel(g.ambient, e)[2])
 
 
 def is_good_by_ranks(g, e):
@@ -254,13 +258,8 @@ def is_richardson(g, e):
     """For an even grading: does [g_>=0, e] fill g_+?"""
     if not g.is_even():
         raise OddGrading("grading has odd degrees")
-    R = g.ambient
-    ad = adjoint_matrix(e)
+    ad = ad_kernel(g.ambient, e)[0]
     src = [i for i, d in enumerate(g.degrees) if d >= 0]
     tgt = [i for i, d in enumerate(g.degrees) if d > 0]
-    if not tgt:
-        return True
-    if not src:
-        return False
-    sub = Matrix.from_rows([[ad[r, c] for c in src] for r in tgt])
+    sub = Matrix.from_rows([[ad[r][c] for c in src] for r in tgt])
     return rank(sub) == len(tgt)

@@ -108,6 +108,7 @@ class Realization:
 
     def __post_init__(self):
         self._index_of_label = {lab: i for i, lab in enumerate(self.labels)}
+        self.ad_kernels = {}   # gradings.ad_kernel records, by e's entries
 
     def _set_basis(self, supports, parities):
         """Install the homogeneous basis and give each element a private
@@ -394,19 +395,17 @@ def build_osp(m, n):
     return R
 
 
-def adjoint_matrix(x, cols=None):
-    """Matrix of ad x on the homogeneous basis of its ambient algebra, on
-    the basis columns cols (all by default): column t holds the
-    coordinates of [x, b_j] for j = cols[t]."""
+def adjoint_matrix(x):
+    """Matrix of ad x on the homogeneous basis of its ambient algebra:
+    column j holds the coordinates of [x, b_j]."""
     R = x.ambient
-    cols = range(R.dim) if cols is None else cols
     x_grouped = _by_row_and_column(R.m, x.entries)
-    out = Matrix.zero(R.dim, len(cols))
-    for t, j in enumerate(cols):
-        col = R.coords(_bracket(R.m, x_grouped, R.supports[j]))
+    out = Matrix.zero(R.dim, R.dim)
+    for j, sup in enumerate(R.supports):
+        col = R.coords(_bracket(R.m, x_grouped, sup))
         if col is None:
             raise RealizationError("bracket left the algebra")
         for i, v in enumerate(col):
             if v:
-                out[i, t] = v
+                out[i, j] = v
     return out

@@ -8,8 +8,8 @@ from goodgradings.classification import (DegreeMismatch, NotCentral,
                                          brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
-from goodgradings.gradings import (Grading, integral_degrees, is_good,
-                                   kernel_support)
+from goodgradings.gradings import (Grading, ad_kernel, integral_degrees,
+                                   is_good)
 from goodgradings.partitions import SuperPartition, cp_dq
 from goodgradings.pyramids import Pyramid, dynkin_pair
 from goodgradings.superalgebra import build_gl, build_osp
@@ -142,7 +142,7 @@ def _scan_per_candidate(R, e, h, gens, candidates):
     forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
              for i, d in enumerate(integral_degrees(R, h.diag()))]
     e_support = [j for j, c in enumerate(R.coords(e)) if c]
-    ker_support = kernel_support(R, e)
+    ker_support = ad_kernel(R, e)[2]
     found = {}
     not_good = 0
     for doubled in candidates:

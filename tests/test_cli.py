@@ -90,6 +90,16 @@ def test_verify_bad(capsys):
     assert json.loads(out)["good"] is False
 
 
+def test_verify_mixed_e(capsys):
+    # e = E41 + 2 E43 in gl(2|2) is neither even nor odd; its kernel has
+    # vectors that are neither, and one of them reaches degree -1
+    code, out, _ = _run(capsys, [
+        "verify", "gl", "2", "2", "--H", "[-2,-1,-2,0]",
+        "--e", "[[0,0,0,0],[0,0,0,0],[0,0,0,0],[1,0,2,0]]"])
+    assert code == 1
+    assert json.loads(out)["good"] is False
+
+
 def test_verify_wrong_h_length(capsys):
     code, _, err = _run(capsys, [
         "verify", "gl", "2", "0", "--H", "[1]", "--e", "E12"])

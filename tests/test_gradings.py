@@ -1,7 +1,11 @@
+import functools
+import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from goodgradings import gradings
 from goodgradings.gradings import (FormulaError, NonIntegralGrading,
@@ -255,15 +259,33 @@ def _stacked_kernel(R, ads):
     return out
 
 
-@pytest.mark.parametrize("kind, pq", [
-    ("gl", ((3, 1), (4, 2))),
-    ("osp", ((3, 3), (4,))),
-    ("osp", ((3, 3, 1, 1), (2, 2))),
-])
-def test_s_centralizer_equals_stacked_kernel(kind, pq):
-    # the degree-0 columns give the kernel of ad e, ad f and ad h
-    sp = SuperPartition(*pq)
-    R = build_gl(sp.m, sp.n) if kind == "gl" else build_osp(sp.m, sp.n // 2)
+# the Dynkin orbits of gl(m|n), m + n <= 5 with m, n >= 1, and of
+# osp(m|2n), m + 2n <= 8
+DYNKIN_ORBITS = [("gl", sp) for size in range(2, 6) for m in range(1, size)
+                 for sp in enumerate_super_partitions(m, size - m)] \
+    + [("osp", sp) for size in range(3, 9) for m in range(1, size - 1)
+       if (size - m) % 2 == 0
+       for sp in enumerate_super_partitions(m, size - m)
+       if is_orthosymplectic(sp)]
+
+
+def _algebra(kind, sp):
+    return build_gl(sp.m, sp.n) if kind == "gl" else build_osp(sp.m, sp.n // 2)
+
+
+def test_dynkin_orbit_count():
+    assert len(DYNKIN_ORBITS) == 113
+
+
+@pytest.mark.parametrize("kind, sp", [
+    pytest.param("gl", SuperPartition((3, 1), (4, 2)), id="gl-pq0"),
+    pytest.param("osp", SuperPartition((3, 3), (4,)), id="osp-pq1"),
+    pytest.param("osp", SuperPartition((3, 3, 1, 1), (2, 2)), id="osp-pq2"),
+] + [pytest.param(kind, sp, id="%s%s%s" % (kind, sp.p, sp.q))
+     for kind, sp in DYNKIN_ORBITS])
+def test_s_centralizer_equals_stacked_kernel(kind, sp):
+    # the degree-0 kernel vectors of ad e are the kernel of ad e, ad f, ad h
+    R = _algebra(kind, sp)
     _, e, h = dynkin_pair(sp, R)
     triple = complete_sl2(R, e, h)
     rep = s_centralizer(R, triple)
@@ -272,6 +294,96 @@ def test_s_centralizer_equals_stacked_kernel(kind, pq):
                               adjoint_matrix(triple.h)])
     assert [R.coords(b) for b in rep.basis] == ref
     assert rep.evenDim + rep.oddDim == len(ref)
+
+
+def test_s_centralizer_checks_relations(monkeypatch):
+    # g^s is read off ker(ad e) through the sl2 relations, so a triple
+    # that breaks them is refused (by a raise, not an assert)
+    sp = SuperPartition((3, 1), (2,))
+    R = build_gl(4, 2)
+    _, e, h = dynkin_pair(sp, R)
+    triple = complete_sl2(R, e, h)
+    monkeypatch.setattr(Sl2Triple, "verify", lambda self: False)
+    with pytest.raises(NoSolution, match="sl2-triple"):
+        s_centralizer(R, triple, sp)
+
+
+def test_s_centralizer_needs_even_e():
+    R = build_gl(1, 1)
+    with pytest.raises(NoSolution, match="even sl2-triple"):
+        s_centralizer(R, Sl2Triple(R.E(1, 2), R.zero(), R.zero()))
+
+
+def test_one_ad_kernel_record_per_element(monkeypatch):
+    built = []
+
+    def counting(x):
+        built.append(x)
+        return adjoint_matrix(x)
+
+    monkeypatch.setattr(gradings, "adjoint_matrix", counting)
+    sp = SuperPartition((3, 3), (4,))
+    R = build_osp(6, 2)
+    _, e, h = dynkin_pair(sp, R)
+    centralizer(R, e)
+    assert is_good(grading_from(R, h), e)
+    s_centralizer(R, complete_sl2(R, e, h), sp)
+    assert len(built) == 1
+    # the record is keyed by the entries, not by the element object
+    centralizer(R, R.from_entries(dict(e.entries)))
+    assert len(built) == 1
+    # and lives on its realization
+    R2 = build_osp(6, 2)
+    centralizer(R2, R2.from_entries(dict(e.entries)))
+    assert len(built) == 2
+
+
+def test_centralizer_needs_homogeneous_e():
+    R = build_gl(1, 1)
+    with pytest.raises(ValueError, match="mixed"):
+        centralizer(R, R.E(1, 1) + R.E(1, 2))
+
+
+KERNEL_ALGEBRAS = {"gl(2|1)": (build_gl, 2, 1), "gl(2|2)": (build_gl, 2, 2),
+                   "osp(3|2)": (build_osp, 3, 1)}
+
+
+@functools.cache
+def _gradings_with_degree_2(name, parity):
+    """The algebra, and its gradings by integer Cartan elements with
+    coefficients in [-2, 2] whose degree 2 holds even basis elements,
+    odd ones or, for "mixed", both; each with those basis elements."""
+    build, m, n = KERNEL_ALGEBRAS[name]
+    R = build(m, n)
+    wanted = {"even": {EVEN}, "odd": {ODD}, "mixed": {EVEN, ODD}}[parity]
+    cartan = [i for i, sup in enumerate(R.supports)
+              if all(a == b for a, b in sup)]
+    out = []
+    for coefs in itertools.product(range(-2, 3), repeat=len(cartan)):
+        coords = [0] * R.dim
+        for i, c in zip(cartan, coefs):
+            coords[i] = c
+        g = grading_from(R, R.from_coords(coords))
+        pool = [j for j in g.component(2) if R.basis_parities[j] in wanted]
+        if {R.basis_parities[j] for j in pool} == wanted:
+            out.append((g, pool))
+    return R, out
+
+
+@pytest.mark.parametrize("parity", ["even", "odd", "mixed"])
+@pytest.mark.parametrize("name", KERNEL_ALGEBRAS)
+@given(data=st.data())
+def test_kernel_criterion_equals_rank_definition(name, parity, data):
+    # for every e in g(2), homogeneous or not, ker(ad e) in degrees >= 0
+    # is goodness as defined by the ranks of ad e between the degrees
+    R, candidates = _gradings_with_degree_2(name, parity)
+    g, pool = data.draw(st.sampled_from(candidates))
+    coefs = data.draw(st.lists(st.integers(-2, 2), min_size=len(pool),
+                               max_size=len(pool)))
+    e = R.from_coords([dict(zip(pool, coefs)).get(j, 0)
+                       for j in range(R.dim)])
+    assume(e.parity() is None if parity == "mixed" else not e.is_zero())
+    assert is_good(g, e) == is_good_by_ranks(g, e)
 
 
 @pytest.mark.parametrize("kind, pq", [

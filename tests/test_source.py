@@ -47,3 +47,16 @@ def test_one_element_representation():
                       and isinstance(node.func, ast.Name)
                       and node.func.id == "_bracket")
     assert callers == {"superbracket", "adjoint_matrix"}
+
+
+def test_one_ad_builder_call_site():
+    """ad e is built once per element, by `ad_kernel`, whose record every
+    centralizer and goodness question reads; `is_good_by_ranks` builds
+    its own, as the reference that shares no kernel with the others."""
+    def calls_adjoint(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return getattr(f, "id", getattr(f, "attr", None)) == "adjoint_matrix"
+
+    assert _owners(calls_adjoint) == {"ad_kernel", "is_good_by_ranks"}

@@ -228,16 +228,6 @@ def test_sparse_element_matches_dense_reference(R, data):
         assert all(type(v) is Fraction and v for v in z.entries.values())
 
 
-@pytest.mark.parametrize("R", SPARSE, ids=SPARSE_IDS)
-@given(data=st.data())
-def test_adjoint_matrix_on_columns(R, data):
-    x = _element(R, data)
-    cols = data.draw(st.lists(st.integers(0, R.dim - 1), unique=True))
-    full = adjoint_matrix(x)
-    assert adjoint_matrix(x, cols) == Matrix.from_rows(
-        [[full[i, j] for j in cols] for i in range(R.dim)])
-
-
 def test_is_member_osp_needs_osp():
     R = build_gl(2, 1)
     with pytest.raises(ValueError, match="not an osp"):
