@@ -24,7 +24,7 @@ from .superalgebra import build_gl, build_osp, superbracket
 class GoodGradingSet:
     orbit: SuperPartition
     gradings: list
-    provenance: list
+    provenance: str        # "pyramid" or "shift-vector", for every grading
     notes: dict = field(default_factory=dict)
 
     def __len__(self):
@@ -36,9 +36,8 @@ class GoodGradingSet:
     def to_json(self):
         return {"orbit": self.orbit.to_json(),
                 "count": len(self.gradings),
-                "gradings": [dict(g.to_json(), provenance=prov)
-                             for g, prov in zip(self.gradings,
-                                                self.provenance)],
+                "gradings": [dict(g.to_json(), provenance=self.provenance)
+                             for g in self.gradings],
                 "notes": self.notes}
 
 
@@ -47,16 +46,11 @@ def good_gradings_gl(sp):
     deduplicated as degree maps."""
     R = build_gl(sp.m, sp.n)
     seen = {}
-    prov = {}
     for P in enumerate_pyr(sp):
         e, h = realize_pyramid(P, R)
         g = grading_from(R, h)
-        if g.key() not in seen:
-            seen[g.key()] = g
-            prov[g.key()] = "pyramid"
-    keys = sorted(seen)
-    return GoodGradingSet(sp, [seen[k] for k in keys],
-                          [prov[k] for k in keys])
+        seen.setdefault(g.key(), g)
+    return GoodGradingSet(sp, [seen[k] for k in sorted(seen)], "pyramid")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +163,7 @@ def brute_force_shifts(R, sp, bound):
     boxes = [[range(-2 * bound, 2 * bound + 1, 2)] * ng,
              [range(-2 * bound + 1, 2 * bound, 2)] * ng]
     gradings, _ = _scan_shifts(R, e, h, gens, boxes)
-    return GoodGradingSet(sp, gradings, ["shift-vector"] * len(gradings))
+    return GoodGradingSet(sp, gradings, "shift-vector")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +222,7 @@ def good_gradings_osp(sp):
     gradings, not_good = _scan_shifts(
         R, e, h, _center_generators(R, sp, P), boxes,
         lambda v: _pair_constraint_ok(cp, dq, v[:len(cp)], v[len(cp):]))
-    out = GoodGradingSet(sp, gradings, ["shift-vector"] * len(gradings))
+    out = GoodGradingSet(sp, gradings, "shift-vector")
     out.notes["case"] = "half-integer shifts allowed" if half_case \
         else "integer shifts in {-1,0,1}"
     if not_good:
@@ -256,13 +250,11 @@ def extensions_of_even_grading(sp, even_pyramids, full_set=None):
         full_set = good_gradings_gl(sp)
     m = sp.m
     picked = []
-    prov = []
-    for g, pv in zip(full_set.gradings, full_set.provenance):
+    for g in full_set.gradings:
         diag = g.H.diag()
         dp = {diag[i] - hp[i] for i in range(m)}
         dq_ = {diag[m + j] - hq[j] for j in range(len(hq))}
         if len(dp) == 1 and len(dq_) == 1:
             picked.append(g)
-            prov.append(pv)
-    return GoodGradingSet(sp, picked, prov,
+    return GoodGradingSet(sp, picked, full_set.provenance,
                           {"evenGrading": [pyr_p.to_json(), pyr_q.to_json()]})

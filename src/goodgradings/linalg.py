@@ -257,22 +257,14 @@ def kernel_basis(M):
 
 
 def solve(A, b):
-    """A particular solution x of A x = b, or None if inconsistent."""
+    """A particular solution x of A x = b, or None if inconsistent: minus
+    the kernel vector of [A | b] for its last column, which is free
+    exactly when b is in A's column space; x is 0 at A's free columns."""
     if len(b) != A.rows:
         raise ValueError("right-hand side length is not the row count")
     n = A.cols
-    rows = [_int_row(A.row(i) + [b[i]]) for i in range(A.rows)]
-    pivots = _eliminate(rows, n + 1)
-    if n in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * n
-    for i in range(len(pivots) - 1, -1, -1):
-        pc = pivots[i]
-        row = rows[i]
-        s = Fraction(row[n])
-        for j in range(pc + 1, n):
-            if row[j] and x[j]:
-                s -= row[j] * x[j]
-        x[pc] = s / row[pc]
-    return x
-
+    vecs = kernel_basis(Matrix(A.rows, n + 1, [x for i in range(A.rows)
+                                               for x in A.row(i) + [b[i]]]))
+    if vecs and vecs[-1][n]:
+        return [-v for v in vecs[-1][:n]]
+    return None

@@ -5,8 +5,8 @@ Every homogeneous basis element is stored once, as its support
 Coordinates, brackets, adjoint maps and ad-degrees are read off these
 supports.  gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the
 even part is the Chevalley basis of so(m) x sp(2n) and the odd part is
-the kernel of the membership equations, so its signs are consistent with
-the chosen form phi.
+the kernel of the membership equations, two terms each on phi's pairing
+of the basis vectors, so its signs are consistent with the form phi.
 """
 
 from __future__ import annotations
@@ -217,10 +217,6 @@ class Realization:
                 for d in out]
 
 
-def _block_parity(R, a, b):
-    return (R.index_parity(a) + R.index_parity(b)) % 2
-
-
 def supertrace(R, mat):
     s = Fraction(0)
     for i in range(R.size):
@@ -285,7 +281,7 @@ def build_gl(m, n):
     R = Realization("gl", m, n, list(range(1, m + n + 1)))
     pairs = [(a, b) for a in range(m + n) for b in range(m + n)]
     R._set_basis([{ab: ONE} for ab in pairs],
-                 [_block_parity(R, a, b) for a, b in pairs])
+                 [ODD if (a < m) != (b < m) else EVEN for a, b in pairs])
     return R
 
 
@@ -308,29 +304,25 @@ def is_member_osp(R, mat, parity):
 
 def _osp_odd_basis(R):
     """Supports of a kernel basis of the odd membership equations inside
-    gl(m|2n)_1."""
-    s = R.size
+    gl(m|2n)_1.  phi pairs index a with pi(a), the index of the negated
+    label, so for even b and odd c the equation
+    phi(z v_b, v_c) + phi(v_b, z v_c) = 0 has the two terms
+    phi(v_pi(c), v_c) z[pi(c), b] and phi(v_b, v_pi(b)) z[pi(b), c]; the
+    (c, b) equation is the same one, phi being symmetric on V0 and skew
+    on V1."""
+    s, m = R.size, R.m
     positions = [(a, b) for a in range(s) for b in range(s)
-                 if _block_parity(R, a, b) == ODD]
+                 if (a < m) != (b < m)]
     pos_index = {ab: t for t, ab in enumerate(positions)}
+    pi = [R.index(-label) for label in R.labels]
     G = R.phi
     rows = []
-    for b in range(s):
-        sign = Fraction(-1 if R.index_parity(b) else 1)
-        for c in range(s):
-            row = [Fraction(0)] * len(positions)
-            hit = False
-            for a in range(s):
-                # phi(z v_b, v_c): coefficient of z[a,b]
-                if G[a, c] and (a, b) in pos_index:
-                    row[pos_index[(a, b)]] += G[a, c]
-                    hit = True
-                # +(-1)^{|b|} phi(v_b, z v_c): coefficient of z[a,c]
-                if G[b, a] and (a, c) in pos_index:
-                    row[pos_index[(a, c)]] += sign * G[b, a]
-                    hit = True
-            if hit:
-                rows.append(row)
+    for b in range(m):
+        for c in range(m, s):
+            row = [ZERO] * len(positions)
+            row[pos_index[pi[c], b]] = G[pi[c], c]
+            row[pos_index[pi[b], c]] = G[b, pi[b]]
+            rows.append(row)
     return [{positions[t]: v for t, v in enumerate(vec) if v}
             for vec in kernel_basis(Matrix.from_rows(rows))]
 

@@ -163,6 +163,80 @@ def test_kernel_matches_dense_elimination(m):
     assert kernel_basis(m) == _dense_kernel(m)
 
 
+def _dense_solve(A, b):
+    """Whole-matrix elimination of [A | b] and back substitution, the
+    reference that solve must reproduce, None included."""
+    n = A.cols
+    rows = []
+    for i in range(A.rows):
+        row = A.row(i) + [Fraction(b[i])]
+        denom = 1
+        for x in row:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        rows.append([int(x * denom) for x in row])
+    pivots = []
+    r = 0
+    for c in range(n + 1):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        for i in range(r + 1, len(rows)):
+            q = rows[i][c]
+            if q:
+                rows[i] = [prow[c] * a - q * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for i in range(len(pivots) - 1, -1, -1):
+        pc = pivots[i]
+        s = Fraction(rows[i][n]) - sum(rows[i][j] * x[j]
+                                       for j in range(pc + 1, n))
+        x[pc] = s / rows[i][pc]
+    return x
+
+
+@st.composite
+def systems(draw):
+    """(A, b) with b in A's column space, or random (so some systems are
+    inconsistent), or A with free columns (where x must be 0)."""
+    kind = draw(st.sampled_from(["column space", "random", "free columns"]))
+    A = draw(st.one_of(matrices(), block_matrices()))
+    if kind == "free columns":
+        # copies of earlier columns and zero columns are free
+        cols = [[A[i, j] for i in range(A.rows)] for j in range(A.cols)]
+        for _ in range(draw(st.integers(1, 3))):
+            cols.insert(draw(st.integers(0, len(cols))),
+                        draw(st.sampled_from(cols)) if cols and
+                        draw(st.booleans()) else [Fraction(0)] * A.rows)
+        A = Matrix(A.rows, len(cols),
+                   [col[i] for i in range(A.rows) for col in cols])
+    if kind == "random":
+        b = [Fraction(draw(small_entries)) for _ in range(A.rows)]
+    else:
+        b = A.apply([Fraction(draw(small_entries)) for _ in range(A.cols)])
+    return A, b
+
+
+@given(systems())
+def test_solve_matches_dense_elimination(system):
+    A, b = system
+    x = solve(A, b)
+    assert x == _dense_solve(A, b)
+    if x is not None:
+        assert A.apply(x) == b
+
+
+def test_solve_is_zero_at_free_columns():
+    # columns 1 and 2 are free: a copy of column 0 and a zero column
+    A = M([[1, 1, 0, 2], [0, 0, 0, 1]])
+    assert solve(A, [Fraction(3), Fraction(1)]) == [1, 0, 0, 1]
+    assert solve(Matrix.zero(0, 2), []) == [0, 0]
+
+
 def test_kernel_of_empty_shapes():
     assert kernel_basis(Matrix.zero(0, 3)) == _dense_kernel(Matrix.zero(0, 3))
     assert kernel_basis(Matrix.zero(2, 0)) == []

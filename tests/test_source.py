@@ -60,3 +60,12 @@ def test_one_ad_builder_call_site():
         return getattr(f, "id", getattr(f, "attr", None)) == "adjoint_matrix"
 
     assert _owners(calls_adjoint) == {"ad_kernel", "is_good_by_ranks"}
+
+
+def test_one_elimination_path():
+    """Exact elimination has one path: `rank` and `kernel_basis` call
+    `_eliminate`, and `solve` reads a kernel vector."""
+    callers = _owners(lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name)
+                      and node.func.id == "_eliminate")
+    assert callers == {"rank", "kernel_basis"}

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goodgradings import superalgebra
-from goodgradings.linalg import Matrix, rank
+from goodgradings.linalg import Matrix, kernel_basis, rank
 from goodgradings.superalgebra import (EVEN, ODD, AmbientMismatch,
                                        RealizationError, adjoint_matrix,
                                        build_gl, build_osp, invariant_form,
@@ -81,6 +81,56 @@ def test_build_osp_checks_odd_dimension(monkeypatch):
     monkeypatch.setattr(superalgebra, "_osp_odd_basis", lambda R: [])
     with pytest.raises(RealizationError, match="odd part"):
         build_osp(2, 1)
+
+
+def _dense_osp_odd_basis(R):
+    """The odd membership equations read densely off phi, one row per
+    (b, c) that any term reaches: the reference for the two-term rows."""
+    s = R.size
+    positions = [(a, b) for a in range(s) for b in range(s)
+                 if (R.index_parity(a) + R.index_parity(b)) % 2 == ODD]
+    pos_index = {ab: t for t, ab in enumerate(positions)}
+    G = R.phi
+    rows = []
+    for b in range(s):
+        sign = Fraction(-1 if R.index_parity(b) else 1)
+        for c in range(s):
+            row = [Fraction(0)] * len(positions)
+            hit = False
+            for a in range(s):
+                # phi(z v_b, v_c): coefficient of z[a,b]
+                if G[a, c] and (a, b) in pos_index:
+                    row[pos_index[(a, b)]] += G[a, c]
+                    hit = True
+                # +(-1)^{|b|} phi(v_b, z v_c): coefficient of z[a,c]
+                if G[b, a] and (a, c) in pos_index:
+                    row[pos_index[(a, c)]] += sign * G[b, a]
+                    hit = True
+            if hit:
+                rows.append(row)
+    return [{positions[t]: v for t, v in enumerate(vec) if v}
+            for vec in kernel_basis(Matrix.from_rows(rows))]
+
+
+OSP_UP_TO_14 = [(m, n) for m in range(1, 13) for n in range(1, 7)
+                if m + 2 * n <= 14]
+
+
+@pytest.mark.parametrize("m,n", OSP_UP_TO_14,
+                         ids=["osp%d_%d" % (m, 2 * n) for m, n in OSP_UP_TO_14])
+def test_odd_basis_matches_dense_equations(m, n):
+    """Same supports, values and order as the dense system; each odd
+    element is E_ab + c E_{pi(b), pi(a)}, pi the index of the negated
+    label (the closed form)."""
+    R = build_osp(m, n)
+    odd = superalgebra._osp_odd_basis(R)
+    assert odd == _dense_osp_odd_basis(R)
+    assert odd == R.supports[R.dim - 2 * m * n:]
+    pi = [R.index(-lab) for lab in R.labels]
+    for sup in odd:
+        assert len(sup) == 2
+        (a, b), (c, d) = sup
+        assert (c, d) == (pi[b], pi[a])
 
 
 def test_ambient_mismatch():
