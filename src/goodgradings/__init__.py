@@ -19,7 +19,7 @@ from .gradings import (CentralizerReport, FormulaError, Grading,
                        dim_formula_osp, grading_from, integral_degrees,
                        is_good, is_good_by_ranks, is_richardson, s_centralizer)
 from .classification import (BoundTooSmall, DegreeMismatch, GoodGradingSet,
-                             NotCentral, brute_force_shifts,
+                             MixedParity, NotCentral, brute_force_shifts,
                              extensions_of_even_grading, good_gradings_gl,
                              good_gradings_osp)
 from .roots import (MarkedBase, Root, RootSystem, RootSystemError,

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from itertools import product
+from math import prod
+from operator import add, mul
 
 from .gradings import (ad_kernel, complete_sl2, grading_from,
                        integral_degrees, s_centralizer)
@@ -69,13 +71,21 @@ class DegreeMismatch(ValueError):
     """A grading rebuilt from a scanned shift has another degree map."""
 
 
+class MixedParity(ValueError):
+    """A coordinate of a scanned box lists both even and odd values."""
+
+
 def _scan_shifts(R, e, h, gens, boxes, admissible=None):
     """Scan diagonal shifts h + sum(a/2 * gen) of the pair (e, h), each
     given by its doubled coefficients a: box after box, a box listing the
     values of each coefficient, in itertools.product order, skipping the
     a that fail admissible(a).  Returns the good gradings, one per degree
     map (from the first shift reaching it) in degree-map order, and the
-    number of integral candidates that are not good."""
+    number of integral candidates that are not good.  A depth-first search
+    tests each goodness inequality at its closing depth, once the last
+    generator it depends on is fixed, and prunes the subtree if it fails;
+    integrality is tested once per box, each coordinate being of one
+    parity (else MixedParity)."""
     # basis elements sharing a degree form in doubled units,
     # deg2 = 2 * base_deg + sum(a_g * gen_deg_g), are scanned once;
     # base and columns[g] hold each form's 2 * base_deg and gen_deg_g
@@ -85,30 +95,46 @@ def _scan_shifts(R, e, h, gens, boxes, admissible=None):
         (2 * d,) + tuple(gd[i] for gd in gen_degrees), len(form_index))
         for i, d in enumerate(integral_degrees(R, h.diag()))]
     base, *columns = zip(*form_index)
-    # a form's parity depends on its generator degrees' parities only
-    parity_forms = list({tuple(c & 1 for c in key[1:]): f
-                         for key, f in form_index.items()}.values())
     e_forms = {form_of[j] for j, c in enumerate(R.coords(e)) if c}
     ker_forms = {form_of[j] for j in ad_kernel(R, e)[2]}
+    # checks[t]: the e-forms (doubled degree 4) and ker-forms (>= 0) that
+    # close at depth t, fixed once a_0 .. a_{t-1} are chosen
+    closing = [max((g + 1 for g, c in enumerate(key[1:]) if c), default=0)
+               for key in form_index]
+    checks = [[[f for f in forms if closing[f] == t]
+               for forms in (e_forms, ker_forms)]
+              for t in range(len(gens) + 1)]
     found = {}
-    not_good = 0
+    candidates = good = 0
 
     def descend(steps, doubled, d2):
         # d2: doubled degree of each form, the coefficients so far added
-        nonlocal not_good
+        nonlocal good
+        fours, nonnegatives = checks[len(doubled)]
+        if any(d2[f] != 4 for f in fours) \
+                or any(d2[f] < 0 for f in nonnegatives):
+            return
         if len(doubled) < len(steps):
             for a, shift in steps[len(doubled)]:
                 descend(steps, doubled + (a,), list(map(add, d2, shift)))
-        elif any(d2[f] & 1 for f in parity_forms) \
-                or (admissible and not admissible(doubled)):
-            return
-        elif any(d2[f] != 4 for f in e_forms) \
-                or any(d2[f] < 0 for f in ker_forms):
-            not_good += 1
-        elif tuple(d2) not in found:
-            found[tuple(d2)] = (tuple(d2[f] // 2 for f in form_of), doubled)
+        elif not admissible or admissible(doubled):
+            good += 1
+            if tuple(d2) not in found:
+                found[tuple(d2)] = (tuple(d2[f] // 2 for f in form_of),
+                                    doubled)
 
     for box in boxes:
+        box = [tuple(values) for values in box]
+        if any(len({a & 1 for a in values}) > 1 for values in box):
+            raise MixedParity("a box coordinate mixes even and odd values")
+        # a form's parity (its base is even) is the same on the whole
+        # box: test it at the box's first a, if the box is not empty
+        first = next(product(*box), None)
+        if first is None or any(sum(map(mul, first, key[1:])) & 1
+                                for key in form_index):
+            continue
+        candidates += prod(map(len, box)) if admissible is None \
+            else sum(map(admissible, product(*box)))
         descend([[(a, [a * c for c in col]) for a in values]
                  for col, values in zip(columns, box)], (), list(base))
     gradings = []
@@ -122,20 +148,17 @@ def _scan_shifts(R, e, h, gens, boxes, admissible=None):
             raise DegreeMismatch("shift %s rebuilds another degree map"
                                  % (doubled,))
         gradings.append(g)
-    return gradings, not_good
+    return gradings, candidates - good
 
 
 def _center_generators(R, sp, P):
     """Diagonal generators of the center of the even sl2-centralizer."""
     if R.kind == "gl":
-        boxes = P.boxes()
-        gens = []
-        for value in sorted({r for r, t, f in P.rows}, reverse=True):
-            rows_of_value = [y for y, (r, t, f) in enumerate(P.rows, start=1)
-                             if r == value]
-            diag = {lab: 1 for x, y, t, lab in boxes if y in rows_of_value}
-            gens.append(R.diagonal(diag))
-        return gens
+        # one generator per row length: 1 on the boxes of those rows
+        lengths, boxes = [r for r, t, f in P.rows], P.boxes()
+        return [R.diagonal({lab: 1 for x, y, t, lab in boxes
+                            if lengths[y - 1] == value})
+                for value in sorted(set(lengths), reverse=True)]
     cp, dq = cp_dq(sp)
     k, units = len(cp), range(len(cp) + len(dq))
     return [shift_matrix(R, P, u[:k], u[k:])
@@ -154,11 +177,10 @@ def brute_force_shifts(R, sp, bound):
     gens = _center_generators(R, sp, P)
     triple = complete_sl2(R, e, h)
     screp = s_centralizer(R, triple)
-    for z in gens:
-        for b in screp.basis:
-            if not superbracket(z, b).is_zero():
-                raise NotCentral("shift generator does not commute with "
-                                 "the sl2-centralizer")
+    if any(not superbracket(z, b).is_zero()
+           for z in gens for b in screp.basis):
+        raise NotCentral("shift generator does not commute with the "
+                         "sl2-centralizer")
     ng = len(gens)
     boxes = [[range(-2 * bound, 2 * bound + 1, 2)] * ng,
              [range(-2 * bound + 1, 2 * bound, 2)] * ng]
@@ -172,24 +194,16 @@ def brute_force_shifts(R, sp, bound):
 
 def _pair_constraint_ok(cp, dq, s, t):
     """|s_k - t_l| <= 1 wherever |p_k - q_l| = 1, on doubled shifts."""
-    for k, pk in enumerate(cp):
-        for l, ql in enumerate(dq):
-            if abs(pk - ql) == 1 and abs(s[k] - t[l]) > 2:
-                return False
-    return True
+    return all(abs(s[k] - t[l]) <= 2 for k, pk in enumerate(cp)
+               for l, ql in enumerate(dq) if abs(pk - ql) == 1)
 
 
 def _literal_bound_note(sp, cp, dq):
     """The closed-form bound on the last shift, under the natural index
     reading: p_{alpha-1} = smallest part of J_p except 1, q_beta = smallest
     part of J_q; absent terms are unbounded."""
-    jp_terms = [v for v in set(sp.p) if v != 1]
-    jq_terms = list(set(sp.q))
-    terms = []
-    if jp_terms:
-        terms.append(min(jp_terms) - 1)
-    if jq_terms:
-        terms.append(min(jq_terms) - 1)
+    terms = [min(values) - 1 for values in ({v for v in sp.p if v != 1},
+                                            set(sp.q)) if values]
     if len(cp) >= 2:
         terms.append("p[c-1]-|s[c-1]|-1 with p[c-1]=%d" % cp[-2])
     if dq:

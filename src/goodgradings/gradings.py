@@ -149,7 +149,9 @@ def dim_formula_osp(sp):
 
 def complete_sl2(R, e, h):
     """Find f completing (e, h) to an sl2-triple: solve [e, f] = h in basis
-    coordinates over the (-2)-eigenspace of ad h."""
+    coordinates over the (-2)-eigenspace of ad h.  With e in degree 2,
+    ad e sends that eigenspace into degree 0, so only the degree-0 rows
+    are solved; the final relation check covers any other e."""
     degrees = R.degrees(h.diag())
     candidates = [j for j, p in enumerate(R.basis_parities)
                   if p == EVEN and degrees[j] == -2]
@@ -160,8 +162,10 @@ def complete_sl2(R, e, h):
     hc = R.coords(h)
     if hc is None:
         raise NoSolution("h is not in the algebra")
-    x = solve(Matrix.from_rows([[row[j] for j in candidates]
-                                for row in ad_kernel(R, e)[0]]), hc)
+    ad = ad_kernel(R, e)[0]
+    rows = [i for i, d in enumerate(degrees) if d == 0]
+    x = solve(Matrix.from_rows([[ad[i][j] for j in candidates]
+                                for i in rows]), [hc[i] for i in rows])
     if x is None:
         raise NoSolution("(e, h) does not complete to an sl2-triple")
     coords = [Fraction(0)] * R.dim

@@ -261,3 +261,17 @@ def test_criterion_8_roots_suite():
                   "marks in {0,1,2}, marked equivalence reflexive/symmetric "
                   "with singleton classes absent zero-mark isotropic roots",
                60, run)
+
+
+def test_criterion_9_oracle_on_large_gl_orbits():
+    def run():
+        for pq, bound, count in [(((5, 4, 3, 2, 1), (4, 3, 2, 1)), 5, 81),
+                                 (((3, 2, 1), (6, 5, 4)), 6, 243)]:
+            sp = SuperPartition(*pq)
+            gs = good_gradings_gl(sp)
+            assert len(gs) == count, sp
+            bf = brute_force_shifts(build_gl(sp.m, sp.n), sp, bound)
+            assert gs.keys() == bf.keys(), sp
+    _criterion(9, "gl oracle equals the pyramids on (5,4,3,2,1|4,3,2,1) "
+                  "with bound 5 (81 gradings) and (3,2,1|6,5,4) with "
+                  "bound 6 (243)", 60, run)

@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 
 from goodgradings import classification
-from goodgradings.classification import (DegreeMismatch, NotCentral,
-                                         brute_force_shifts,
+from goodgradings.classification import (DegreeMismatch, MixedParity,
+                                         NotCentral, brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
 from goodgradings.gradings import (Grading, ad_kernel, integral_degrees,
                                    is_good)
-from goodgradings.partitions import SuperPartition, cp_dq
+from goodgradings.partitions import (SuperPartition, cp_dq,
+                                     enumerate_super_partitions,
+                                     is_orthosymplectic)
 from goodgradings.pyramids import Pyramid, dynkin_pair
 from goodgradings.superalgebra import build_gl, build_osp
 
@@ -198,3 +200,62 @@ def test_box_scan_matches_per_candidate_scan(kind, p, q, bound):
     assert [g.key() for g in gradings] == [degs for degs, _ in expected]
     assert [g.H.diag() for g in gradings] == [diag for _, diag in expected]
     assert not_good == expected_not_good
+
+
+def _staged_scan_agrees(sp, R, boxes_of, admissible_of=lambda sp: None):
+    """The staged scan on the Dynkin pair of sp against the per-candidate
+    reference: same degree maps, H diagonals and count of not good."""
+    P, e, h = dynkin_pair(sp, R)
+    gens = classification._center_generators(R, sp, P)
+    boxes, admissible = boxes_of(len(gens)), admissible_of(sp)
+    candidates = [v for box in boxes for v in itertools.product(*box)
+                  if admissible is None or admissible(v)]
+    expected, expected_not_good = _scan_per_candidate(R, e, h, gens,
+                                                      candidates)
+    gradings, not_good = classification._scan_shifts(R, e, h, gens, boxes,
+                                                     admissible)
+    return ([(g.key(), g.H.diag()) for g in gradings], not_good) == \
+        (expected, expected_not_good)
+
+
+def test_staged_scan_matches_reference_on_gl_oracle_boxes():
+    # every gl orbit with m+n <= 5, the oracle's even and odd boxes
+    for m in range(6):
+        for n in range(1 if m == 0 else 0, 6 - m):
+            for sp in enumerate_super_partitions(m, n):
+                b = max(sp.p + sp.q)
+                assert _staged_scan_agrees(sp, build_gl(m, n), lambda ng: [
+                    [range(-2 * b, 2 * b + 1, 2)] * ng,
+                    [range(-2 * b + 1, 2 * b, 2)] * ng]), sp
+
+
+def _pair_filter(sp):
+    cp, dq = cp_dq(sp)
+    return lambda v: classification._pair_constraint_ok(
+        cp, dq, v[:len(cp)], v[len(cp):])
+
+
+def test_staged_scan_matches_reference_on_osp_case_boxes():
+    # every osp orbit with m+2n <= 8, the case table's boxes (the half
+    # box included) and its pair filter
+    count = 0
+    for m in range(1, 9):
+        for n2 in range(2, 9 - m, 2):
+            for sp in enumerate_super_partitions(m, n2):
+                if is_orthosymplectic(sp):
+                    count += 1
+                    assert _staged_scan_agrees(
+                        sp, build_osp(m, n2 // 2),
+                        lambda ng: [[(-2, 0, 2)] * ng, [(-1, 1)] * ng],
+                        _pair_filter), sp
+    assert count > 0
+
+
+def test_scan_refuses_a_mixed_parity_coordinate():
+    sp = SuperPartition((3, 1), (2,))
+    R = build_gl(sp.m, sp.n)
+    P, e, h = dynkin_pair(sp, R)
+    gens = classification._center_generators(R, sp, P)
+    with pytest.raises(MixedParity):
+        classification._scan_shifts(R, e, h, gens,
+                                    [[(0, 2)] * (len(gens) - 1) + [(0, 1)]])
