@@ -95,7 +95,7 @@ def _scan_shifts(R, e, h, gens, boxes, admissible=None):
         (2 * d,) + tuple(gd[i] for gd in gen_degrees), len(form_index))
         for i, d in enumerate(integral_degrees(R, h.diag()))]
     base, *columns = zip(*form_index)
-    e_forms = {form_of[j] for j, c in enumerate(R.coords(e)) if c}
+    e_forms = {form_of[j] for j in R.coords(e)}
     ker_forms = {form_of[j] for j in ad_kernel(R, e)[2]}
     # checks[t]: the e-forms (doubled degree 4) and ker-forms (>= 0) that
     # close at depth t, fixed once a_0 .. a_{t-1} are chosen

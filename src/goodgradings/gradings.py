@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import kernel_basis, rank, solve
 from .partitions import (NotOrthosymplectic, is_orthosymplectic,
                          multiplicities)
 from .superalgebra import EVEN, adjoint_matrix, superbracket
@@ -90,25 +90,25 @@ class CentralizerReport:
 
 
 def ad_kernel(R, e):
-    """(ad e as a tuple of rows, a basis of ker(ad e) as coordinate tuples,
+    """(ad e as a Matrix, a basis of ker(ad e) as coordinates {index: c},
     the union of their supports), computed once per element of R and kept
-    in R.ad_kernels, keyed by e's entries."""
+    in R.ad_kernels, keyed by e's entries; the record is read, never
+    changed."""
     key = frozenset(e.entries.items())
     if key not in R.ad_kernels:
         ad = adjoint_matrix(e)
-        vectors = tuple(map(tuple, kernel_basis(ad)))
-        R.ad_kernels[key] = (tuple(map(ad.row, range(ad.rows))), vectors,
-                             frozenset(j for v in vectors
-                                       for j, c in enumerate(v) if c))
+        vectors = tuple(kernel_basis(ad))
+        R.ad_kernels[key] = (ad, vectors,
+                             frozenset(j for v in vectors for j in v))
     return R.ad_kernels[key]
 
 
 def _report(R, vectors, types=()):
     """CentralizerReport of even or odd kernel vectors, even first; the
-    parity of each is read at its 1, the one at its free column."""
+    parity of each is read at any index of its support."""
     by_parity = ([], [])
     for v in vectors:
-        by_parity[R.basis_parities[v.index(1)]].append(R.from_coords(v))
+        by_parity[R.basis_parities[next(iter(v))]].append(R.from_coords(v))
     even, odd = by_parity
     return CentralizerReport(len(even), len(odd), even + odd, list(types))
 
@@ -162,16 +162,13 @@ def complete_sl2(R, e, h):
     hc = R.coords(h)
     if hc is None:
         raise NoSolution("h is not in the algebra")
-    ad = ad_kernel(R, e)[0]
     rows = [i for i, d in enumerate(degrees) if d == 0]
-    x = solve(Matrix.from_rows([[ad[i][j] for j in candidates]
-                                for i in rows]), [hc[i] for i in rows])
+    x = solve(ad_kernel(R, e)[0].submatrix(rows, candidates),
+              [hc.get(i, 0) for i in rows])
     if x is None:
         raise NoSolution("(e, h) does not complete to an sl2-triple")
-    coords = [Fraction(0)] * R.dim
-    for j, c in zip(candidates, x):
-        coords[j] = c
-    triple = Sl2Triple(e, R.from_coords(coords), h)
+    triple = Sl2Triple(e, R.from_coords({candidates[t]: c
+                                         for t, c in x.items()}), h)
     if not triple.verify():
         raise NoSolution("the solved f breaks the sl2 relations")
     return triple
@@ -217,14 +214,14 @@ def s_centralizer(R, triple, sp=None):
         raise NoSolution("(e, f, h) is not an even sl2-triple")
     degrees = R.degrees(triple.h.diag())
     return _report(R, [v for v in ad_kernel(R, triple.e)[1]
-                        if all(degrees[j] == 0 for j, c in enumerate(v) if c)],
+                        if all(degrees[j] == 0 for j in v)],
                    predicted_block_types(R, sp) if sp is not None else [])
 
 
 def _in_degree_2(g, e):
     """Is e in g(2)?  The zero element counts only for the zero grading."""
     ec = g.ambient.coords(e)
-    if ec is None or any(g.degrees[j] != 2 for j, c in enumerate(ec) if c):
+    if ec is None or any(g.degrees[j] != 2 for j in ec):
         return False
     return not (e.is_zero() and any(g.degrees))
 
@@ -249,8 +246,7 @@ def is_good_by_ranks(g, e):
     for j in sorted(set(g.degrees)):
         src = g.component(j)
         tgt = g.component(j + 2)
-        r = rank(Matrix.from_rows([[ad[t, c] for c in src] for t in tgt])) \
-            if src and tgt else 0
+        r = rank(ad.submatrix(tgt, src))
         if j <= -1 and r != len(src):
             return False
         if j >= -1 and r != len(tgt):
@@ -262,8 +258,6 @@ def is_richardson(g, e):
     """For an even grading: does [g_>=0, e] fill g_+?"""
     if not g.is_even():
         raise OddGrading("grading has odd degrees")
-    ad = ad_kernel(g.ambient, e)[0]
     src = [i for i, d in enumerate(g.degrees) if d >= 0]
     tgt = [i for i, d in enumerate(g.degrees) if d > 0]
-    sub = Matrix.from_rows([[ad[r][c] for c in src] for r in tgt])
-    return rank(sub) == len(tgt)
+    return rank(ad_kernel(g.ambient, e)[0].submatrix(tgt, src)) == len(tgt)

@@ -1,6 +1,9 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Everything here is fraction-free: rows are scaled to integers and
+A matrix stores only its nonzero entries {(i, j): Fraction}, the format
+of the algebra elements' supports, and kernel vectors and solutions come
+back as {index: c}.  Elimination is fraction-free, block by block over
+columns that share a nonzero row: rows are scaled to integers and
 eliminated with cross-multiplication, so there is no floating point
 anywhere and all rank / kernel / solve answers are exact.
 """
@@ -15,115 +18,89 @@ ONE = Fraction(1)
 
 
 class Matrix:
-    """Dense rational matrix, row-major storage."""
+    """Sparse rational matrix: its shape and its nonzero entries
+    {(i, j): Fraction}."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "nonzero")
 
-    def __init__(self, rows, cols, entries):
-        entries = [x if type(x) is Fraction else Fraction(x)
-                   for x in entries]
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
+    def __init__(self, rows, cols, nonzero):
+        if any(not (0 <= i < rows and 0 <= j < cols) for i, j in nonzero):
+            raise ValueError("entry outside %dx%d" % (rows, cols))
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.nonzero = {ij: v for ij, x in nonzero.items()
+                        if (v := x if type(x) is Fraction else Fraction(x))}
 
     @classmethod
     def from_rows(cls, row_lists):
         rows = len(row_lists)
         cols = len(row_lists[0]) if rows else 0
-        flat = []
-        for r in row_lists:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            flat.extend(r)
-        return cls(rows, cols, flat)
+        if any(len(r) != cols for r in row_lists):
+            raise ValueError("ragged rows")
+        return cls(rows, cols, {(i, j): x for i, r in enumerate(row_lists)
+                                for j, x in enumerate(r)})
 
     @classmethod
     def zero(cls, rows, cols):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls(rows, cols, {})
 
     @classmethod
     def identity(cls, n):
-        m = cls.zero(n, n)
-        for i in range(n):
-            m[i, i] = Fraction(1)
-        return m
+        return cls(n, n, {(i, i): ONE for i in range(n)})
+
+    @property
+    def entries(self):
+        """Dense row-major view of all rows x cols entries."""
+        out = [ZERO] * (self.rows * self.cols)
+        for (i, j), x in self.nonzero.items():
+            out[i * self.cols + j] = x
+        return out
+
+    def _key(self, ij):
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise ValueError("entry (%d, %d) outside %dx%d"
+                             % (i, j, self.rows, self.cols))
+        return i, j
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
+        return self.nonzero.get(self._key(ij), ZERO)
 
     def __setitem__(self, ij, value):
-        i, j = ij
-        self.entries[i * self.cols + j] = \
-            value if type(value) is Fraction else Fraction(value)
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        ij = self._key(ij)
+        value = value if type(value) is Fraction else Fraction(value)
+        if value:
+            self.nonzero[ij] = value
+        else:
+            self.nonzero.pop(ij, None)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self.entries)))
-
-    def _same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("matrix shapes differ")
-
-    def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b if b else a for a, b in
-                                             zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b if b else a for a, b in
-                                             zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return Matrix(self.rows, self.cols, [-a for a in self.entries])
+                and self.cols == other.cols and self.nonzero == other.nonzero)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
             raise ValueError("inner matrix dimensions differ")
-        n, k, m = self.rows, self.cols, other.cols
-        out = [Fraction(0)] * (n * m)
-        a, b = self.entries, other.entries
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for t in range(k):
-                c = arow[t]
-                if c:
-                    brow = b[t * m:(t + 1) * m]
-                    base = i * m
-                    for j in range(m):
-                        if brow[j]:
-                            out[base + j] += c * brow[j]
-        return Matrix(n, m, out)
+        by_row = {}
+        for (t, j), b in other.nonzero.items():
+            by_row.setdefault(t, []).append((j, b))
+        out = {}
+        for (i, t), a in self.nonzero.items():
+            for j, b in by_row.get(t, ()):
+                out[i, j] = out.get((i, j), 0) + a * b
+        return Matrix(self.rows, other.cols, out)
 
     def transpose(self):
-        out = Matrix.zero(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[j, i] = self[i, j]
-        return out
+        return Matrix(self.cols, self.rows, {(j, i): x for (i, j), x in
+                                             self.nonzero.items()})
 
-    def apply(self, vec):
-        """Matrix-vector product, vec of length cols."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length is not the column count")
-        out = []
-        for i in range(self.rows):
-            s = Fraction(0)
-            base = i * self.cols
-            for j, v in enumerate(vec):
-                if v:
-                    s += self.entries[base + j] * v
-            out.append(s)
-        return out
+    def submatrix(self, rows, cols):
+        """The block on the given row and column indices, in their order."""
+        r = {i: a for a, i in enumerate(rows)}
+        c = {j: b for b, j in enumerate(cols)}
+        return Matrix(len(r), len(c), {(r[i], c[j]): x for (i, j), x in
+                                       self.nonzero.items()
+                                       if i in r and j in c})
 
     def __repr__(self):
         return "Matrix(%d x %d)" % (self.rows, self.cols)
@@ -141,11 +118,6 @@ def _int_row(row):
     ints, _ = scaled_to_ints(row)
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
-
-
-def _int_rows(M):
-    """Rows of M scaled to coprime integers."""
-    return [_int_row(M.row(i)) for i in range(M.rows)]
 
 
 def _eliminate(rows, ncols):
@@ -187,19 +159,14 @@ def _eliminate(rows, ncols):
     return pivots
 
 
-def rank(M):
-    """Rank of M over the rationals."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    rows = _int_rows(M)
-    return len(_eliminate(rows, M.cols))
-
-
 def _column_blocks(M):
-    """M's columns split into blocks that share no nonzero row, each with
-    its nonzero rows: a union-find over the rows joins the columns of each
-    row.  Blocks come in order of their first column."""
-    parent = list(range(M.cols))
+    """M's nonzero columns split into blocks that share no nonzero row,
+    each as (its columns in order, its rows over them scaled to coprime
+    integers): a union-find joins the columns of each stored row."""
+    rows = {}
+    for (i, j), x in M.nonzero.items():
+        rows.setdefault(i, {})[j] = x
+    parent = {j: j for _, j in M.nonzero}
 
     def root(c):
         while parent[c] != c:
@@ -207,40 +174,42 @@ def _column_blocks(M):
             c = parent[c]
         return c
 
-    supports = []
-    for i in range(M.rows):
-        row = M.row(i)
-        cols = [j for j, x in enumerate(row) if x]
-        if cols:
-            r = root(cols[0])
-            for j in cols[1:]:
-                parent[root(j)] = r
-            supports.append((row, cols[0]))
+    for first, *rest in rows.values():
+        r = root(first)
+        for j in rest:
+            parent[root(j)] = r
     blocks = {}
-    for j in range(M.cols):
+    for j in sorted(parent):
         blocks.setdefault(root(j), ([], []))[0].append(j)
-    for row, first in supports:
-        blocks[root(first)][1].append(row)
-    return blocks.values()
+    for row in rows.values():
+        blocks[root(next(iter(row)))][1].append(row)
+    return [(cols, [_int_row([row.get(j, ZERO) for j in cols])
+                    for row in block_rows])
+            for cols, block_rows in blocks.values()]
+
+
+def rank(M):
+    """Rank of M over the rationals: the pivots of its column blocks."""
+    return sum(len(_eliminate(rows, len(cols)))
+               for cols, rows in _column_blocks(M))
 
 
 def kernel_basis(M):
-    """Basis of the right null space of M, as exact column vectors.
+    """Basis of the right null space of M, one vector {index: c} per free
+    column, in column order.
 
-    Each free column yields one vector; the returned vectors have a 1 in
-    their free coordinate, so distinct kernel elements stay recognizable.
-    Column blocks are eliminated apart.  A free column is one in the span
-    of the columns before it, and its vector is 0 at the other free
-    columns, so both are those of the whole matrix.
+    A free column is one in the span of the columns before it, and its
+    vector has a 1 there and 0 at the other free columns, so neither
+    depends on the elimination order: column blocks are eliminated apart,
+    and a zero column is free with a unit vector.
     """
-    n = M.cols
-    found = []
+    found, pivot_cols = {}, set()
     for cols, rows in _column_blocks(M):
-        ints = [_int_row([row[j] for j in cols]) for row in rows]
-        pivots = _eliminate(ints, len(cols))
+        pivots = _eliminate(rows, len(cols))
+        pivot_cols.update(cols[pc] for pc in pivots)
         # echelon rows as (pivot column, pivot, nonzero entries after it)
-        echelon = [(pc, ints[i][pc], [(j, a) for j, a in
-                                      enumerate(ints[i][pc + 1:], pc + 1)
+        echelon = [(pc, rows[i][pc], [(j, a) for j, a in
+                                      enumerate(rows[i][pc + 1:], pc + 1)
                                       if a])
                    for i, pc in enumerate(pivots)][::-1]
         for fc in set(range(len(cols))).difference(pivots):
@@ -249,22 +218,22 @@ def kernel_basis(M):
                 s = sum(a * v[j] for j, a in tail if j in v)
                 if s:
                     v[pc] = -s / p
-            full = [ZERO] * n
-            for j, c in v.items():
-                full[cols[j]] = c
-            found.append((cols[fc], full))
-    return [v for _, v in sorted(found, key=lambda t: t[0])]
+            found[cols[fc]] = {cols[j]: c for j, c in v.items()}
+    return [found.get(j) or {j: ONE} for j in range(M.cols)
+            if j not in pivot_cols]
 
 
 def solve(A, b):
-    """A particular solution x of A x = b, or None if inconsistent: minus
-    the kernel vector of [A | b] for its last column, which is free
-    exactly when b is in A's column space; x is 0 at A's free columns."""
+    """A particular solution x of A x = b as {index: c}, or None if
+    inconsistent: minus the kernel vector of [A | b] for its last column,
+    which is free exactly when b is in A's column space; x is 0 at A's
+    free columns."""
     if len(b) != A.rows:
         raise ValueError("right-hand side length is not the row count")
     n = A.cols
-    vecs = kernel_basis(Matrix(A.rows, n + 1, [x for i in range(A.rows)
-                                               for x in A.row(i) + [b[i]]]))
-    if vecs and vecs[-1][n]:
-        return [-v for v in vecs[-1][:n]]
+    augmented = dict(A.nonzero)
+    augmented.update(((i, n), x) for i, x in enumerate(b) if x)
+    vecs = kernel_basis(Matrix(A.rows, n + 1, augmented))
+    if vecs and n in vecs[-1]:
+        return {j: -c for j, c in vecs[-1].items() if j != n}
     return None

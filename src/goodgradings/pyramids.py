@@ -306,10 +306,7 @@ def _osp_connections(P):
 
 def _restricted_jordan_type(mat, indices):
     """Jordan type of a nilpotent matrix restricted to a coordinate block."""
-    sub = Matrix.zero(len(indices), len(indices))
-    for a, i in enumerate(indices):
-        for b, j in enumerate(indices):
-            sub[a, b] = mat[i, j]
+    sub = mat.submatrix(indices, indices)
     ranks = []
     power = Matrix.identity(len(indices))
     while True:
@@ -347,8 +344,7 @@ def realize_osp_pyramid(P, R):
         entries[ab] = signs[ab]
     e = R.from_entries(entries)
     coords = R.coords(e)
-    if coords is None or any(c and p != EVEN for c, p in
-                             zip(coords, R.basis_parities)):
+    if coords is None or any(R.basis_parities[j] != EVEN for j in coords):
         raise MembershipFailure("e is not in osp")
     jt = jordan_type(R, e)
     if jt != (P.sp.p, P.sp.q):

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .linalg import Matrix, kernel_basis, scaled_to_ints
 
@@ -45,11 +46,9 @@ class AlgebraElement:
 
     @property
     def matrix(self):
-        """Dense size x size view, for the algorithms on whole matrices."""
-        mat = Matrix.zero(self.ambient.size, self.ambient.size)
-        for ab, c in self.entries.items():
-            mat[ab] = c
-        return mat
+        """The element as a size x size Matrix on the same nonzeros, for
+        the algorithms on whole matrices."""
+        return Matrix(self.ambient.size, self.ambient.size, self.entries)
 
     def _plus(self, other, sign):
         self._same(other)
@@ -170,22 +169,20 @@ class Realization:
                                   for lab, v in values_by_label.items()})
 
     def coords(self, x):
-        """Coordinates over the homogeneous basis of x, an element or its
-        nonzero entries {(a, b): c}; None if x is outside g.
+        """Nonzero coordinates {index: c} over the homogeneous basis of x,
+        an element or its nonzero entries {(a, b): c}; None if x is
+        outside g.
 
         Each coordinate is read at its basis element's private entry; x is
         in g exactly when nothing is left after subtracting the
         reconstruction."""
         rest = dict(x if isinstance(x, dict) else x.entries)
-        out = [ZERO] * self.dim
-        hit = []
+        out = {}
         for ab, v in rest.items():
             i = self._private.get(ab)
             if i is not None:
                 out[i] = v / self.supports[i][ab]
-                hit.append(i)
-        for i in hit:
-            c = out[i]
+        for i, c in out.items():
             for ab, w in self.supports[i].items():
                 r = rest.get(ab, 0) - c * w
                 if r:
@@ -195,12 +192,11 @@ class Realization:
         return None if rest else out
 
     def from_coords(self, coords):
-        """The element with the given coordinates over the basis."""
+        """The element with the coordinates {index: c} over the basis."""
         entries = {}
-        for c, sup in zip(coords, self.supports):
-            if c:
-                for ab, w in sup.items():
-                    entries[ab] = entries.get(ab, 0) + c * w
+        for i, c in coords.items():
+            for ab, w in self.supports[i].items():
+                entries[ab] = entries.get(ab, 0) + c * w
         return self.from_entries(entries)
 
     def degrees(self, diag):
@@ -290,15 +286,13 @@ def is_member_osp(R, mat, parity):
     if R.kind != "osp":
         raise ValueError("%s is not an osp realization" % R.kind)
     G = R.phi
-    s = R.size
     # z^T G + S G z == 0, with S = diag((-1)^{parity * |u|}) on rows
-    left = mat.transpose() @ G
-    right = G @ mat
-    for b in range(s):
+    left = (mat.transpose() @ G).nonzero
+    right = (G @ mat).nonzero
+    for b, c in left.keys() | right.keys():
         sign = -1 if (parity and R.index_parity(b)) else 1
-        for c in range(s):
-            if left[b, c] + sign * right[b, c] != 0:
-                return False
+        if left.get((b, c), 0) + sign * right.get((b, c), 0) != 0:
+            return False
     return True
 
 
@@ -316,15 +310,13 @@ def _osp_odd_basis(R):
     pos_index = {ab: t for t, ab in enumerate(positions)}
     pi = [R.index(-label) for label in R.labels]
     G = R.phi
-    rows = []
-    for b in range(m):
-        for c in range(m, s):
-            row = [ZERO] * len(positions)
-            row[pos_index[pi[c], b]] = G[pi[c], c]
-            row[pos_index[pi[b], c]] = G[b, pi[b]]
-            rows.append(row)
-    return [{positions[t]: v for t, v in enumerate(vec) if v}
-            for vec in kernel_basis(Matrix.from_rows(rows))]
+    equations = {}
+    for row, (b, c) in enumerate(product(range(m), range(m, s))):
+        equations[row, pos_index[pi[c], b]] = G[pi[c], c]
+        equations[row, pos_index[pi[b], c]] = G[b, pi[b]]
+    return [{positions[t]: vec[t] for t in sorted(vec)}
+            for vec in kernel_basis(Matrix(m * (s - m), len(positions),
+                                           equations))]
 
 
 def build_osp(m, n):
@@ -392,12 +384,10 @@ def adjoint_matrix(x):
     column j holds the coordinates of [x, b_j]."""
     R = x.ambient
     x_grouped = _by_row_and_column(R.m, x.entries)
-    out = Matrix.zero(R.dim, R.dim)
+    nonzero = {}
     for j, sup in enumerate(R.supports):
         col = R.coords(_bracket(R.m, x_grouped, sup))
         if col is None:
             raise RealizationError("bracket left the algebra")
-        for i, v in enumerate(col):
-            if v:
-                out[i, j] = v
-    return out
+        nonzero.update(((i, j), v) for i, v in col.items())
+    return Matrix(R.dim, R.dim, nonzero)

@@ -209,9 +209,7 @@ def test_criterion_7_structural_properties():
             assert tr.verify()
             rep = s_centralizer(R, tr, sp)
             for b in rep.basis:
-                c = R.coords(b)
-                assert all(g.degrees[k] == 0
-                           for k, v in enumerate(c) if v)
+                assert all(g.degrees[k] == 0 for k in R.coords(b))
             assert is_good(g, e) == is_good_by_ranks(g, e) is True
             if g.is_even():
                 assert is_richardson(g, e) == is_good(g, e)

@@ -143,7 +143,7 @@ def _scan_per_candidate(R, e, h, gens, candidates):
     gen_degrees = [integral_degrees(R, z.diag()) for z in gens]
     forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
              for i, d in enumerate(integral_degrees(R, h.diag()))]
-    e_support = [j for j, c in enumerate(R.coords(e)) if c]
+    e_support = list(R.coords(e))
     ker_support = ad_kernel(R, e)[2]
     found = {}
     not_good = 0

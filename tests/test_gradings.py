@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from goodgradings import gradings
 from goodgradings.gradings import (FormulaError, NonIntegralGrading,
                                    NoSolution, OddGrading, Sl2Triple,
-                                   block_type_dim, centralizer, complete_sl2,
-                                   dim_formula_gl, dim_formula_osp,
-                                   grading_from, is_good, is_good_by_ranks,
-                                   is_richardson, s_centralizer)
+                                   ad_kernel, block_type_dim, centralizer,
+                                   complete_sl2, dim_formula_gl,
+                                   dim_formula_osp, grading_from, is_good,
+                                   is_good_by_ranks, is_richardson,
+                                   s_centralizer)
 from goodgradings.linalg import Matrix, kernel_basis, solve
 from goodgradings.partitions import (SuperPartition, dual_partition,
                                      enumerate_super_partitions,
@@ -25,6 +26,12 @@ from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
 from goodgradings.superalgebra import (EVEN, ODD, adjoint_matrix, build_gl,
                                        build_osp, invariant_form,
                                        superbracket)
+from test_linalg import _dense_kernel
+
+
+def dense(v, n):
+    """The sparse vector {index: c} as a list of length n."""
+    return [v.get(j, Fraction(0)) for j in range(n)]
 
 
 def test_grading_from_zero():
@@ -240,8 +247,7 @@ def test_s_centralizer_in_degree_zero():
         tr = complete_sl2(R, e, h)
         rep = s_centralizer(R, tr, sp)
         for b in rep.basis:
-            c = R.coords(b)
-            assert all(g.degrees[j] == 0 for j, v in enumerate(c) if v)
+            assert all(g.degrees[j] == 0 for j in R.coords(b))
 
 
 def _stacked_kernel(R, ads):
@@ -254,7 +260,7 @@ def _stacked_kernel(R, ads):
         for vec in kernel_basis(Matrix.from_rows(rows)):
             full = [Fraction(0)] * R.dim
             for t, j in enumerate(idx):
-                full[j] = vec[t]
+                full[j] = vec.get(t, Fraction(0))
             out.append(full)
     return out
 
@@ -278,6 +284,20 @@ def test_dynkin_orbit_count():
 
 
 @pytest.mark.parametrize("kind, sp", [
+    pytest.param(kind, sp, id="%s%s%s" % (kind, sp.p, sp.q))
+    for kind, sp in DYNKIN_ORBITS])
+def test_ad_kernel_matches_dense_kernel(kind, sp):
+    """ker(ad e) vector for vector, in order and value, against a whole
+    matrix elimination of ad e built column by column from brackets."""
+    R = _algebra(kind, sp)
+    _, e, _ = dynkin_pair(sp, R)
+    columns = [dense(R.coords(superbracket(e, b)), R.dim) for b in R.basis]
+    ad = Matrix.from_rows([list(row) for row in zip(*columns)])
+    assert [dense(v, R.dim) for v in ad_kernel(R, e)[1]] == \
+        _dense_kernel(ad)
+
+
+@pytest.mark.parametrize("kind, sp", [
     pytest.param("gl", SuperPartition((3, 1), (4, 2)), id="gl-pq0"),
     pytest.param("osp", SuperPartition((3, 3), (4,)), id="osp-pq1"),
     pytest.param("osp", SuperPartition((3, 3, 1, 1), (2, 2)), id="osp-pq2"),
@@ -292,7 +312,7 @@ def test_s_centralizer_equals_stacked_kernel(kind, sp):
     ref = _stacked_kernel(R, [adjoint_matrix(triple.e),
                               adjoint_matrix(triple.f),
                               adjoint_matrix(triple.h)])
-    assert [R.coords(b) for b in rep.basis] == ref
+    assert [dense(R.coords(b), R.dim) for b in rep.basis] == ref
     assert rep.evenDim + rep.oddDim == len(ref)
 
 
@@ -360,10 +380,7 @@ def _gradings_with_degree_2(name, parity):
               if all(a == b for a, b in sup)]
     out = []
     for coefs in itertools.product(range(-2, 3), repeat=len(cartan)):
-        coords = [0] * R.dim
-        for i, c in zip(cartan, coefs):
-            coords[i] = c
-        g = grading_from(R, R.from_coords(coords))
+        g = grading_from(R, R.from_coords(dict(zip(cartan, coefs))))
         pool = [j for j in g.component(2) if R.basis_parities[j] in wanted]
         if {R.basis_parities[j] for j in pool} == wanted:
             out.append((g, pool))
@@ -380,8 +397,7 @@ def test_kernel_criterion_equals_rank_definition(name, parity, data):
     g, pool = data.draw(st.sampled_from(candidates))
     coefs = data.draw(st.lists(st.integers(-2, 2), min_size=len(pool),
                                max_size=len(pool)))
-    e = R.from_coords([dict(zip(pool, coefs)).get(j, 0)
-                       for j in range(R.dim)])
+    e = R.from_coords(dict(zip(pool, coefs)))
     assume(e.parity() is None if parity == "mixed" else not e.is_zero())
     assert is_good(g, e) == is_good_by_ranks(g, e)
 
@@ -401,8 +417,9 @@ def test_complete_sl2_matches_dense_solve(kind, pq):
     cand = [j for j, p in enumerate(R.basis_parities)
             if p == EVEN and degrees[j] == -2]
     cols = [superbracket(e, R.basis[j]).matrix.entries for j in cand]
-    x = solve(Matrix.from_rows(cols).transpose(), h.matrix.entries)
-    assert R.coords(complete_sl2(R, e, h).f) == \
+    x = dense(solve(Matrix.from_rows(cols).transpose(), h.matrix.entries),
+              len(cand))
+    assert dense(R.coords(complete_sl2(R, e, h).f), R.dim) == \
         [x[cand.index(j)] if j in cand else 0 for j in range(R.dim)]
 
 

@@ -72,15 +72,22 @@ def test_superbracket_matches_matrix_products():
     for R in (build_gl(2, 1), build_osp(2, 1)):
         for x, px in zip(R.basis, R.basis_parities):
             for y, py in zip(R.basis, R.basis_parities):
-                xy, yx = x.matrix @ y.matrix, y.matrix @ x.matrix
-                expected = xy + yx if px and py else xy - yx
-                assert superbracket(x, y).matrix == expected
+                xy = (x.matrix @ y.matrix).entries
+                yx = (y.matrix @ x.matrix).entries
+                expected = [a + b if px and py else a - b
+                            for a, b in zip(xy, yx)]
+                assert superbracket(x, y).matrix.entries == expected
 
 
 def test_build_osp_checks_odd_dimension(monkeypatch):
     monkeypatch.setattr(superalgebra, "_osp_odd_basis", lambda R: [])
     with pytest.raises(RealizationError, match="odd part"):
         build_osp(2, 1)
+
+
+def dense(v, n):
+    """The sparse vector {index: c} as a list of length n."""
+    return [v.get(j, Fraction(0)) for j in range(n)]
 
 
 def _dense_osp_odd_basis(R):
@@ -108,7 +115,8 @@ def _dense_osp_odd_basis(R):
                     hit = True
             if hit:
                 rows.append(row)
-    return [{positions[t]: v for t, v in enumerate(vec) if v}
+    return [{positions[t]: v
+             for t, v in enumerate(dense(vec, len(positions))) if v}
             for vec in kernel_basis(Matrix.from_rows(rows))]
 
 
@@ -254,8 +262,8 @@ SPARSE_IDS = ["gl21", "osp32", "osp24"]
 
 
 def _element(R, data):
-    return R.from_coords(data.draw(st.lists(
-        st.integers(-2, 2), min_size=R.dim, max_size=R.dim)))
+    return R.from_coords(dict(enumerate(data.draw(st.lists(
+        st.integers(-2, 2), min_size=R.dim, max_size=R.dim)))))
 
 
 @pytest.mark.parametrize("R", SPARSE, ids=SPARSE_IDS)
@@ -266,11 +274,12 @@ def test_sparse_element_matches_dense_reference(R, data):
     x, y = _element(R, data), _element(R, data)
     c = data.draw(st.integers(-3, 3))
     X, Y = x.matrix, y.matrix
-    assert (x + y).matrix == X + Y
-    assert (x - y).matrix == X - Y
-    assert (-x).matrix == -X
-    assert x.scale(c).matrix == Matrix(R.size, R.size,
-                                       [c * a for a in X.entries])
+    assert (x + y).matrix.entries == [a + b for a, b in
+                                      zip(X.entries, Y.entries)]
+    assert (x - y).matrix.entries == [a - b for a, b in
+                                      zip(X.entries, Y.entries)]
+    assert (-x).matrix.entries == [-a for a in X.entries]
+    assert x.scale(c).matrix.entries == [c * a for a in X.entries]
     assert x.is_zero() == (X == Matrix.zero(R.size, R.size))
     assert x.diag() == [X[i, i] for i in range(R.size)]
     assert (x - x).is_zero() and x.scale(0).is_zero()
