@@ -1,11 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
-A matrix stores only its nonzero entries {(i, j): Fraction}, the format
-of the algebra elements' supports, and kernel vectors and solutions come
-back as {index: c}.  Elimination is fraction-free, block by block over
-columns that share a nonzero row: rows are scaled to integers and
-eliminated with cross-multiplication, so there is no floating point
-anywhere and all rank / kernel / solve answers are exact.
+Every value is kept `exact`: an int where integral, else a Fraction; the
+one true division, `quotient`, keeps that form, so there is no floating
+point anywhere.  A matrix stores only its nonzero entries {(i, j): c},
+the format of the algebra elements' supports, and kernel vectors and
+solutions come back as {index: c}.  Elimination is fraction-free, block
+by block over columns that share a nonzero row: rows are scaled to
+integers and eliminated with cross-multiplication, so all rank / kernel
+/ solve answers are exact.
 """
 
 from __future__ import annotations
@@ -13,13 +15,28 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def exact(x):
+    """x (an int, bool, Fraction or "a/b" string) as an int if it is
+    integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def quotient(a, b):
+    """a / b for exact a and b, in the form `exact` gives; with two int
+    operands the bare / would give a float."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return exact(Fraction(a) / b)
 
 
 class Matrix:
     """Sparse rational matrix: its shape and its nonzero entries
-    {(i, j): Fraction}."""
+    {(i, j): c}, each made `exact`."""
 
     __slots__ = ("rows", "cols", "nonzero")
 
@@ -29,7 +46,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.nonzero = {ij: v for ij, x in nonzero.items()
-                        if (v := x if type(x) is Fraction else Fraction(x))}
+                        if (v := exact(x))}
 
     @classmethod
     def from_rows(cls, row_lists):
@@ -46,12 +63,12 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @property
     def entries(self):
         """Dense row-major view of all rows x cols entries."""
-        out = [ZERO] * (self.rows * self.cols)
+        out = [0] * (self.rows * self.cols)
         for (i, j), x in self.nonzero.items():
             out[i * self.cols + j] = x
         return out
@@ -64,12 +81,11 @@ class Matrix:
         return i, j
 
     def __getitem__(self, ij):
-        return self.nonzero.get(self._key(ij), ZERO)
+        return self.nonzero.get(self._key(ij), 0)
 
     def __setitem__(self, ij, value):
         ij = self._key(ij)
-        value = value if type(value) is Fraction else Fraction(value)
-        if value:
+        if value := exact(value):
             self.nonzero[ij] = value
         else:
             self.nonzero.pop(ij, None)
@@ -183,7 +199,7 @@ def _column_blocks(M):
         blocks.setdefault(root(j), ([], []))[0].append(j)
     for row in rows.values():
         blocks[root(next(iter(row)))][1].append(row)
-    return [(cols, [_int_row([row.get(j, ZERO) for j in cols])
+    return [(cols, [_int_row([row.get(j, 0) for j in cols])
                     for row in block_rows])
             for cols, block_rows in blocks.values()]
 
@@ -213,13 +229,13 @@ def kernel_basis(M):
                                       if a])
                    for i, pc in enumerate(pivots)][::-1]
         for fc in set(range(len(cols))).difference(pivots):
-            v = {fc: ONE}
+            v = {fc: 1}
             for pc, p, tail in echelon:
                 s = sum(a * v[j] for j, a in tail if j in v)
                 if s:
-                    v[pc] = -s / p
+                    v[pc] = quotient(-s, p)
             found[cols[fc]] = {cols[j]: c for j, c in v.items()}
-    return [found.get(j) or {j: ONE} for j in range(M.cols)
+    return [found.get(j) or {j: 1} for j in range(M.cols)
             if j not in pivot_cols]
 
 

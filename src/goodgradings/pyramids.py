@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import Matrix, rank
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
@@ -371,8 +370,8 @@ def shift_matrix(R, P, s, t):
             raise PyramidError("part %s has %d shiftable rows, not 1"
                                % (part, len(matches)))
         for lab in matches[0]:
-            diag[lab] = Fraction(val)
-            diag[-lab] = -Fraction(val)
+            diag[lab] = val
+            diag[-lab] = -val
     return R.diagonal(diag)
 
 

@@ -1,7 +1,8 @@
 """Matrix realizations of gl(m|n) and osp(m|2n): the sparse algebra core.
 
 Every homogeneous basis element is stored once, as its support
-{(a, b): c}, the nonzero entries of its matrix (at most two of them).
+{(a, b): c}, the nonzero entries of its matrix (at most two of them),
+each an int where integral and a Fraction otherwise (`linalg.exact`).
 Coordinates, brackets, adjoint maps and ad-degrees are read off these
 supports.  gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the
 even part is the Chevalley basis of so(m) x sp(2n) and the odd part is
@@ -13,16 +14,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
-from .linalg import Matrix, kernel_basis, scaled_to_ints
+from .linalg import Matrix, exact, kernel_basis, quotient, scaled_to_ints
 
 EVEN = 0
 ODD = 1
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class AmbientMismatch(ValueError):
@@ -40,7 +38,8 @@ class RealizationError(ValueError):
 @dataclass
 class AlgebraElement:
     """An element stored as its support: the nonzero entries {(a, b): c}
-    of its matrix, Fractions; `Realization.from_entries` checks them."""
+    of its matrix, each `exact` (an int where integral, else a Fraction);
+    `Realization.from_entries` checks them."""
     ambient: "Realization"
     entries: dict
 
@@ -54,8 +53,7 @@ class AlgebraElement:
         self._same(other)
         out = dict(self.entries)
         for ab, c in other.entries.items():
-            v = out.get(ab, 0) + sign * c
-            if v:
+            if v := exact(out.get(ab, 0) + sign * c):
                 out[ab] = v
             else:
                 del out[ab]
@@ -71,8 +69,8 @@ class AlgebraElement:
         return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        return AlgebraElement(self.ambient, {ab: c * v for ab, v in
+        c = exact(c)
+        return AlgebraElement(self.ambient, {ab: exact(c * v) for ab, v in
                                              self.entries.items()} if c else {})
 
     def _same(self, other):
@@ -88,7 +86,7 @@ class AlgebraElement:
         return ODD if True in found else EVEN
 
     def diag(self):
-        return [self.entries.get((i, i), ZERO)
+        return [self.entries.get((i, i), 0)
                 for i in range(self.ambient.size)]
 
     def is_zero(self):
@@ -147,14 +145,13 @@ class Realization:
 
     def from_entries(self, entries):
         """The element with the given matrix entries {(a, b): c}, values
-        made Fractions and zeros dropped; ValueError on an index outside
+        made `exact` and zeros dropped; ValueError on an index outside
         size x size."""
         s = self.size
         if any(not (0 <= a < s and 0 <= b < s) for a, b in entries):
             raise ValueError("element entry outside %dx%d" % (s, s))
-        return AlgebraElement(self, {ab: c if type(c) is Fraction
-                                     else Fraction(c)
-                                     for ab, c in entries.items() if c})
+        return AlgebraElement(self, {ab: v for ab, c in entries.items()
+                                     if (v := exact(c))})
 
     def zero(self):
         return self.from_entries({})
@@ -162,7 +159,7 @@ class Realization:
     def E(self, label_i, label_j):
         """Matrix unit sending the basis vector of label_j to label_i."""
         return self.from_entries({(self.index(label_i),
-                                   self.index(label_j)): ONE})
+                                   self.index(label_j)): 1})
 
     def diagonal(self, values_by_label):
         return self.from_entries({(self.index(lab), self.index(lab)): v
@@ -181,7 +178,7 @@ class Realization:
         for ab, v in rest.items():
             i = self._private.get(ab)
             if i is not None:
-                out[i] = v / self.supports[i][ab]
+                out[i] = quotient(v, self.supports[i][ab])
         for i, c in out.items():
             for ab, w in self.supports[i].items():
                 r = rest.get(ab, 0) - c * w
@@ -209,15 +206,12 @@ class Realization:
                for a, b, c, e in self._degree_entries]
         if den == 1:
             return out
-        return [d if d is None else Fraction(d, den) if d % den else d // den
-                for d in out]
+        return [d if d is None else quotient(d, den) for d in out]
 
 
 def supertrace(R, mat):
-    s = Fraction(0)
-    for i in range(R.size):
-        s += mat[i, i] if i < R.m else -mat[i, i]
-    return s
+    return exact(sum(mat[i, i] if i < R.m else -mat[i, i]
+                     for i in range(R.size)))
 
 
 def _by_row_and_column(m, x):
@@ -243,7 +237,7 @@ def _bracket(m, x_grouped, y):
         for b, u, x_odd in by_row.get(d, ()):
             t = u * v
             out[c, b] = out.get((c, b), 0) + (t if x_odd and y_odd else -t)
-    return {ab: w for ab, w in out.items() if w}
+    return {ab: v for ab, w in out.items() if (v := exact(w))}
 
 
 def superbracket(x, y):
@@ -276,7 +270,7 @@ def build_gl(m, n):
     check_size("gl", m, n)
     R = Realization("gl", m, n, list(range(1, m + n + 1)))
     pairs = [(a, b) for a in range(m + n) for b in range(m + n)]
-    R._set_basis([{ab: ONE} for ab in pairs],
+    R._set_basis([{ab: 1} for ab in pairs],
                  [ODD if (a < m) != (b < m) else EVEN for a, b in pairs])
     return R
 
@@ -335,18 +329,18 @@ def build_osp(m, n):
 
     G = Matrix.zero(R.size, R.size)
     if m % 2:
-        G[R.index(0), R.index(0)] = Fraction(2)
+        G[R.index(0), R.index(0)] = 2
     for i in range(1, k + 1):
-        G[R.index(i), R.index(-i)] = Fraction(1)
-        G[R.index(-i), R.index(i)] = Fraction(1)
+        G[R.index(i), R.index(-i)] = 1
+        G[R.index(-i), R.index(i)] = 1
     for i in range(k + 1, k + n + 1):
-        G[R.index(i), R.index(-i)] = Fraction(1)
-        G[R.index(-i), R.index(i)] = Fraction(-1)
+        G[R.index(i), R.index(-i)] = 1
+        G[R.index(-i), R.index(i)] = -1
     R.phi = G
 
     def E(*terms):
         """Support of sum c E_{a,b} over the (a, b, c) terms, by label."""
-        return {(R.index(a), R.index(b)): Fraction(c) for a, b, c in terms}
+        return {(R.index(a), R.index(b)): c for a, b, c in terms}
 
     even = []
     if m % 2:

@@ -259,3 +259,30 @@ def test_scan_refuses_a_mixed_parity_coordinate():
     with pytest.raises(MixedParity):
         classification._scan_shifts(R, e, h, gens,
                                     [[(0, 2)] * (len(gens) - 1) + [(0, 1)]])
+
+
+def _diagonals_mod_identity(gs, swap):
+    """The H diagonals of a grading set, each with its first m and last n
+    entries exchanged when swap (m, n the orbit's sizes), and shifted by
+    a multiple of the identity to start at 0."""
+    m = gs.orbit.m
+    out = set()
+    for g in gs.gradings:
+        diag = g.H.diag()
+        if swap:
+            diag = diag[m:] + diag[:m]
+        out.add(tuple(x - diag[0] for x in diag))
+    return out
+
+
+def test_gl_classification_is_symmetric_under_parity_swap():
+    """gl(m|n) and gl(n|m) are isomorphic by exchanging the two blocks of
+    V, which sends the orbit (p|q) to (q|p): both give the same gradings,
+    compared as H diagonals modulo the identity (which grades nothing)."""
+    orbits = [sp for size in range(1, 7) for m in range(size + 1)
+              for sp in enumerate_super_partitions(m, size - m)]
+    assert len(orbits) == 138
+    for sp in orbits:
+        assert _diagonals_mod_identity(good_gradings_gl(sp), True) == \
+            _diagonals_mod_identity(
+                good_gradings_gl(SuperPartition(sp.q, sp.p)), False)

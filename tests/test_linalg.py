@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from goodgradings.linalg import Matrix, kernel_basis, rank, solve
+from goodgradings.linalg import Matrix, kernel_basis, quotient, rank, solve
 from goodgradings.superalgebra import build_gl, build_osp
 
 
@@ -277,16 +277,50 @@ def test_shape_mismatch_raises_value_error(op):
         op()
 
 
+def canonical(v):
+    """Is v a stored exact value: a nonzero int, or a Fraction that is not
+    integral (never a float)?"""
+    return type(v) is int and v != 0 \
+        or type(v) is Fraction and v.denominator > 1
+
+
 def test_fraction_entries_are_kept_and_others_coerced():
     x = Fraction(1, 3)
     m = Matrix(1, 3, {(0, 0): x, (0, 1): 2, (0, 2): "1/2"})
     assert m.entries[0] is x
     assert m.entries[1:] == [Fraction(2), Fraction(1, 2)]
-    assert all(type(v) is Fraction for v in m.entries)
+    assert all(canonical(v) for v in m.entries)
     m[0, 1] = "3/4"
     m[0, 2] = x
     assert m[0, 1] == Fraction(3, 4) and type(m[0, 1]) is Fraction
     assert m[0, 2] is x
+    m[0, 0] = Fraction(4, 2)
+    m[0, 1] = "-6/3"
+    m[0, 2] = True
+    assert m.nonzero == {(0, 0): 2, (0, 1): -2, (0, 2): 1}
+    assert all(type(v) is int for v in m.nonzero.values())
+
+
+exact_values = st.one_of(st.integers(-6, 6),
+                         st.fractions(-3, 3, max_denominator=4))
+
+
+@given(exact_values, exact_values)
+def test_quotient_is_the_exact_quotient(a, b):
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            quotient(a, b)
+        return
+    q = quotient(a, b)
+    assert q == Fraction(a, b)
+    assert q == 0 and type(q) is int or canonical(q)
+
+
+@pytest.mark.parametrize("a", [0, 3, Fraction(1, 2)])
+def test_quotient_by_zero_raises(a):
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            quotient(a, zero)
 
 
 @pytest.mark.parametrize("nonzero", [{(2, 0): 1}, {(0, 3): 1},
@@ -335,7 +369,7 @@ def test_matmul_matches_dense_product(ab):
     c = a @ b
     assert (c.rows, c.cols) == (a.rows, b.cols)
     assert rows_of(c) == matmul(a, b)
-    assert all(type(x) is Fraction and x for x in c.nonzero.values())
+    assert all(canonical(x) for x in c.nonzero.values())
 
 
 @given(st.one_of(matrices(), block_matrices()))

@@ -97,3 +97,22 @@ def test_matrix_shape_is_positional():
            or any(kw.arg in ("rows", "cols", None) for kw in node.keywords)]
     assert bad == []
     assert {"__init__", "__matmul__"} <= set(vars(Matrix))
+
+
+def test_one_true_division_and_no_float():
+    """Values are ints where integral, and int / int is a float: the one
+    true division is the one in `linalg.quotient`, which keeps the value
+    exact, and nothing converts to or writes a float."""
+    def divides(node):
+        return isinstance(node, (ast.BinOp, ast.AugAssign)) \
+            and isinstance(node.op, ast.Div)
+
+    nodes = [node for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))]
+    assert sum(map(divides, nodes)) == 1
+    assert _owners(divides) == {"quotient"}
+    assert not [node for node in nodes
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "float"
+                or isinstance(node, ast.Constant)
+                and type(node.value) is float]

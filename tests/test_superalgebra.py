@@ -5,12 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from goodgradings import superalgebra
-from goodgradings.linalg import Matrix, kernel_basis, rank
+from goodgradings.linalg import Matrix, kernel_basis, rank, solve
 from goodgradings.superalgebra import (EVEN, ODD, AmbientMismatch,
                                        RealizationError, adjoint_matrix,
                                        build_gl, build_osp, invariant_form,
                                        is_member_osp, superbracket,
                                        supertrace)
+from test_linalg import canonical
 
 
 def test_build_gl_counts():
@@ -253,7 +254,10 @@ def test_from_entries_drops_zeros():
     R = build_gl(2, 1)
     x = R.from_entries({(0, 0): 0, (0, 1): 2, (2, 2): Fraction(0)})
     assert x.entries == {(0, 1): 2}
-    assert type(x.entries[0, 1]) is Fraction
+    assert type(x.entries[0, 1]) is int
+    x = R.from_entries({(0, 1): Fraction(4, 2), (1, 0): "1/2"})
+    assert x.entries == {(0, 1): 2, (1, 0): Fraction(1, 2)}
+    assert type(x.entries[0, 1]) is int
     assert R.from_entries({(1, 1): 0}).is_zero()
 
 
@@ -284,7 +288,41 @@ def test_sparse_element_matches_dense_reference(R, data):
     assert x.diag() == [X[i, i] for i in range(R.size)]
     assert (x - x).is_zero() and x.scale(0).is_zero()
     for z in (x, x + y, x - y, -x, x.scale(c), superbracket(x, y)):
-        assert all(type(v) is Fraction and v for v in z.entries.values())
+        assert all(canonical(v) for v in z.entries.values())
+
+
+def _rational_element(R, data):
+    return R.from_coords(dict(enumerate(data.draw(st.lists(
+        st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)),
+        min_size=R.dim, max_size=R.dim)))))
+
+
+@pytest.mark.parametrize("R", SPARSE, ids=SPARSE_IDS)
+@given(data=st.data())
+def test_stored_values_are_ints_where_integral(R, data):
+    """Every value the algebra stores or returns is a nonzero int, or a
+    Fraction only where it is not integral: supports, elements and their
+    sums, scales and brackets, coordinates, ad maps, kernel vectors and
+    solutions."""
+    x, y = _rational_element(R, data), _rational_element(R, data)
+    c = data.draw(st.fractions(-2, 2, max_denominator=2))
+    elements = [x, y, x + y, x - y, -x, x.scale(c), x.scale(2),
+                superbracket(x, y), superbracket(x, x.scale(c))]
+    coords = [R.coords(z) for z in elements]
+    ad = adjoint_matrix(x)
+    kernel = kernel_basis(ad)
+    target = coords[7]              # [x, y] is ad x applied to y
+    solution = solve(ad, [target.get(i, 0) for i in range(R.dim)])
+    assert solution is not None
+    assert R.from_coords(coords[0]).entries == x.entries
+    stored = [v for sup in R.supports for v in sup.values()] \
+        + list(R.phi.nonzero.values() if R.phi else []) \
+        + [v for z in elements for v in z.entries.values()] \
+        + [v for cs in coords for v in cs.values()] \
+        + list(ad.nonzero.values()) \
+        + [v for vec in kernel for v in vec.values()] \
+        + list(solution.values())
+    assert all(canonical(v) for v in stored)
 
 
 def test_is_member_osp_needs_osp():
