@@ -155,7 +155,7 @@ def _center_generators(R, sp, P):
     """Diagonal generators of the center of the even sl2-centralizer."""
     if R.kind == "gl":
         # one generator per row length: 1 on the boxes of those rows
-        lengths, boxes = [r for r, t, f in P.rows], P.boxes()
+        lengths, boxes = [r for r, t, f in P.rows], P.boxes
         return [R.diagonal({lab: 1 for x, y, t, lab in boxes
                             if lengths[y - 1] == value})
                 for value in sorted(set(lengths), reverse=True)]
@@ -250,7 +250,7 @@ def good_gradings_osp(sp):
 
 def _pyramid_diag(P):
     """Diagonal x-coordinates of a single-parity pyramid, in label order."""
-    boxes = sorted(P.boxes(), key=lambda b: b[3])
+    boxes = sorted(P.boxes, key=lambda b: b[3])
     return [x for x, y, t, lab in boxes]
 
 

@@ -44,7 +44,7 @@ class Pyramid:
     """Rows bottom-up: (length, parity tag '+'/'-', leftmost x-coordinate).
 
     Box x-coordinates in a row of length r starting at f are
-    f, f+2, ..., f + 2(r-1).
+    f, f+2, ..., f + 2(r-1); row i (from 1) has y = i.
     """
 
     rows: tuple  # of (length, tag, f)
@@ -73,22 +73,14 @@ class Pyramid:
     def n(self):
         return sum(r for r, t, f in self.rows if t == "-")
 
+    @property
     def boxes(self):
         """(x, y, parity, label) per box; labels 1..m even then m+1..m+n odd,
         assigned rows bottom-up, boxes left-to-right."""
-        out = []
-        next_even = 1
-        next_odd = self.m + 1
-        for y, (r, tag, f) in enumerate(self.rows, start=1):
-            for i in range(r):
-                if tag == "+":
-                    label = next_even
-                    next_even += 1
-                else:
-                    label = next_odd
-                    next_odd += 1
-                out.append((f + 2 * i, y, tag, label))
-        return out
+        labels = {"+": itertools.count(1), "-": itertools.count(self.m + 1)}
+        return [(f + 2 * i, y, tag, next(labels[tag]))
+                for y, (r, tag, f) in enumerate(self.rows, start=1)
+                for i in range(r)]
 
     def to_json(self):
         return {"rows": [{"len": r, "parity": t, "f": f}
@@ -128,21 +120,26 @@ def dynkin_pyramid_gl(sp):
     return Pyramid(tuple((r, t, -(r - 1)) for r, t in merged))
 
 
+def _steps(boxes):
+    """Pairs (a, b) of box labels with a term E_{a,b} in e: each box b steps
+    to the box a two columns to its right.  No two rows share a y, so a is
+    in b's row."""
+    label_at = {(x, y): lab for x, y, t, lab in boxes}
+    return [(label_at[x + 2, y], lab) for x, y, t, lab in boxes
+            if (x + 2, y) in label_at]
+
+
 def realize_pyramid(P, R):
     """(e, h) in gl(m|n) from a pyramid: h = diag of box x-coordinates,
     e steps each box to its right neighbor (degree 2)."""
     if R.kind != "gl" or P.m != R.m or P.n != R.odd_dim:
         raise SizeMismatch("pyramid size (%d|%d) vs realization (%d|%d)"
                            % (P.m, P.n, R.m, R.odd_dim))
-    boxes = P.boxes()
+    boxes = P.boxes
     h = R.diagonal({label: x for x, y, t, label in boxes})
-    by_pos = {(x, y): label for x, y, t, label in boxes}
-    entries = {}
-    for x, y, t, label in boxes:
-        right = by_pos.get((x + 2, y))
-        if right is not None:
-            entries[R.index(right), R.index(label)] = 1
-    return R.from_entries(entries), h
+    e = R.from_entries({(R.index(a), R.index(b)): 1
+                        for a, b in _steps(boxes)})
+    return e, h
 
 
 def dynkin_pair(sp, R):
@@ -164,8 +161,10 @@ class OspPyramid:
 
     rows: list of dicts {"y", "kind", "part", "parity", "cols"} where kind is
     one of zeroth / even / odd / even_skew / odd_skew, covering the upper half
-    (y >= 0); the lower half is the central mirror.  boxes: (x, y, parity,
-    label) with mirror boxes labeled by negation and the origin labeled 0.
+    (y >= 0) bottom-up; the lower half is the central mirror, and no two
+    rows share a y.  boxes: (x, y, parity, label) in the format of
+    `Pyramid.boxes`, with mirror boxes labeled by negation and the origin
+    labeled 0.
     """
 
     sp: SuperPartition
@@ -245,28 +244,18 @@ def dynkin_pyramid_osp(sp):
         spec["y"] = 2 * j if m % 2 == 1 else 2 * j - 1
         rows.append(spec)
 
-    # assign labels: upper half (y > 0, or y = 0 and x > 0), rows bottom-up,
-    # boxes left-to-right; even boxes 1..k, odd boxes k+1..k+n; mirrors negate
+    # label the upper half (y > 0, or y = 0 and x > 0) rows bottom-up, boxes
+    # left-to-right: even boxes 1..k, odd boxes k+1..k+n; mirrors negate
+    labels = {"+": itertools.count(1), "-": itertools.count(m // 2 + 1)}
     boxes = []
-    next_even = [1]
-    next_odd = [sp.m // 2 + 1]
-
-    def take(parity):
-        ctr = next_even if parity == "+" else next_odd
-        lab = ctr[0]
-        ctr[0] += 1
-        return lab
-
-    for spec in sorted(rows, key=lambda s: s["y"]):
-        y = spec["y"]
+    for spec in rows:
+        y, parity = spec["y"], spec["parity"]
         for x in spec["cols"]:
-            if y > 0 or (y == 0 and x > 0):
-                lab = take(spec["parity"])
-                boxes.append((x, y, spec["parity"], lab))
-                if not (x == 0 and y == 0):
-                    boxes.append((-x, -y, spec["parity"], -lab))
-            elif y == 0 and x == 0:
-                boxes.append((0, 0, spec["parity"], 0))
+            if (x, y) == (0, 0):
+                boxes.append((0, 0, parity, 0))
+            elif y > 0 or x > 0:
+                lab = next(labels[parity])
+                boxes += [(x, y, parity, lab), (-x, -y, parity, -lab)]
     total = m + sp.n
     if len(boxes) != total:
         raise PyramidError("%d boxes for %d basis vectors"
@@ -275,31 +264,17 @@ def dynkin_pyramid_osp(sp):
 
 
 def _osp_connections(P):
-    """Pairs (a, b) of box labels with a term E_{a,b} in e (a two columns
-    right of b), including the skew-row crossings to the mirror rows."""
-    pos = {}
-    for x, y, t, lab in P.boxes:
-        pos[(x, y)] = lab
-    conns = []
-    seen_rows = []
+    """Pairs (a, b) of box labels with a term E_{a,b} in e: the steps within
+    rows, and each skew row's crossings to its mirror row."""
+    label_at = {(x, y): lab for x, y, t, lab in P.boxes}
+    conns = _steps(P.boxes)
     for spec in P.rows:
         y = spec["y"]
-        cols = spec["cols"]
-        mirror_cols = [-x for x in cols]
-        for x in cols:
-            if (x + 2, y) in pos and x + 2 in cols:
-                conns.append((pos[(x + 2, y)], pos[(x, y)]))
-        if y != 0:
-            for x in mirror_cols:
-                if (x + 2, -y) in pos and x + 2 in mirror_cols:
-                    conns.append((pos[(x + 2, -y)], pos[(x, -y)]))
-        if spec["kind"] == "even_skew":
-            # crossings between the skew row and its mirror at columns
-            # 0 -> 2 and -2 -> 0
-            conns.append((pos[(2, y)], pos[(0, -y)]))
-            conns.append((pos[(0, y)], pos[(-2, -y)]))
-        elif spec["kind"] == "odd_skew":
-            conns.append((pos[(1, y)], pos[(-1, -y)]))
+        if spec["kind"] == "even_skew":     # columns 0 -> 2 and -2 -> 0
+            conns.append((label_at[2, y], label_at[0, -y]))
+            conns.append((label_at[0, y], label_at[-2, -y]))
+        elif spec["kind"] == "odd_skew":    # column -1 -> 1
+            conns.append((label_at[1, y], label_at[-1, -y]))
     return conns
 
 
@@ -354,42 +329,26 @@ def realize_osp_pyramid(P, R):
 
 
 def shift_matrix(R, P, s, t):
-    """Diagonal z(s, t): s_i on the upper full row of the i-th C(p) part
-    (descending), -s_i on its mirror; likewise t_j on D(q) rows."""
+    """Diagonal z(s, t): s_i on the one upper even row of the i-th C(p) part
+    (descending), -s_i on its mirror; likewise t_j on the upper odd row of
+    the j-th D(q) part."""
     cp, dq = cp_dq(P.sp)
     if len(s) != len(cp) or len(t) != len(dq):
         raise LengthMismatch("need %d s-values and %d t-values"
                              % (len(cp), len(dq)))
-    label_rows = _upper_row_labels(P)
+    label_at = {(x, y): lab for x, y, _, lab in P.boxes}
     diag = {}
-    for part, val in list(zip(cp, s)) + list(zip(dq, t)):
-        kind = "even" if part in cp else "odd"
-        matches = [labs for (k, pv), labs in label_rows.items()
-                   if k == kind and pv == part]
-        if len(matches) != 1:
-            raise PyramidError("part %s has %d shiftable rows, not 1"
-                               % (part, len(matches)))
-        for lab in matches[0]:
-            diag[lab] = val
-            diag[-lab] = -val
+    for kind, parts, values in (("even", cp, s), ("odd", dq, t)):
+        for part, val in zip(parts, values):
+            rows = [spec for spec in P.rows
+                    if spec["kind"] == kind and spec["part"] == part]
+            if len(rows) != 1:
+                raise PyramidError("part %s has %d shiftable rows, not 1"
+                                   % (part, len(rows)))
+            for x in rows[0]["cols"]:
+                lab = label_at[x, rows[0]["y"]]
+                diag[lab], diag[-lab] = val, -val
     return R.diagonal(diag)
-
-
-def _upper_row_labels(P):
-    """Labels of each upper-half full row, keyed by (kind, part); only rows
-    that can carry a shift (multiplicity-2 parts) are unambiguous."""
-    by_pos = {(x, y): lab for x, y, t, lab in P.boxes}
-    out = {}
-    for spec in P.rows:
-        if spec["y"] <= 0 or spec["kind"] not in ("even", "odd"):
-            continue
-        labs = [by_pos[(x, spec["y"])] for x in spec["cols"]]
-        key = (spec["kind"], spec["part"])
-        if key in out:
-            out[key] = None  # ambiguous: multiplicity > 2, never shift-carrying
-        else:
-            out[key] = labs
-    return {k: v for k, v in out.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +358,14 @@ def _upper_row_labels(P):
 def render(P):
     """ASCII picture: one line per row, top-down, parity marks at the box
     x-coordinates."""
-    if isinstance(P, Pyramid):
-        rows = [(y, t, [f + 2 * i for i in range(r)])
-                for y, (r, t, f) in enumerate(P.rows, start=1)]
-        all_boxes = [(x, y, t) for y, t, cols in rows for x in cols]
-    else:
-        all_boxes = [(x, y, t) for x, y, t, lab in P.boxes]
-    if not all_boxes:
+    boxes = P.boxes
+    if not boxes:
         return ""
-    xmin = min(x for x, y, t in all_boxes)
-    ys = sorted({y for x, y, t in all_boxes}, reverse=True)
+    xmin = min(x for x, y, t, lab in boxes)
     lines = []
-    for y in ys:
-        marks = {x: t for x, yy, t in all_boxes if yy == y}
-        width = max(marks) - xmin + 1
-        line = [" "] * (2 * width)
+    for y in sorted({y for x, y, t, lab in boxes}, reverse=True):
+        marks = {x: t for x, yy, t, lab in boxes if yy == y}
+        line = [" "] * (2 * (max(marks) - xmin + 1))
         for x, t in marks.items():
             line[2 * (x - xmin)] = t
         lines.append("".join(line).rstrip())

@@ -8,12 +8,13 @@ from goodgradings.classification import (DegreeMismatch, MixedParity,
                                          NotCentral, brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
-from goodgradings.gradings import (Grading, ad_kernel, integral_degrees,
-                                   is_good)
+from goodgradings.gradings import (Grading, ad_kernel, grading_from,
+                                   integral_degrees, is_good)
 from goodgradings.partitions import (SuperPartition, cp_dq,
                                      enumerate_super_partitions,
                                      is_orthosymplectic)
-from goodgradings.pyramids import Pyramid, dynkin_pair
+from goodgradings.pyramids import (Pyramid, dynkin_pair, enumerate_pyr,
+                                   realize_pyramid)
 from goodgradings.superalgebra import build_gl, build_osp
 
 
@@ -286,3 +287,26 @@ def test_gl_classification_is_symmetric_under_parity_swap():
         assert _diagonals_mod_identity(good_gradings_gl(sp), True) == \
             _diagonals_mod_identity(
                 good_gradings_gl(SuperPartition(sp.q, sp.p)), False)
+
+
+def test_goodness_is_symmetric_under_supertranspose():
+    """theta(x) = -x^st is an anti-automorphism of gl(m|n) that sends
+    g_j(H) to g_{-j}(H); on even e it is -e^T.  So H is good for e exactly
+    when -H is good for theta(e).  Checked for every pyramid of every gl
+    orbit with m+n <= 5, H = h and h +- each center generator."""
+    verdicts = []
+    for size in range(1, 6):
+        for m in range(size + 1):
+            R = build_gl(m, size - m)
+            for sp in enumerate_super_partitions(m, size - m):
+                for P in enumerate_pyr(sp):
+                    e, h = realize_pyramid(P, R)
+                    theta_e = R.from_entries({(b, a): -c for (a, b), c
+                                              in e.entries.items()})
+                    gens = classification._center_generators(R, sp, P)
+                    for H in [h] + [h + g for g in gens] \
+                            + [h - g for g in gens]:
+                        good = is_good(grading_from(R, H), e)
+                        assert good == is_good(grading_from(R, -H), theta_e)
+                        verdicts.append(good)
+    assert (verdicts.count(True), verdicts.count(False)) == (735, 168)

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from goodgradings import pyramids
-from goodgradings.partitions import (SuperPartition,
-                                     enumerate_super_partitions)
+from goodgradings.partitions import (SuperPartition, cp_dq,
+                                     enumerate_super_partitions,
+                                     is_orthosymplectic)
 from goodgradings.pyramids import (LengthMismatch, MembershipFailure,
                                    Pyramid, PyramidError, SizeMismatch,
                                    dynkin_pyramid_gl, dynkin_pyramid_osp,
@@ -76,7 +77,7 @@ def test_h_eigenvalues_are_box_coordinates():
     for P in enumerate_pyr(sp)[:5]:
         R = build_gl(4, 6)
         e, h = realize_pyramid(P, R)
-        coords = sorted(x for x, y, t, lab in P.boxes())
+        coords = sorted(x for x, y, t, lab in P.boxes)
         assert sorted(h.matrix[i, i] for i in range(R.size)) == coords
 
 
@@ -215,13 +216,102 @@ def test_shift_matrix_length_check():
         shift_matrix(R, P, [], [Fraction(1)])
 
 
-def test_shift_matrix_checks_row_lookup(monkeypatch):
+def test_shift_matrix_checks_row_lookup():
+    """Each C(p) part needs exactly one upper even row: with that row gone,
+    or with it listed twice, there is no one row to shift."""
     sp = SuperPartition((3, 3), (4,))
     R = build_osp(6, 2)
     P = dynkin_pyramid_osp(sp)
-    monkeypatch.setattr(pyramids, "_upper_row_labels", lambda P: {})
+    (row,) = [spec for spec in P.rows if spec["kind"] == "even"]
+    P.rows.remove(row)
     with pytest.raises(PyramidError, match="0 shiftable rows"):
         shift_matrix(R, P, [Fraction(1)], [])
+    P.rows += [row, dict(row)]
+    with pytest.raises(PyramidError, match="2 shiftable rows"):
+        shift_matrix(R, P, [Fraction(1)], [])
+
+
+def _row_walk_connections(P):
+    """Reference: e's pairs found row by row, then mirror row by mirror
+    row, then each skew row's crossings."""
+    pos = {(x, y): lab for x, y, t, lab in P.boxes}
+    conns = []
+    for spec in P.rows:
+        y = spec["y"]
+        cols = spec["cols"]
+        mirror_cols = [-x for x in cols]
+        for x in cols:
+            if (x + 2, y) in pos and x + 2 in cols:
+                conns.append((pos[(x + 2, y)], pos[(x, y)]))
+        if y != 0:
+            for x in mirror_cols:
+                if (x + 2, -y) in pos and x + 2 in mirror_cols:
+                    conns.append((pos[(x + 2, -y)], pos[(x, -y)]))
+        if spec["kind"] == "even_skew":
+            conns.append((pos[(2, y)], pos[(0, -y)]))
+            conns.append((pos[(0, y)], pos[(-2, -y)]))
+        elif spec["kind"] == "odd_skew":
+            conns.append((pos[(1, y)], pos[(-1, -y)]))
+    return conns
+
+
+def _row_table_shift(P, s, t):
+    """Reference: the diagonal {label: value} of z(s, t), read from a table
+    of the upper even and odd rows' labels keyed by (kind, part), a key
+    with two rows marked ambiguous (None)."""
+    by_pos = {(x, y): lab for x, y, _, lab in P.boxes}
+    table = {}
+    for spec in P.rows:
+        if spec["y"] <= 0 or spec["kind"] not in ("even", "odd"):
+            continue
+        key = (spec["kind"], spec["part"])
+        table[key] = None if key in table else \
+            [by_pos[(x, spec["y"])] for x in spec["cols"]]
+    cp, dq = cp_dq(P.sp)
+    diag = {}
+    for kind, parts, values in (("even", cp, s), ("odd", dq, t)):
+        for part, val in zip(parts, values):
+            for lab in table[kind, part]:
+                diag[lab], diag[-lab] = val, -val
+    return diag
+
+
+def _osp_orbits(size):
+    """(m, n, sp) for every orthosymplectic orbit of osp(m|2n), m, n >= 1,
+    m + 2n <= size."""
+    return [(m, n, sp) for m in range(1, size) for n in range(1, size)
+            if m + 2 * n <= size
+            for sp in enumerate_super_partitions(m, 2 * n)
+            if is_orthosymplectic(sp)]
+
+
+def test_steps_and_row_lookup_match_row_walk_reference():
+    """One step rule plus the skew crossings gives the row walk's pairs on
+    every osp Dynkin pyramid with m+2n <= 14, and the row read gives the
+    row table's shift on every unit generator with m+2n <= 12."""
+    orbits = _osp_orbits(14)
+    osp_pyramids = [dynkin_pyramid_osp(sp) for m, n, sp in orbits]
+    assert len(osp_pyramids) == 1206
+    assert sum(any(spec["kind"].endswith("skew") for spec in P.rows)
+               for P in osp_pyramids) == 840
+    for P in osp_pyramids:
+        assert sorted(pyramids._osp_connections(P)) == \
+            sorted(_row_walk_connections(P))
+    units = 0
+    for (m, n, sp), P in zip(orbits, osp_pyramids):
+        if m + 2 * n > 12:
+            continue
+        R = build_osp(m, n)
+        cp, dq = cp_dq(sp)
+        k, count = len(cp), len(cp) + len(dq)
+        for i in range(count):
+            u = [int(i == j) for j in range(count)]
+            diag = _row_table_shift(P, u[:k], u[k:])
+            expected = {(R.index(lab), R.index(lab)): v
+                        for lab, v in diag.items() if v}
+            assert shift_matrix(R, P, u[:k], u[k:]).entries == expected
+            units += 1
+    assert units == 150
 
 
 @pytest.mark.parametrize("p, q, match", [
@@ -257,7 +347,6 @@ def test_osp_realize_all_small():
     for m in range(1, 5):
         for n2 in range(2, 7 - m, 2):
             for sp in enumerate_super_partitions(m, n2):
-                from goodgradings.partitions import is_orthosymplectic
                 if not is_orthosymplectic(sp):
                     continue
                 R = build_osp(m, n2 // 2)

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import goodgradings
@@ -116,3 +117,30 @@ def test_one_true_division_and_no_float():
                 and getattr(node.func, "id", None) == "float"
                 or isinstance(node, ast.Constant)
                 and type(node.value) is float]
+
+
+def test_one_box_format_and_step_rule():
+    """Both pyramid families list their boxes as (x, y, parity, label):
+    e's steps within rows come from one rule, `_steps`, and `render` reads
+    either family's boxes without asking which it has."""
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) \
+            and getattr(node.func, "id", None) == name
+
+    assert _owners(calls("_steps")) == {"realize_pyramid", "_osp_connections"}
+    assert "render" not in _owners(calls("isinstance"))
+
+
+def test_mutation_targets_are_unique():
+    """Each source text that tools/mutate.py replaces occurs exactly once
+    in the package, so every mutant changes the code it names."""
+    harness = Path(__file__).resolve().parents[1] / "tools" / "mutate.py"
+    spec = importlib.util.spec_from_file_location("mutate", harness)
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    assert len(mutate.MUTANTS) >= 10
+    sources = {path.name: path.read_text() for path in SOURCES}
+    counts = {name: (sources[module].count(text),
+                     sum(source.count(text) for source in sources.values()))
+              for name, module, text, _, _ in mutate.MUTANTS}
+    assert counts == {name: (1, 1) for name in counts}

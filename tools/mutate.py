@@ -1,0 +1,144 @@
+"""Mutation check of the test suite: python3 tools/mutate.py
+
+Each mutant in MUTANTS replaces one exact source text of a module in
+src/goodgradings/ by a wrong one.  For each mutant the script copies
+src/, tests/ and pyproject.toml to a fresh temporary directory, makes the
+replacement there and runs
+`python -m pytest -x -q` on the mutant's test files.  The mutant is killed
+when pytest reports a failed test; it survives when every test passes.
+The script prints one line per mutant and exits 1 if any mutant survives,
+2 if a mutant cannot be made or run (its text is not in the source exactly
+once, the mutated module does not compile, or pytest ends otherwise), and
+0 when all are killed.  The checkout itself is never written.
+
+Stdlib only and not part of the tier-1 run; tier-1 checks only that each
+listed source text occurs exactly once in src/
+(tests/test_source.py::test_mutation_targets_are_unique).  A refactor that
+moves a target updates its entry here.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src", "goodgradings")
+
+# (name, module in src/goodgradings, exact source text, replacement,
+#  test files or node ids run against the mutant)
+MUTANTS = [
+    ("steps-go-left", "pyramids.py",
+     "(label_at[x + 2, y], lab) for", "(lab, label_at[x + 2, y]) for",
+     ["tests/test_pyramids.py"]),
+    ("even-skew-crossing-0-2-dropped", "pyramids.py",
+     "conns.append((label_at[2, y], label_at[0, -y]))", "None",
+     ["tests/test_pyramids.py"]),
+    ("even-skew-crossing-2-0-dropped", "pyramids.py",
+     "conns.append((label_at[0, y], label_at[-2, -y]))", "None",
+     ["tests/test_pyramids.py"]),
+    ("odd-skew-crossing-dropped", "pyramids.py",
+     "conns.append((label_at[1, y], label_at[-1, -y]))", "None",
+     ["tests/test_pyramids.py"]),
+    ("shift-mirror-unsigned", "pyramids.py",
+     "diag[lab], diag[-lab] = val, -val", "diag[lab], diag[-lab] = val, val",
+     ["tests/test_pyramids.py"]),
+    ("osp-odd-labels-start-early", "pyramids.py",
+     "itertools.count(m // 2 + 1)", "itertools.count(m // 2)",
+     ["tests/test_pyramids.py"]),
+    ("gl-odd-labels-start-late", "pyramids.py",
+     "itertools.count(self.m + 1)", "itertools.count(self.m + 2)",
+     ["tests/test_pyramids.py"]),
+    ("pyramid-offsets-one-short", "pyramids.py",
+     "range(0, 2 * gap + 1)", "range(0, 2 * gap)",
+     ["tests/test_pyramids.py"]),
+    ("closing-depth-one-early", "classification.py",
+     "g + 1 for g, c in enumerate(key[1:]) if c",
+     "g for g, c in enumerate(key[1:]) if c",
+     ["tests/test_classification.py"]),
+    ("pair-filter-ignored", "classification.py",
+     "abs(s[k] - t[l]) <= 2", "abs(s[k] - t[l]) <= 4",
+     ["tests/test_classification.py", "tests/test_golden.py"]),
+    ("ad-kernel-key-ignores-transpose", "gradings.py",
+     "key = frozenset(e.entries.items())",
+     "key = frozenset(frozenset(ab) for ab in e.entries)",
+     ["tests/test_classification.py::"
+      "test_goodness_is_symmetric_under_supertranspose"]),
+    ("kernel-free-column-not-unit", "linalg.py",
+     "v = {fc: 1}", "v = {fc: 2}",
+     ["tests/test_linalg.py"]),
+    ("coords-without-quotient", "superalgebra.py",
+     "out[i] = quotient(v, self.supports[i][ab])", "out[i] = v",
+     ["tests/test_superalgebra.py"]),
+    ("degrees-not-divided-by-den", "superalgebra.py",
+     "d if d is None else quotient(d, den)", "d",
+     ["tests/test_gradings.py", "tests/test_superalgebra.py"]),
+]
+
+
+class HarnessError(RuntimeError):
+    pass
+
+
+def mutate(path, text, replacement):
+    """Replace the one occurrence of text in the file at path."""
+    source = path.read_text()
+    if source.count(text) != 1:
+        raise HarnessError("%s holds %r %d times, not once"
+                           % (path.name, text, source.count(text)))
+    mutated = source.replace(text, replacement)
+    try:
+        compile(mutated, str(path), "exec")
+    except SyntaxError as exc:
+        raise HarnessError("mutated %s does not compile: %s"
+                           % (path.name, exc)) from None
+    path.write_text(mutated)
+
+
+def killed(module, text, replacement, tests):
+    """Do the tests fail on a copy of the tree with the one mutation?"""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        work = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        mutate(work / PACKAGE / module, text, replacement)
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q",
+             "-p", "no:cacheprovider", *tests],
+            cwd=work, env=dict(os.environ, PYTHONPATH=str(work / "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    if run.returncode not in (0, 1):
+        raise HarnessError("pytest exited with %d" % run.returncode)
+    return run.returncode == 1
+
+
+def main():
+    survivors, broken = [], []
+    for name, module, text, replacement, tests in MUTANTS:
+        try:
+            verdict = "killed" if killed(module, text, replacement, tests) \
+                else "SURVIVED"
+        except HarnessError as exc:
+            verdict = "ERROR (%s)" % exc
+            broken.append(name)
+        if verdict == "SURVIVED":
+            survivors.append(name)
+        print("%-34s %s" % (name, verdict), flush=True)
+    if broken:
+        print("could not run: %s" % ", ".join(broken))
+        return 2
+    if survivors:
+        print("survivors: %s" % ", ".join(survivors))
+        return 1
+    print("all mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
