@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from .superalgebra import build_gl, build_osp
 
 
@@ -30,12 +31,12 @@ class Root:
                           zip(self.coeffs, other.coeffs)), parity)
 
 
-@dataclass
+@dataclass(eq=False)
 class RootSystem:
     kind: str
     eps_count: int
     delta_count: int
-    roots: list
+    roots: tuple
 
     def __post_init__(self):
         self.by_coeffs = {r.coeffs: r for r in self.roots}
@@ -55,13 +56,20 @@ def is_isotropic(system, alpha):
     return system.form(alpha, alpha) == 0
 
 
+_ROOT_SYSTEMS = {}   # (kind, m, odd_dim) -> (RootSystem, index)
+
+
 def root_system(R):
-    """The root system of the realization R and each root's basis index.
+    """The root system of the realization R and each root's basis index,
+    read once per algebra (all its realizations copy one template).
 
     Every basis element off the Cartan spans a root space; its root is
     weight(a) - weight(b) at any entry (a, b) of its support, where the
     V-basis vector of label l has weight sign(l) * unit(|l| - 1) (label 0
     has weight 0)."""
+    key = (R.kind, R.m, R.odd_dim)
+    if key in _ROOT_SYSTEMS:
+        return _ROOT_SYSTEMS[key]
     k, d = (R.m, R.odd_dim) if R.kind == "gl" else (R.m // 2, R.odd_dim // 2)
     weights = []
     for lab in R.labels:
@@ -76,7 +84,8 @@ def root_system(R):
         if any(coeffs):
             roots.append(Root(coeffs, R.basis_parities[j]))
             index.append(j)
-    return RootSystem(R.kind, k, d, roots), index
+    _ROOT_SYSTEMS[key] = RootSystem(R.kind, k, d, tuple(roots)), tuple(index)
+    return _ROOT_SYSTEMS[key]
 
 
 def build_roots(kind, m, n):
@@ -144,8 +153,14 @@ def _find(sys, coeffs):
     return root
 
 
-def _value(vals, root):
-    return sum(v * c for v, c in zip(vals, root.coeffs))
+@cache
+def _generic_values(sys, seed):
+    """Each root's value under the functional seed^n, ..., seed^1, kept
+    per root system object (compared by identity) and seed."""
+    n = sys.eps_count + sys.delta_count
+    functional = [seed ** (n - l) for l in range(n)]
+    return tuple(sum(v * c for v, c in zip(functional, r.coeffs))
+                 for r in sys.roots)
 
 
 def _base_of(sys, pos):
@@ -171,11 +186,8 @@ def find_nonnegative_base(grading, seed=3):
     makes positive.  A root's degree is its basis element's entry of
     grading.degrees."""
     sys, index = root_system(grading.ambient)
-    n = sys.eps_count + sys.delta_count
-    functional = [seed ** (n - l) for l in range(n)]
     pos, mark = [], {}
-    for r, j in zip(sys.roots, index):
-        generic = _value(functional, r)
+    for r, j, generic in zip(sys.roots, index, _generic_values(sys, seed)):
         if generic == 0:
             raise RootSystemError("functional vanishes on root %s"
                                   % (r.coeffs,))

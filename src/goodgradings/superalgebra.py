@@ -8,13 +8,16 @@ supports.  gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the
 even part is the Chevalley basis of so(m) x sp(2n) and the odd part is
 the kernel of the membership equations, two terms each on phi's pairing
 of the basis vectors, so its signs are consistent with the form phi.
+Each algebra's tables are built once per process, in a cached template
+that is never handed out; every build returns a fresh copy of it.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 from .linalg import Matrix, exact, kernel_basis, quotient, scaled_to_ints
@@ -106,6 +109,13 @@ class Realization:
     def __post_init__(self):
         self._index_of_label = {lab: i for i, lab in enumerate(self.labels)}
         self.ad_kernels = {}   # gradings.ad_kernel records, by e's entries
+
+    def _fresh(self):
+        """A copy sharing these tables, which nothing changes, with its own
+        ker(ad e) records and basis elements."""
+        R = copy.copy(self)
+        R.ad_kernels = {}
+        return R
 
     def _set_basis(self, supports, parities):
         """Install the homogeneous basis and give each element a private
@@ -268,6 +278,11 @@ def check_size(kind, m, n):
 def build_gl(m, n):
     """gl(m|n) with index order 1..m even, m+1..m+n odd."""
     check_size("gl", m, n)
+    return _gl_template(m, n)._fresh()
+
+
+@cache
+def _gl_template(m, n):
     R = Realization("gl", m, n, list(range(1, m + n + 1)))
     pairs = [(a, b) for a in range(m + n) for b in range(m + n)]
     R._set_basis([{ab: 1} for ab in pairs],
@@ -320,6 +335,11 @@ def build_osp(m, n):
     V1 labels: +-(k+1)..+-(k+n).  phi(v_0,v_0)=2, phi(v_i,v_-j)=delta_ij.
     """
     check_size("osp", m, n)
+    return _osp_template(m, n)._fresh()
+
+
+@cache
+def _osp_template(m, n):
     k = m // 2
     even_labels = ([0] if m % 2 else []) \
         + list(range(1, k + 1)) + [-i for i in range(1, k + 1)]

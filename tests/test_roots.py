@@ -323,3 +323,42 @@ def test_marks_ignore_a_central_shift():
     b = find_nonnegative_base(grading_from(R, h))
     assert find_nonnegative_base(grading_from(R, shifted)) == b
     assert b.marks == (1, 1)
+
+
+def _uncached_root_system(R):
+    """Reference: each off-Cartan basis element's root read from the label
+    weights at every entry of its support, which must agree."""
+    k = R.m if R.kind == "gl" else R.m // 2
+    width = k + (R.odd_dim if R.kind == "gl" else R.odd_dim // 2)
+
+    def weight(a):
+        lab = R.labels[a]
+        return [(lab > 0) - (lab < 0) if abs(lab) == i + 1 else 0
+                for i in range(width)]
+
+    out = []
+    for j, sup in enumerate(R.supports):
+        roots = {tuple(x - y for x, y in zip(weight(a), weight(b)))
+                 for a, b in sup}
+        assert len(roots) == 1
+        coeffs = roots.pop()
+        if any(coeffs):
+            out.append((coeffs, R.basis_parities[j], j))
+    return out
+
+
+def test_cached_root_system_matches_uncached_reading():
+    """Every gl(m|n) with m+n <= 6 and osp(m|2n) with m+2n <= 10: the
+    cached root system is the one its supports give, and two builds of
+    one algebra read the same one."""
+    algebras = [(build_gl, m, size - m) for size in range(1, 7)
+                for m in range(size + 1)] \
+        + [(build_osp, m, n) for m in range(1, 9)
+           for n in range(1, (10 - m) // 2 + 1)]
+    assert len(algebras) == 27 + 20
+    for build, m, n in algebras:
+        R = build(m, n)
+        sys, index = root_system(R)
+        assert [(r.coeffs, r.parity, j) for r, j in
+                zip(sys.roots, index)] == _uncached_root_system(R)
+        assert root_system(build(m, n))[0] is sys

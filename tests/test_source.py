@@ -131,6 +131,24 @@ def test_one_box_format_and_step_rule():
     assert "render" not in _owners(calls("isinstance"))
 
 
+def test_realizations_copy_the_cached_templates():
+    """A Realization is constructed only by the two cached template
+    builders, so every realization of one (kind, m, n) has the same tables
+    and `roots.root_system` may key its cache on (kind, m, odd_dim); the
+    root systems are read off the realization passed in, never from a
+    build of their own."""
+    def calls(*names):
+        return lambda node: isinstance(node, ast.Call) \
+            and getattr(node.func, "id", None) in names
+
+    assert _owners(calls("Realization")) == {"_gl_template", "_osp_template"}
+    roots = next(path for path in SOURCES if path.name == "roots.py")
+    builders = {node.name for node in ast.walk(ast.parse(roots.read_text()))
+                if isinstance(node, ast.FunctionDef)
+                and any(map(calls("build_gl", "build_osp"), ast.walk(node)))}
+    assert builders == {"build_roots"}
+
+
 def test_mutation_targets_are_unique():
     """Each source text that tools/mutate.py replaces occurs exactly once
     in the package, so every mutant changes the code it names."""

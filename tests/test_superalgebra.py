@@ -4,14 +4,33 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from goodgradings import superalgebra
+from goodgradings import classification, cli, superalgebra
+from goodgradings.gradings import (centralizer, complete_sl2, grading_from,
+                                   is_good)
 from goodgradings.linalg import Matrix, kernel_basis, rank, solve
+from goodgradings.partitions import (enumerate_super_partitions,
+                                     is_orthosymplectic)
+from goodgradings.pyramids import dynkin_pair, jordan_type
+from goodgradings.roots import find_nonnegative_base
 from goodgradings.superalgebra import (EVEN, ODD, AmbientMismatch,
                                        RealizationError, adjoint_matrix,
                                        build_gl, build_osp, invariant_form,
                                        is_member_osp, superbracket,
                                        supertrace)
 from test_linalg import canonical
+
+TEMPLATES = (superalgebra._gl_template, superalgebra._osp_template)
+
+
+@pytest.fixture
+def uncached_builders():
+    """Builds run the builder bodies, for a test that patches one of
+    their internals: the templates are dropped before and after it."""
+    for template in TEMPLATES:
+        template.cache_clear()
+    yield
+    for template in TEMPLATES:
+        template.cache_clear()
 
 
 def test_build_gl_counts():
@@ -80,7 +99,7 @@ def test_superbracket_matches_matrix_products():
                 assert superbracket(x, y).matrix.entries == expected
 
 
-def test_build_osp_checks_odd_dimension(monkeypatch):
+def test_build_osp_checks_odd_dimension(monkeypatch, uncached_builders):
     monkeypatch.setattr(superalgebra, "_osp_odd_basis", lambda R: [])
     with pytest.raises(RealizationError, match="odd part"):
         build_osp(2, 1)
@@ -146,6 +165,79 @@ def test_ambient_mismatch():
     R1, R2 = build_gl(1, 1), build_gl(1, 1)
     with pytest.raises(AmbientMismatch):
         superbracket(R1.E(1, 1), R2.E(1, 1))
+
+
+def test_each_build_is_a_fresh_realization():
+    """Builds share their tables but not their elements or records."""
+    A, B = build_osp(3, 1), build_osp(3, 1)
+    assert A is not B and A.ad_kernels is not B.ad_kernels
+    assert A.supports is B.supports
+    assert all(x.ambient is A for x in A.basis)
+    assert all(y.ambient is B for y in B.basis)
+    with pytest.raises(AmbientMismatch):
+        superbracket(A.basis[0], B.basis[0])
+    centralizer(A, A.basis[-1])
+    assert len(A.ad_kernels) == 1 and B.ad_kernels == {}
+
+
+def _dynkin_orbits():
+    """Each gl orbit with m+n <= 5 and each osp orbit with m+2n <= 8, all
+    with m, n >= 1, as (kind, m, n, orbit)."""
+    for size in range(2, 9):
+        for m in range(1, size):
+            for sp in enumerate_super_partitions(m, size - m):
+                if size <= 5:
+                    yield "gl", m, size - m, sp
+                if (size - m) % 2 == 0 and is_orthosymplectic(sp):
+                    yield "osp", m, (size - m) // 2, sp
+
+
+def test_templates_are_never_changed():
+    """After the whole pipeline has read every algebra, each cached
+    template still equals a build that skips the cache, has no records
+    and has never made its basis elements."""
+    built = set()
+    for kind, m, n, sp in _dynkin_orbits():
+        R = (build_gl if kind == "gl" else build_osp)(m, n)
+        _, e, h = dynkin_pair(sp, R)
+        g = grading_from(R, h)
+        centralizer(R, e)
+        assert is_good(g, e) and complete_sl2(R, e, h).verify()
+        assert jordan_type(R, e) == (sp.p, sp.q)
+        find_nonnegative_base(g)
+        built.add((kind, m, n))
+    assert len(built) == 10 + 12
+    tables = ("labels", "phi", "supports", "basis_parities", "_private",
+              "_degree_entries", "_index_of_label")
+    for kind, m, n in built:
+        template = TEMPLATES[kind == "osp"]
+        cached, uncached = template(m, n), template.__wrapped__(m, n)
+        assert cached is template(m, n)
+        for name in tables:
+            assert getattr(cached, name) == getattr(uncached, name)
+        assert cached.ad_kernels == {} and "basis" not in vars(cached)
+
+
+def test_classify_oracle_reads_its_own_realization(monkeypatch, capsys):
+    """classify --bound builds the classifier's and the oracle's algebra
+    apart: neither reads the other's ker(ad e) records."""
+    built = []
+
+    def recording(m, n):
+        built.append(build_osp(m, n))
+        return built[-1]
+
+    for module in (classification, cli):
+        monkeypatch.setattr(module, "build_osp", recording)
+    assert cli.main(["classify", "osp", "6", "4", "--orbit",
+                     '{"p":[3,3],"q":[4]}', "--bound", "4"]) == 0
+    assert '"oracleAgrees": true' in capsys.readouterr().out
+    classifier, oracle = built
+    assert classifier is not oracle
+    assert classifier.ad_kernels is not oracle.ad_kernels
+    assert classifier.ad_kernels and oracle.ad_kernels
+    assert not ({id(r) for r in classifier.ad_kernels.values()}
+                & {id(r) for r in oracle.ad_kernels.values()})
 
 
 def test_invariant_form_examples():

@@ -77,6 +77,12 @@ MUTANTS = [
     ("degrees-not-divided-by-den", "superalgebra.py",
      "d if d is None else quotient(d, den)", "d",
      ["tests/test_gradings.py", "tests/test_superalgebra.py"]),
+    ("fresh-copy-shares-ad-kernels", "superalgebra.py",
+     "R.ad_kernels = {}", "R.ad_kernels = self.ad_kernels",
+     ["tests/test_superalgebra.py"]),
+    ("root-system-key-without-odd-dim", "roots.py",
+     "key = (R.kind, R.m, R.odd_dim)", "key = (R.kind, R.m)",
+     ["tests/test_roots.py"]),
 ]
 
 
