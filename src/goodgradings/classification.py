@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import inf, prod
 from operator import add, mul
 
 from .gradings import (ad_kernel, complete_sl2, grading_from,
@@ -82,46 +82,57 @@ def _scan_shifts(R, e, h, gens, boxes, admissible=None):
     a that fail admissible(a).  Returns the good gradings, one per degree
     map (from the first shift reaching it) in degree-map order, and the
     number of integral candidates that are not good.  A depth-first search
-    tests each goodness inequality at its closing depth, once the last
-    generator it depends on is fixed, and prunes the subtree if it fails;
-    integrality is tested once per box, each coordinate being of one
-    parity (else MixedParity)."""
-    # basis elements sharing a degree form in doubled units,
-    # deg2 = 2 * base_deg + sum(a_g * gen_deg_g), are scanned once;
-    # base and columns[g] hold each form's 2 * base_deg and gen_deg_g
-    gen_degrees = [integral_degrees(R, z.diag()) for z in gens]
+    bounds each coefficient before it recurses: a ker(ad e) inequality,
+    linear in the last generator it depends on, gives that coefficient an
+    interval, and only the box values inside it are visited, in their
+    given order, so every leaf reached is good.  The generators must keep
+    e's degree (else NotCentral); integrality is tested once per box, each
+    coordinate being of one parity (else MixedParity)."""
+    # basis elements sharing a form, the coefficients key[g] of a_g in
+    # their doubled degrees, are scanned once: element i has doubled degree
+    # base[i] + v[form_of[i]], with v[f] = sum(a_g * columns[g][f])
+    base = [2 * d for d in integral_degrees(R, h.diag())]
     form_index = {}
-    form_of = [form_index.setdefault(
-        (2 * d,) + tuple(gd[i] for gd in gen_degrees), len(form_index))
-        for i, d in enumerate(integral_degrees(R, h.diag()))]
-    base, *columns = zip(*form_index)
-    e_forms = {form_of[j] for j in R.coords(e)}
-    ker_forms = {form_of[j] for j in ad_kernel(R, e)[2]}
-    # checks[t]: the e-forms (doubled degree 4) and ker-forms (>= 0) that
-    # close at depth t, fixed once a_0 .. a_{t-1} are chosen
-    closing = [max((g + 1 for g, c in enumerate(key[1:]) if c), default=0)
+    form_of = [form_index.setdefault(key[1:], len(form_index)) for key in
+               zip(base, *(integral_degrees(R, z.diag()) for z in gens))]
+    columns = list(zip(*form_index))
+    # a form closes at depth t once a_0 .. a_{t-1}, all it depends on, are
+    # fixed; least[f]: the least base over the ker(ad e) elements of form f
+    closing = [max((g + 1 for g, c in enumerate(key) if c), default=0)
                for key in form_index]
-    checks = [[[f for f in forms if closing[f] == t]
-               for forms in (e_forms, ker_forms)]
-              for t in range(len(gens) + 1)]
+    e_support = R.coords(e)
+    if any(closing[form_of[j]] for j in e_support):
+        raise NotCentral("a shift generator moves the degree of e")
+    least = {}
+    for j in ad_kernel(R, e)[2]:
+        least[form_of[j]] = min(base[j], least.get(form_of[j], base[j]))
+    # e's degree and the forms no a_g moves hold for all a or none; bounds[t]:
+    # each ker form closing at depth t + 1, v[f] + b + a_t * c >= 0 (c != 0)
+    rooted = all(base[j] == 4 for j in e_support) \
+        and all(b >= 0 for f, b in least.items() if not closing[f])
+    bounds = [[(f, columns[t][f], b) for f, b in least.items()
+               if closing[f] == t + 1] for t in range(len(gens))]
     found = {}
     candidates = good = 0
 
-    def descend(steps, doubled, d2):
-        # d2: doubled degree of each form, the coefficients so far added
+    def descend(steps, doubled, v):
+        # v: each form's sum(a_g * key[g]) over the a chosen so far
         nonlocal good
-        fours, nonnegatives = checks[len(doubled)]
-        if any(d2[f] != 4 for f in fours) \
-                or any(d2[f] < 0 for f in nonnegatives):
+        t = len(doubled)
+        if t == len(steps):
+            if not admissible or admissible(doubled):
+                good += 1
+                found.setdefault(v, doubled)
             return
-        if len(doubled) < len(steps):
-            for a, shift in steps[len(doubled)]:
-                descend(steps, doubled + (a,), list(map(add, d2, shift)))
-        elif not admissible or admissible(doubled):
-            good += 1
-            if tuple(d2) not in found:
-                found[tuple(d2)] = (tuple(d2[f] // 2 for f in form_of),
-                                    doubled)
+        lo, hi = -inf, inf
+        for f, c, b in bounds[t]:
+            if c > 0:
+                lo = max(lo, -((v[f] + b) // c))
+            else:
+                hi = min(hi, (v[f] + b) // -c)
+        for a, shift in steps[t]:
+            if lo <= a <= hi:
+                descend(steps, doubled + (a,), tuple(map(add, v, shift)))
 
     for box in boxes:
         box = [tuple(values) for values in box]
@@ -130,15 +141,19 @@ def _scan_shifts(R, e, h, gens, boxes, admissible=None):
         # a form's parity (its base is even) is the same on the whole
         # box: test it at the box's first a, if the box is not empty
         first = next(product(*box), None)
-        if first is None or any(sum(map(mul, first, key[1:])) & 1
+        if first is None or any(sum(map(mul, first, key)) & 1
                                 for key in form_index):
             continue
         candidates += prod(map(len, box)) if admissible is None \
             else sum(map(admissible, product(*box)))
-        descend([[(a, [a * c for c in col]) for a in values]
-                 for col, values in zip(columns, box)], (), list(base))
+        if rooted:
+            descend([[(a, [a * c for c in col]) for a in values]
+                     for col, values in zip(columns, box)], (),
+                    (0,) * len(form_index))
     gradings = []
-    for degs, doubled in sorted(found.values()):
+    for degs, doubled in sorted(
+            (tuple([(b + v[f]) // 2 for b, f in zip(base, form_of)]), a)
+            for v, a in found.items()):
         H = h
         for a, gen in zip(doubled, gens):
             if a:
@@ -218,14 +233,13 @@ def good_gradings_osp(sp):
         raise NotOrthosymplectic(f"{sp} is not orthosymplectic")
     cp, dq = cp_dq(sp)
     R = build_osp(sp.m, sp.n // 2)
-    P, e, h = dynkin_pair(sp, R)
     if 1 in cp:
-        bound = max(sp.p + sp.q)
-        out = brute_force_shifts(R, sp, bound)
+        out = brute_force_shifts(R, sp, max(sp.p + sp.q))
         out.notes["case"] = "1 in C(p): oracle-classified"
         out.notes.update(_literal_bound_note(sp, cp, dq))
         return out
 
+    P, e, h = dynkin_pair(sp, R)
     jp, jq = set(sp.p), set(sp.q)
     half_case = (sp.m % 2 == 0 and set(cp) == jp and set(dq) == jq)
     # doubled shifts: integers in {-1, 0, 1}, then halves +-1/2

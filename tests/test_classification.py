@@ -252,6 +252,34 @@ def test_staged_scan_matches_reference_on_osp_case_boxes():
     assert count > 0
 
 
+def test_staged_scan_matches_reference_on_osp_oracle_boxes():
+    # every osp orbit with m+2n <= 10, the oracle's even and odd boxes:
+    # osp generators have degree coefficients +-2, gl generators never
+    count = 0
+    for m in range(1, 11):
+        for n2 in range(2, 11 - m, 2):
+            for sp in enumerate_super_partitions(m, n2):
+                if is_orthosymplectic(sp):
+                    count += 1
+                    b = max(sp.p + sp.q)
+                    assert _staged_scan_agrees(
+                        sp, build_osp(m, n2 // 2), lambda ng: [
+                            [range(-2 * b, 2 * b + 1, 2)] * ng,
+                            [range(-2 * b + 1, 2 * b, 2)] * ng]), sp
+    assert count > 0
+
+
+def test_scan_refuses_a_generator_moving_e():
+    # 1 on the first label alone changes the degree of e's first step; a
+    # raise, not an assert, so it holds under python -O too
+    sp = SuperPartition((2,), (1,))
+    R = build_gl(sp.m, sp.n)
+    P, e, h = dynkin_pair(sp, R)
+    with pytest.raises(NotCentral):
+        classification._scan_shifts(R, e, h, [R.diagonal({1: 1})],
+                                    [[(0, 2)]])
+
+
 def test_scan_refuses_a_mixed_parity_coordinate():
     sp = SuperPartition((3, 1), (2,))
     R = build_gl(sp.m, sp.n)

@@ -57,8 +57,14 @@ MUTANTS = [
      "range(0, 2 * gap + 1)", "range(0, 2 * gap)",
      ["tests/test_pyramids.py"]),
     ("closing-depth-one-early", "classification.py",
-     "g + 1 for g, c in enumerate(key[1:]) if c",
-     "g for g, c in enumerate(key[1:]) if c",
+     "g + 1 for g, c in enumerate(key) if c",
+     "g for g, c in enumerate(key) if c",
+     ["tests/test_classification.py"]),
+    ("ker-bound-sides-swapped", "classification.py",
+     "if c > 0:", "if c < 0:",
+     ["tests/test_classification.py"]),
+    ("root-e-form-check-dropped", "classification.py",
+     "if any(closing[form_of[j]] for j in e_support):", "if False:",
      ["tests/test_classification.py"]),
     ("pair-filter-ignored", "classification.py",
      "abs(s[k] - t[l]) <= 2", "abs(s[k] - t[l]) <= 4",
