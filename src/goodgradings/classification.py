@@ -1,9 +1,13 @@
 """Enumerate all good Z-gradings for a nilpotent orbit.
 
 gl orbits: one grading per pyramid.  osp orbits: shifted Dynkin gradings
-with shift vectors given by a case table, cross-checked (and, for the
-ambiguous 1-in-C(p) cases, replaced) by a brute-force search over the
-center of the sl2-centralizer.
+with shift vectors given by a case table, each candidate tested by the one
+goodness kernel (`grading_from` and `is_good`).  The oracle uses neither
+the case table nor that test: it lists the lattice points of the
+good-grading polytope of the Dynkin pair, whose inequalities each have two
+variables, so shortest paths bound it and no bound is guessed.  It
+cross-checks both classifiers and classifies the ambiguous 1-in-C(p) osp
+orbits.
 """
 
 from __future__ import annotations
@@ -11,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import inf, prod
-from operator import add, mul
+from math import inf
 
-from .gradings import (ad_kernel, complete_sl2, grading_from,
-                       integral_degrees, s_centralizer)
+from .gradings import (Grading, NonIntegralGrading, ad_kernel, complete_sl2,
+                       grading_from, is_good, s_centralizer)
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
                          is_orthosymplectic)
 from .pyramids import dynkin_pair, enumerate_pyr, realize_pyramid, shift_matrix
@@ -56,155 +59,142 @@ def good_gradings_gl(sp):
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# the good-grading polytope: the oracle
 
 
 class BoundTooSmall(ValueError):
-    """The oracle's box bound is below the orbit's largest part."""
+    """The oracle's bound is below the orbit's largest part."""
 
 
 class NotCentral(ValueError):
-    """A shift generator fails to commute with the sl2-centralizer."""
+    """A shift moves the degree of e or fails to commute with the
+    sl2-centralizer."""
 
 
-class DegreeMismatch(ValueError):
-    """A grading rebuilt from a scanned shift has another degree map."""
+class Unbounded(ValueError):
+    """A block of the good-grading polytope has no finite bound."""
 
 
-class MixedParity(ValueError):
-    """A coordinate of a scanned box lists both even and odd values."""
+def _good_shifts(R, e, h):
+    """The lattice points of the good-grading polytope of the pair (e, h):
+    the doubled diagonal shifts z, as lists of entries, constant on each
+    Jordan block (a component of e's support, so e keeps degree 2), with
+    integral degrees under h + z/2 and the ker(ad e) support in degrees
+    >= 0: z_b - z_a <= 2(h_a - h_b) on each of its entries (a, b).
 
-
-def _scan_shifts(R, e, h, gens, boxes, admissible=None):
-    """Scan diagonal shifts h + sum(a/2 * gen) of the pair (e, h), each
-    given by its doubled coefficients a: box after box, a box listing the
-    values of each coefficient, in itertools.product order, skipping the
-    a that fail admissible(a).  Returns the good gradings, one per degree
-    map (from the first shift reaching it) in degree-map order, and the
-    number of integral candidates that are not good.  A depth-first search
-    bounds each coefficient before it recurses: a ker(ad e) inequality,
-    linear in the last generator it depends on, gives that coefficient an
-    interval, and only the box values inside it are visited, in their
-    given order, so every leaf reached is good.  The generators must keep
-    e's degree (else NotCentral); integrality is tested once per box, each
-    coordinate being of one parity (else MixedParity)."""
-    # basis elements sharing a form, the coefficients key[g] of a_g in
-    # their doubled degrees, are scanned once: element i has doubled degree
-    # base[i] + v[form_of[i]], with v[f] = sum(a_g * columns[g][f])
-    base = [2 * d for d in integral_degrees(R, h.diag())]
-    form_index = {}
-    form_of = [form_index.setdefault(key[1:], len(form_index)) for key in
-               zip(base, *(integral_degrees(R, z.diag()) for z in gens))]
-    columns = list(zip(*form_index))
-    # a form closes at depth t once a_0 .. a_{t-1}, all it depends on, are
-    # fixed; least[f]: the least base over the ker(ad e) elements of form f
-    closing = [max((g + 1 for g, c in enumerate(key) if c), default=0)
-               for key in form_index]
-    e_support = R.coords(e)
-    if any(closing[form_of[j]] for j in e_support):
-        raise NotCentral("a shift generator moves the degree of e")
-    least = {}
+    A block is anchored in gl at the first block, fixed at 0 (the identity
+    grades nothing), in osp at its mirror block, whose value is its
+    negative.  Floyd-Warshall bounds each free block against its anchor
+    (else Unbounded).  All blocks share one parity, odd only in osp with
+    no self-mirror block.  A depth-first search checks each closed
+    inequality at the later of its two blocks."""
+    size, osp, hd = R.size, R.kind == "osp", h.diag()
+    block = list(range(size))
+    for a, b in e.entries:
+        old, new = max(block[a], block[b]), min(block[a], block[b])
+        block = [new if x == old else x for x in block]
+    roots = sorted(set(block))
+    block = [roots.index(x) for x in block]
+    nb = len(roots)
+    anchor = [block[R.index(-R.labels[r])] if osp else 0 for r in roots]
+    free = [B for B in range(nb) if B < anchor[B]] if osp \
+        else list(range(1, nb))
+    # dist[u][v]: the least bound on z_v - z_u, closed over paths
+    dist = [[inf] * nb for _ in range(nb)]
     for j in ad_kernel(R, e)[2]:
-        least[form_of[j]] = min(base[j], least.get(form_of[j], base[j]))
-    # e's degree and the forms no a_g moves hold for all a or none; bounds[t]:
-    # each ker form closing at depth t + 1, v[f] + b + a_t * c >= 0 (c != 0)
-    rooted = all(base[j] == 4 for j in e_support) \
-        and all(b >= 0 for f, b in least.items() if not closing[f])
-    bounds = [[(f, columns[t][f], b) for f, b in least.items()
-               if closing[f] == t + 1] for t in range(len(gens))]
-    found = {}
-    candidates = good = 0
+        for a, b in R.supports[j]:
+            u, v = block[a], block[b]
+            dist[u][v] = min(dist[u][v], 2 * (hd[a] - hd[b]))
+    for w in range(nb):
+        for u in range(nb):
+            for v in range(nb):
+                dist[u][v] = min(dist[u][v], dist[u][w] + dist[w][v])
+    box, depth = [], [0] * nb
+    for t, B in enumerate(free, 1):
+        up, down = dist[anchor[B]][B], dist[B][anchor[B]]
+        if inf in (up, down):
+            raise Unbounded("block %d of the polytope has no finite bound"
+                            % B)
+        box.append((-(down // (1 + osp)), up // (1 + osp)))
+        depth[B] = t
+        if osp:
+            depth[anchor[B]] = t
+    checks = [[] for _ in range(len(free) + 1)]
+    for u, row in enumerate(dist):
+        for v, c in enumerate(row):
+            if c < inf:
+                checks[max(depth[u], depth[v])].append((u, v, c))
+    z, points = [0] * nb, []
 
-    def descend(steps, doubled, v):
-        # v: each form's sum(a_g * key[g]) over the a chosen so far
-        nonlocal good
-        t = len(doubled)
-        if t == len(steps):
-            if not admissible or admissible(doubled):
-                good += 1
-                found.setdefault(v, doubled)
+    def descend(t, parity):
+        # the blocks before free[t] are set: check what closes at depth t
+        if any(z[v] - z[u] > c for u, v, c in checks[t]):
             return
-        lo, hi = -inf, inf
-        for f, c, b in bounds[t]:
-            if c > 0:
-                lo = max(lo, -((v[f] + b) // c))
-            else:
-                hi = min(hi, (v[f] + b) // -c)
-        for a, shift in steps[t]:
-            if lo <= a <= hi:
-                descend(steps, doubled + (a,), tuple(map(add, v, shift)))
+        if t == len(free):
+            points.append([z[B] for B in block])
+            return
+        B, (lo, hi) = free[t], box[t]
+        for value in range(lo + (lo - parity) % 2, hi + 1, 2):
+            z[B] = value
+            if osp:
+                z[anchor[B]] = -value
+            descend(t + 1, parity)
 
-    for box in boxes:
-        box = [tuple(values) for values in box]
-        if any(len({a & 1 for a in values}) > 1 for values in box):
-            raise MixedParity("a box coordinate mixes even and odd values")
-        # a form's parity (its base is even) is the same on the whole
-        # box: test it at the box's first a, if the box is not empty
-        first = next(product(*box), None)
-        if first is None or any(sum(map(mul, first, key)) & 1
-                                for key in form_index):
-            continue
-        candidates += prod(map(len, box)) if admissible is None \
-            else sum(map(admissible, product(*box)))
-        if rooted:
-            descend([[(a, [a * c for c in col]) for a in values]
-                     for col, values in zip(columns, box)], (),
-                    (0,) * len(form_index))
-    gradings = []
-    for degs, doubled in sorted(
-            (tuple([(b + v[f]) // 2 for b, f in zip(base, form_of)]), a)
-            for v, a in found.items()):
-        H = h
-        for a, gen in zip(doubled, gens):
-            if a:
-                H = H + gen.scale(Fraction(a, 2))
-        g = grading_from(R, H)
-        if g.key() != degs:
-            raise DegreeMismatch("shift %s rebuilds another degree map"
-                                 % (doubled,))
-        gradings.append(g)
-    return gradings, candidates - good
-
-
-def _center_generators(R, sp, P):
-    """Diagonal generators of the center of the even sl2-centralizer."""
-    if R.kind == "gl":
-        # one generator per row length: 1 on the boxes of those rows
-        lengths, boxes = [r for r, t, f in P.rows], P.boxes
-        return [R.diagonal({lab: 1 for x, y, t, lab in boxes
-                            if lengths[y - 1] == value})
-                for value in sorted(set(lengths), reverse=True)]
-    cp, dq = cp_dq(sp)
-    k, units = len(cp), range(len(cp) + len(dq))
-    return [shift_matrix(R, P, u[:k], u[k:])
-            for u in ([int(i == j) for j in units] for i in units)]
+    odd = osp and all(anchor[B] != B for B in range(nb))
+    for parity in (0, 1) if odd else (0,):
+        descend(0, parity)
+    return points
 
 
 def brute_force_shifts(R, sp, bound):
-    """Oracle: scan all central diagonal shifts z of the Dynkin pair with
-    entries in half-integers up to the bound, keeping the shifts whose
-    grading is integral and good.  It shares the shift generators and the
-    scan with the osp classifier, which differs in its candidates only."""
+    """Oracle: the good gradings h + z/2 of the Dynkin pair, one per
+    lattice point z of the good-grading polytope (`_good_shifts`), in
+    degree-map order.  The polytope needs no bound; bound is only
+    checked against the largest part (else BoundTooSmall).  Every shift
+    found must commute with the sl2-centralizer (else NotCentral), as a
+    good shift is central in g^s."""
     if bound < max(sp.p + sp.q):
         raise BoundTooSmall("bound %d is below the largest part %d"
                             % (bound, max(sp.p + sp.q)))
-    P, e, h = dynkin_pair(sp, R)
-    gens = _center_generators(R, sp, P)
-    triple = complete_sl2(R, e, h)
-    screp = s_centralizer(R, triple)
-    if any(not superbracket(z, b).is_zero()
-           for z in gens for b in screp.basis):
-        raise NotCentral("shift generator does not commute with the "
-                         "sl2-centralizer")
-    ng = len(gens)
-    boxes = [[range(-2 * bound, 2 * bound + 1, 2)] * ng,
-             [range(-2 * bound + 1, 2 * bound, 2)] * ng]
-    gradings, _ = _scan_shifts(R, e, h, gens, boxes)
-    return GoodGradingSet(sp, gradings, "shift-vector")
+    _, e, h = dynkin_pair(sp, R)
+    screp = s_centralizer(R, complete_sl2(R, e, h))
+    gradings = []
+    for shift in _good_shifts(R, e, h):
+        z = R.from_entries({(i, i): Fraction(c, 2)
+                            for i, c in enumerate(shift)})
+        if any(not superbracket(z, b).is_zero() for b in screp.basis):
+            raise NotCentral("a good shift does not commute with the "
+                             "sl2-centralizer")
+        gradings.append(grading_from(R, h + z))
+    return GoodGradingSet(sp, sorted(gradings, key=Grading.key),
+                          "shift-vector")
 
 
 # ---------------------------------------------------------------------------
 # osp classification by the case table
+
+
+def _scan_case_table(R, e, h, gens, candidates):
+    """The good gradings h + sum(a/2 * gen) over the candidate doubled
+    coefficient tuples a: one per degree map (from the first candidate
+    reaching it) in degree-map order, and the number of integral
+    candidates that are not good.  The generators must keep e's degree
+    (else NotCentral)."""
+    if any(not superbracket(z, e).is_zero() for z in gens):
+        raise NotCentral("a shift generator moves the degree of e")
+    found = {}
+    not_good = 0
+    for doubled in candidates:
+        try:
+            g = grading_from(R, sum((gen.scale(Fraction(a, 2)) for a, gen
+                                     in zip(doubled, gens) if a), h))
+        except NonIntegralGrading:
+            continue
+        if is_good(g, e):
+            found.setdefault(g.key(), g)
+        else:
+            not_good += 1
+    return [found[k] for k in sorted(found)], not_good
 
 
 def _pair_constraint_ok(cp, dq, s, t):
@@ -242,14 +232,18 @@ def good_gradings_osp(sp):
     P, e, h = dynkin_pair(sp, R)
     jp, jq = set(sp.p), set(sp.q)
     half_case = (sp.m % 2 == 0 and set(cp) == jp and set(dq) == jq)
-    # doubled shifts: integers in {-1, 0, 1}, then halves +-1/2
-    ng = len(cp) + len(dq)
-    boxes = [[(-2, 0, 2)] * ng] + ([[(-1, 1)] * ng] if half_case else [])
-    # the stated shift conditions admit the candidates that goodness then
-    # rejects (the mirror pairing adds a |s_k + t_l| constraint)
-    gradings, not_good = _scan_shifts(
-        R, e, h, _center_generators(R, sp, P), boxes,
-        lambda v: _pair_constraint_ok(cp, dq, v[:len(cp)], v[len(cp):]))
+    # doubled shifts: integers in {-1, 0, 1}, then halves +-1/2, of the
+    # unit shifts of the C(p) and D(q) parts; the stated shift conditions
+    # admit the candidates that goodness then rejects (the mirror pairing
+    # adds a |s_k + t_l| constraint)
+    k, units = len(cp), range(len(cp) + len(dq))
+    gens = [shift_matrix(R, P, u[:k], u[k:])
+            for u in ([int(i == j) for j in units] for i in units)]
+    boxes = [(-2, 0, 2)] + ([(-1, 1)] if half_case else [])
+    candidates = [v for values in boxes
+                  for v in product(values, repeat=len(gens))
+                  if _pair_constraint_ok(cp, dq, v[:k], v[k:])]
+    gradings, not_good = _scan_case_table(R, e, h, gens, candidates)
     out = GoodGradingSet(sp, gradings, "shift-vector")
     out.notes["case"] = "half-integer shifts allowed" if half_case \
         else "integer shifts in {-1,0,1}"

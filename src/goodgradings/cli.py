@@ -255,7 +255,8 @@ def build_parser():
     p = sub.add_parser("classify", help="all good gradings for an orbit")
     common(p)
     p.add_argument("--bound", type=int, default=0,
-                   help="also run the brute-force oracle up to this bound")
+                   help="also run the oracle, which needs no bound: "
+                        "this one is only checked against the largest part")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="check a user-supplied grading")

@@ -308,14 +308,12 @@ def realize_osp_pyramid(P, R):
         raise SizeMismatch("pyramid (%d|%d) vs realization (%d|%d)"
                            % (P.m, P.n2, R.m, R.odd_dim))
     h = R.diagonal({lab: x for x, y, t, lab in P.boxes})
-    signs = {ab: c for sup, p in zip(R.supports, R.basis_parities)
-             if p == EVEN for ab, c in sup.items()}
     entries = {}
     for a, b in _osp_connections(P):
         ab = (R.index(a), R.index(b))
-        if ab not in signs:
+        if ab not in R.even_signs:
             raise MembershipFailure("e is not in osp")
-        entries[ab] = signs[ab]
+        entries[ab] = R.even_signs[ab]
     e = R.from_entries(entries)
     coords = R.coords(e)
     if coords is None or any(R.basis_parities[j] != EVEN for j in coords):

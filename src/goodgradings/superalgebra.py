@@ -390,6 +390,8 @@ def _osp_template(m, n):
         raise RealizationError("odd part of osp(%d|%d) has dimension %d, "
                                "not %d" % (m, 2 * n, len(odd), 2 * m * n))
     R._set_basis(even + odd, [EVEN] * len(even) + [ODD] * len(odd))
+    # each entry's coefficient in the even supports: it signs a pyramid's e
+    R.even_signs = {ab: c for sup in even for ab, c in sup.items()}
     return R
 
 

@@ -1,20 +1,22 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
 from goodgradings import classification
-from goodgradings.classification import (DegreeMismatch, MixedParity,
-                                         NotCentral, brute_force_shifts,
+from goodgradings.classification import (NotCentral, Unbounded,
+                                         brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
-from goodgradings.gradings import (Grading, ad_kernel, grading_from,
-                                   integral_degrees, is_good)
+from goodgradings.gradings import (ad_kernel, grading_from,
+                                   integral_degrees, is_good,
+                                   is_good_by_ranks)
 from goodgradings.partitions import (SuperPartition, cp_dq,
                                      enumerate_super_partitions,
                                      is_orthosymplectic)
 from goodgradings.pyramids import (Pyramid, dynkin_pair, enumerate_pyr,
-                                   realize_pyramid)
+                                   realize_pyramid, shift_matrix)
 from goodgradings.superalgebra import build_gl, build_osp
 
 
@@ -42,15 +44,15 @@ def test_oracle_checks_centrality(monkeypatch):
         brute_force_shifts(build_gl(sp.m, sp.n), sp, 2)
 
 
-def test_scan_checks_rebuilt_degrees(monkeypatch):
-    # a rebuilt grading whose degree map is not the scanned one
-    monkeypatch.setattr(classification, "grading_from",
-                        lambda R, H: Grading(R, H, ()))
-    sp = SuperPartition((2,), (1,))
-    with pytest.raises(DegreeMismatch):
-        brute_force_shifts(build_gl(sp.m, sp.n), sp, 2)
-    with pytest.raises(DegreeMismatch):
-        good_gradings_osp(SuperPartition((3, 3), (4,)))
+def test_oracle_raises_on_an_unbounded_block(monkeypatch):
+    # with no ker(ad e) support there is no inequality, so no free block
+    # of the polytope is bounded
+    monkeypatch.setattr(classification, "ad_kernel",
+                        lambda R, e: (None, (), frozenset()))
+    for sp, R in [(SuperPartition((2,), (1,)), build_gl(2, 1)),
+                  (SuperPartition((3, 3), (4,)), build_osp(6, 2))]:
+        with pytest.raises(Unbounded):
+            brute_force_shifts(R, sp, 4)
 
 
 def test_oracle_small_gl():
@@ -169,6 +171,82 @@ def _scan_per_candidate(R, e, h, gens, candidates):
     return out, not_good
 
 
+def _gl_row_generators(R, P):
+    """One diagonal generator per row length of a gl pyramid, 1 on the
+    boxes of the rows of that length: the shift generators the oracle
+    scanned before the polytope, a reference that assumes equal rows
+    shift together."""
+    lengths = [r for r, t, f in P.rows]
+    return [R.diagonal({lab: 1 for x, y, t, lab in P.boxes
+                        if lengths[y - 1] == value})
+            for value in sorted(set(lengths), reverse=True)]
+
+
+def _osp_generators(R, sp, P):
+    """The unit shifts of the C(p) and D(q) parts, as the case table
+    scans them."""
+    cp, dq = cp_dq(sp)
+    k, units = len(cp), range(len(cp) + len(dq))
+    return [shift_matrix(R, P, u[:k], u[k:])
+            for u in ([int(i == j) for j in units] for i in units)]
+
+
+def _oracle_boxes(ng, bound):
+    """Every even, then every odd, doubled coefficient tuple of ng
+    generators with entries of size at most 2 * bound."""
+    return [v for step in (0, 1) for v in itertools.product(
+        range(-2 * bound + step, 2 * bound + 1 - step, 2), repeat=ng)]
+
+
+def _case_candidates(sp, ng):
+    """The case table's doubled candidates, the half box included, that
+    pass its pair filter."""
+    cp, dq = cp_dq(sp)
+    return [v for values in ((-2, 0, 2), (-1, 1))
+            for v in itertools.product(values, repeat=ng)
+            if classification._pair_constraint_ok(
+                cp, dq, v[:len(cp)], v[len(cp):])]
+
+
+def _algebra(sp, kind):
+    return build_gl(sp.m, sp.n) if kind == "gl" \
+        else build_osp(sp.m, sp.n // 2)
+
+
+def _case_table_agrees(sp):
+    """The case-table loop on the Dynkin pair of sp against the
+    per-candidate reference: same degree maps, H diagonals and count of
+    not good."""
+    R = _algebra(sp, "osp")
+    P, e, h = dynkin_pair(sp, R)
+    gens = _osp_generators(R, sp, P)
+    candidates = _case_candidates(sp, len(gens))
+    gradings, not_good = classification._scan_case_table(R, e, h, gens,
+                                                         candidates)
+    return ([(g.key(), g.H.diag()) for g in gradings], not_good) == \
+        _scan_per_candidate(R, e, h, gens, candidates)
+
+
+def _oracle_agrees(sp, kind, bound=None):
+    """The oracle on sp against the per-candidate reference over the
+    generator boxes up to the bound, by default the largest part: the gl
+    row-length generators or the osp unit shifts.  Same degree maps in
+    the same order; in osp, where the degrees fix H, the same H
+    diagonals."""
+    bound = bound or max(sp.p + sp.q)
+    R = _algebra(sp, kind)
+    P, e, h = dynkin_pair(sp, R)
+    gens = _gl_row_generators(R, P) if kind == "gl" \
+        else _osp_generators(R, sp, P)
+    expected, _ = _scan_per_candidate(R, e, h, gens,
+                                      _oracle_boxes(len(gens), bound))
+    found = [(g.key(), g.H.diag())
+             for g in brute_force_shifts(R, sp, bound).gradings]
+    if kind == "gl":
+        return [k for k, _ in found] == [k for k, _ in expected]
+    return found == expected
+
+
 @pytest.mark.parametrize("kind, p, q, bound", [
     ("gl", (3, 1), (4, 2), 4),
     ("osp", (3, 3), (4,), 4),
@@ -176,118 +254,103 @@ def _scan_per_candidate(R, e, h, gens, candidates):
     ("osp", (3, 3), (2, 2), None),          # the half case, pair filter
 ])
 def test_box_scan_matches_per_candidate_scan(kind, p, q, bound):
+    """With a bound, the oracle against the reference over the generator
+    boxes; without, the case-table loop against it."""
     sp = SuperPartition(p, q)
-    R = build_gl(sp.m, sp.n) if kind == "gl" else build_osp(sp.m, sp.n // 2)
-    P, e, h = dynkin_pair(sp, R)
-    gens = classification._center_generators(R, sp, P)
-    ng = len(gens)
-    admissible = None
-    if bound is not None:           # the oracle's even and odd boxes
-        boxes = [[range(-2 * bound, 2 * bound + 1, 2)] * ng,
-                 [range(-2 * bound + 1, 2 * bound, 2)] * ng]
+    if bound is None:
+        assert _case_table_agrees(sp)
     else:
-        cp, dq = cp_dq(sp)
-        boxes = [[(-2, 0, 2)] * ng, [(-1, 1)] * ng]
-
-        def admissible(v):
-            return classification._pair_constraint_ok(
-                cp, dq, v[:len(cp)], v[len(cp):])
-    candidates = [v for box in boxes for v in itertools.product(*box)
-                  if admissible is None or admissible(v)]
-    expected, expected_not_good = _scan_per_candidate(R, e, h, gens,
-                                                      candidates)
-    gradings, not_good = classification._scan_shifts(R, e, h, gens, boxes,
-                                                     admissible)
-    assert [g.key() for g in gradings] == [degs for degs, _ in expected]
-    assert [g.H.diag() for g in gradings] == [diag for _, diag in expected]
-    assert not_good == expected_not_good
+        assert _oracle_agrees(sp, kind, bound)
 
 
-def _staged_scan_agrees(sp, R, boxes_of, admissible_of=lambda sp: None):
-    """The staged scan on the Dynkin pair of sp against the per-candidate
-    reference: same degree maps, H diagonals and count of not good."""
-    P, e, h = dynkin_pair(sp, R)
-    gens = classification._center_generators(R, sp, P)
-    boxes, admissible = boxes_of(len(gens)), admissible_of(sp)
-    candidates = [v for box in boxes for v in itertools.product(*box)
-                  if admissible is None or admissible(v)]
-    expected, expected_not_good = _scan_per_candidate(R, e, h, gens,
-                                                      candidates)
-    gradings, not_good = classification._scan_shifts(R, e, h, gens, boxes,
-                                                     admissible)
-    return ([(g.key(), g.H.diag()) for g in gradings], not_good) == \
-        (expected, expected_not_good)
+def _gl_orbits(size):
+    """Every gl orbit with m+n <= size, m or n possibly 0."""
+    return [sp for m in range(size + 1) for n in range(size + 1 - m)
+            if m + n for sp in enumerate_super_partitions(m, n)]
+
+
+def _osp_orbits(size):
+    """Every orthosymplectic orbit with m+2n <= size."""
+    return [sp for m in range(1, size + 1) for n2 in range(2, size + 1 - m, 2)
+            for sp in enumerate_super_partitions(m, n2)
+            if is_orthosymplectic(sp)]
 
 
 def test_staged_scan_matches_reference_on_gl_oracle_boxes():
-    # every gl orbit with m+n <= 5, the oracle's even and odd boxes
-    for m in range(6):
-        for n in range(1 if m == 0 else 0, 6 - m):
-            for sp in enumerate_super_partitions(m, n):
-                b = max(sp.p + sp.q)
-                assert _staged_scan_agrees(sp, build_gl(m, n), lambda ng: [
-                    [range(-2 * b, 2 * b + 1, 2)] * ng,
-                    [range(-2 * b + 1, 2 * b, 2)] * ng]), sp
-
-
-def _pair_filter(sp):
-    cp, dq = cp_dq(sp)
-    return lambda v: classification._pair_constraint_ok(
-        cp, dq, v[:len(cp)], v[len(cp):])
+    # every gl orbit with m+n <= 5: the oracle against the row-length
+    # generator boxes
+    for sp in _gl_orbits(5):
+        assert _oracle_agrees(sp, "gl"), sp
 
 
 def test_staged_scan_matches_reference_on_osp_case_boxes():
     # every osp orbit with m+2n <= 8, the case table's boxes (the half
     # box included) and its pair filter
-    count = 0
-    for m in range(1, 9):
-        for n2 in range(2, 9 - m, 2):
-            for sp in enumerate_super_partitions(m, n2):
-                if is_orthosymplectic(sp):
-                    count += 1
-                    assert _staged_scan_agrees(
-                        sp, build_osp(m, n2 // 2),
-                        lambda ng: [[(-2, 0, 2)] * ng, [(-1, 1)] * ng],
-                        _pair_filter), sp
-    assert count > 0
+    orbits = _osp_orbits(8)
+    assert len(orbits) > 0
+    for sp in orbits:
+        assert _case_table_agrees(sp), sp
 
 
 def test_staged_scan_matches_reference_on_osp_oracle_boxes():
-    # every osp orbit with m+2n <= 10, the oracle's even and odd boxes:
-    # osp generators have degree coefficients +-2, gl generators never
-    count = 0
-    for m in range(1, 11):
-        for n2 in range(2, 11 - m, 2):
-            for sp in enumerate_super_partitions(m, n2):
-                if is_orthosymplectic(sp):
-                    count += 1
-                    b = max(sp.p + sp.q)
-                    assert _staged_scan_agrees(
-                        sp, build_osp(m, n2 // 2), lambda ng: [
-                            [range(-2 * b, 2 * b + 1, 2)] * ng,
-                            [range(-2 * b + 1, 2 * b, 2)] * ng]), sp
-    assert count > 0
+    # the orbits with 1 in C(p), which the polytope classifies: the oracle
+    # against the unit-shift boxes up to the largest part
+    orbits = [sp for sp in _osp_orbits(12) if 1 in cp_dq(sp)[0]]
+    assert len(orbits) == 48
+    for sp in orbits:
+        assert _oracle_agrees(sp, "osp"), sp
+
+
+def test_oracle_equals_pyramids_on_gl_orbits():
+    orbits = _gl_orbits(7)
+    assert len(orbits) == 248
+    for sp in orbits:
+        assert brute_force_shifts(build_gl(sp.m, sp.n), sp,
+                                  max(sp.p + sp.q)).keys() \
+            == good_gradings_gl(sp).keys(), sp
+
+
+def test_oracle_on_a_large_gl_orbit():
+    # ten blocks, nine of them free, and no bound given to the search
+    sp = SuperPartition((6, 4, 3, 2, 1), (5, 4, 4, 2, 1))
+    R = build_gl(sp.m, sp.n)
+    start = time.perf_counter()
+    bf = brute_force_shifts(R, sp, 6)
+    assert time.perf_counter() - start < 1
+    assert len(bf) == 243
+    assert bf.keys() == good_gradings_gl(sp).keys()
+
+
+def test_oracle_equals_case_table_on_osp_orbits():
+    orbits = [sp for sp in _osp_orbits(12) if 1 not in cp_dq(sp)[0]]
+    assert len(orbits) == 482
+    for sp in orbits:
+        gs = good_gradings_osp(sp)
+        bf = brute_force_shifts(build_osp(sp.m, sp.n // 2), sp,
+                                max(sp.p + sp.q))
+        assert [(g.key(), g.H.diag()) for g in bf.gradings] == \
+            [(g.key(), g.H.diag()) for g in gs.gradings], sp
+
+
+def test_oracle_points_are_good_by_ranks():
+    # the rank form of the definition shares no code with the polytope
+    for kind, orbits in [("gl", _gl_orbits(5)), ("osp", _osp_orbits(8))]:
+        for sp in orbits:
+            R = _algebra(sp, kind)
+            _, e, _ = dynkin_pair(sp, R)
+            for g in brute_force_shifts(R, sp, max(sp.p + sp.q)).gradings:
+                assert is_good_by_ranks(g, e), sp
 
 
 def test_scan_refuses_a_generator_moving_e():
     # 1 on the first label alone changes the degree of e's first step; a
     # raise, not an assert, so it holds under python -O too
-    sp = SuperPartition((2,), (1,))
-    R = build_gl(sp.m, sp.n)
+    sp = SuperPartition((3, 3), (4,))
+    R = build_osp(sp.m, sp.n // 2)
     P, e, h = dynkin_pair(sp, R)
     with pytest.raises(NotCentral):
-        classification._scan_shifts(R, e, h, [R.diagonal({1: 1})],
-                                    [[(0, 2)]])
-
-
-def test_scan_refuses_a_mixed_parity_coordinate():
-    sp = SuperPartition((3, 1), (2,))
-    R = build_gl(sp.m, sp.n)
-    P, e, h = dynkin_pair(sp, R)
-    gens = classification._center_generators(R, sp, P)
-    with pytest.raises(MixedParity):
-        classification._scan_shifts(R, e, h, gens,
-                                    [[(0, 2)] * (len(gens) - 1) + [(0, 1)]])
+        classification._scan_case_table(R, e, h, [R.diagonal({1: 1})],
+                                        [(0,), (2,)])
 
 
 def _diagonals_mod_identity(gs, swap):
@@ -331,7 +394,7 @@ def test_goodness_is_symmetric_under_supertranspose():
                     e, h = realize_pyramid(P, R)
                     theta_e = R.from_entries({(b, a): -c for (a, b), c
                                               in e.entries.items()})
-                    gens = classification._center_generators(R, sp, P)
+                    gens = _gl_row_generators(R, P)
                     for H in [h] + [h + g for g in gens] \
                             + [h - g for g in gens]:
                         good = is_good(grading_from(R, H), e)

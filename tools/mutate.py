@@ -56,15 +56,14 @@ MUTANTS = [
     ("pyramid-offsets-one-short", "pyramids.py",
      "range(0, 2 * gap + 1)", "range(0, 2 * gap)",
      ["tests/test_pyramids.py"]),
-    ("closing-depth-one-early", "classification.py",
-     "g + 1 for g, c in enumerate(key) if c",
-     "g for g, c in enumerate(key) if c",
+    ("polytope-edge-reversed", "classification.py",
+     "2 * (hd[a] - hd[b])", "2 * (hd[b] - hd[a])",
      ["tests/test_classification.py"]),
-    ("ker-bound-sides-swapped", "classification.py",
-     "if c > 0:", "if c < 0:",
+    ("osp-anchor-not-mirrored", "classification.py",
+     "z[anchor[B]] = -value", "z[anchor[B]] = value",
      ["tests/test_classification.py"]),
-    ("root-e-form-check-dropped", "classification.py",
-     "if any(closing[form_of[j]] for j in e_support):", "if False:",
+    ("odd-parity-pass-dropped", "classification.py",
+     "for parity in (0, 1) if odd else (0,):", "for parity in (0,):",
      ["tests/test_classification.py"]),
     ("pair-filter-ignored", "classification.py",
      "abs(s[k] - t[l]) <= 2", "abs(s[k] - t[l]) <= 4",
