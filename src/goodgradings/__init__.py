@@ -18,10 +18,9 @@ from .gradings import (CentralizerReport, FormulaError, Grading,
                        centralizer, complete_sl2, dim_formula_gl,
                        dim_formula_osp, grading_from, integral_degrees,
                        is_good, is_good_by_ranks, is_richardson, s_centralizer)
-from .classification import (BoundTooSmall, GoodGradingSet, NotCentral,
-                             Unbounded, brute_force_shifts,
-                             extensions_of_even_grading, good_gradings_gl,
-                             good_gradings_osp)
+from .classification import (GoodGradingSet, NotCentral, Unbounded,
+                             brute_force_shifts, extensions_of_even_grading,
+                             good_gradings_gl, good_gradings_osp)
 from .roots import (MarkedBase, Root, RootSystem, RootSystemError,
                     build_roots, find_nonnegative_base, is_isotropic,
                     marked_equivalent, reflect_marked, root_system)

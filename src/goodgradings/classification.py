@@ -22,7 +22,7 @@ from .gradings import (Grading, NonIntegralGrading, ad_kernel, complete_sl2,
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
                          is_orthosymplectic)
 from .pyramids import dynkin_pair, enumerate_pyr, realize_pyramid, shift_matrix
-from .superalgebra import build_gl, build_osp, superbracket
+from .superalgebra import build_gl, build_osp
 
 
 @dataclass
@@ -60,10 +60,6 @@ def good_gradings_gl(sp):
 
 # ---------------------------------------------------------------------------
 # the good-grading polytope: the oracle
-
-
-class BoundTooSmall(ValueError):
-    """The oracle's bound is below the orbit's largest part."""
 
 
 class NotCentral(ValueError):
@@ -146,26 +142,25 @@ def _good_shifts(R, e, h):
     return points
 
 
-def brute_force_shifts(R, sp, bound):
+def brute_force_shifts(R, sp):
     """Oracle: the good gradings h + z/2 of the Dynkin pair, one per
     lattice point z of the good-grading polytope (`_good_shifts`), in
-    degree-map order.  The polytope needs no bound; bound is only
-    checked against the largest part (else BoundTooSmall).  Every shift
-    found must commute with the sl2-centralizer (else NotCentral), as a
-    good shift is central in g^s."""
-    if bound < max(sp.p + sp.q):
-        raise BoundTooSmall("bound %d is below the largest part %d"
-                            % (bound, max(sp.p + sp.q)))
+    degree-map order; the polytope needs no bound.  A good shift is
+    central in g^s, which lies in h-degree 0: every basis element in the
+    support of g^s must keep degree 0 under h + z/2 (else NotCentral)."""
     _, e, h = dynkin_pair(sp, R)
     screp = s_centralizer(R, complete_sl2(R, e, h))
+    central = {j for b in screp.basis for j in R.coords(b)}
+    hd = h.diag()
     gradings = []
     for shift in _good_shifts(R, e, h):
-        z = R.from_entries({(i, i): Fraction(c, 2)
-                            for i, c in enumerate(shift)})
-        if any(not superbracket(z, b).is_zero() for b in screp.basis):
+        g = grading_from(R, R.from_entries(
+            {(i, i): d + Fraction(c, 2)
+             for i, (d, c) in enumerate(zip(hd, shift))}))
+        if any(g.degrees[j] for j in central):
             raise NotCentral("a good shift does not commute with the "
                              "sl2-centralizer")
-        gradings.append(grading_from(R, h + z))
+        gradings.append(g)
     return GoodGradingSet(sp, sorted(gradings, key=Grading.key),
                           "shift-vector")
 
@@ -180,7 +175,8 @@ def _scan_case_table(R, e, h, gens, candidates):
     reaching it) in degree-map order, and the number of integral
     candidates that are not good.  The generators must keep e's degree
     (else NotCentral)."""
-    if any(not superbracket(z, e).is_zero() for z in gens):
+    ec = R.coords(e)
+    if any(R.degrees(gen.diag())[j] != 0 for gen in gens for j in ec):
         raise NotCentral("a shift generator moves the degree of e")
     found = {}
     not_good = 0
@@ -224,7 +220,7 @@ def good_gradings_osp(sp):
     cp, dq = cp_dq(sp)
     R = build_osp(sp.m, sp.n // 2)
     if 1 in cp:
-        out = brute_force_shifts(R, sp, max(sp.p + sp.q))
+        out = brute_force_shifts(R, sp)
         out.notes["case"] = "1 in C(p): oracle-classified"
         out.notes.update(_literal_bound_note(sp, cp, dq))
         return out

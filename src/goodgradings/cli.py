@@ -14,8 +14,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .classification import (BoundTooSmall, brute_force_shifts,
-                             good_gradings_gl, good_gradings_osp)
+from .classification import (brute_force_shifts, good_gradings_gl,
+                             good_gradings_osp)
 from .gradings import (NonIntegralGrading, centralizer, dim_formula_gl,
                        dim_formula_osp, complete_sl2, grading_from, is_good,
                        s_centralizer, block_type_dim)
@@ -31,8 +31,8 @@ class UsageError(Exception):
 
 
 # Errors that mean the request is malformed: exit 2 with a message.
-INPUT_ERRORS = (UsageError, BoundTooSmall, DimensionError,
-                NonIntegralGrading, NotOrthosymplectic)
+INPUT_ERRORS = (UsageError, DimensionError, NonIntegralGrading,
+                NotOrthosymplectic)
 
 
 def _parse_orbit(text):
@@ -75,7 +75,11 @@ def cmd_classify(args):
     _check_orbit_size(sp, args)
     out = (good_gradings_gl if args.kind == "gl" else good_gradings_osp)(sp)
     if args.bound:
-        oracle = brute_force_shifts(_algebra(args), sp, args.bound)
+        largest = max(sp.p + sp.q)
+        if args.bound < largest:
+            raise UsageError("bound %d is below the largest part %d"
+                             % (args.bound, largest))
+        oracle = brute_force_shifts(_algebra(args), sp)
         out.notes["oracleAgrees"] = out.keys() == oracle.keys()
     _emit(out.to_json(), args)
     return 0
@@ -255,8 +259,8 @@ def build_parser():
     p = sub.add_parser("classify", help="all good gradings for an orbit")
     common(p)
     p.add_argument("--bound", type=int, default=0,
-                   help="also run the oracle, which needs no bound: "
-                        "this one is only checked against the largest part")
+                   help="also run the polytope oracle, which needs no "
+                        "bound: this one must be at least the largest part")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="check a user-supplied grading")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -77,10 +78,7 @@ def enumerate_super_partitions(m, n):
 
 def multiplicities(parts):
     """Distinct parts (descending) with multiplicities."""
-    mult = {}
-    for x in parts:
-        mult[x] = mult.get(x, 0) + 1
-    return sorted(mult.items(), key=lambda t: -t[0])
+    return sorted(Counter(parts).items(), reverse=True)
 
 
 def is_orthosymplectic(sp):
@@ -108,19 +106,10 @@ def psi_merge(sp):
     """Merge p and q into one descending sequence of (value, tag) rows.
 
     Tags are '+' for rows from p and '-' for rows from q; on ties the
-    p-part is placed first.
+    p-part is placed first (the sort is stable).
     """
-    merged = []
-    i = j = 0
-    p, q = sp.p, sp.q
-    while i < len(p) or j < len(q):
-        if j >= len(q) or (i < len(p) and p[i] >= q[j]):
-            merged.append((p[i], "+"))
-            i += 1
-        else:
-            merged.append((q[j], "-"))
-            j += 1
-    return merged
+    return sorted([(x, "+") for x in sp.p] + [(x, "-") for x in sp.q],
+                  key=lambda row: -row[0])
 
 
 def cp_dq(sp):

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,15 @@ def test_classify_gl_with_oracle(capsys):
         "--bound", "2"])
     assert code == 0
     assert json.loads(out)["notes"]["oracleAgrees"] is True
+
+
+def test_classify_oracle_saturation(capsys):
+    # the oracle needs no bound: any bound from the largest part up gives
+    # the same output
+    argv = ["classify", "gl", "2", "1", "--orbit", '{"p":[2],"q":[1]}']
+    low, high = (_run(capsys, argv + ["--bound", b]) for b in ("2", "4"))
+    assert low[0] == 0
+    assert low == high
 
 
 def test_classify_osp(capsys):
@@ -280,3 +291,57 @@ def test_main_never_raises(argv):
             if code == 2:
                 assert err.getvalue().startswith("error: ")
     assert code in (0, 1, 2)
+
+
+def _json_schema_section():
+    """The code of README's "JSON schemas" section (its code spans and
+    blocks), as a set of identifiers."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    section = text[text.index("### JSON schemas"):]
+    section = section[:section.index("\n## ")]
+    code = " ".join(re.findall(r"`+([^`]*)`+", section, re.S))
+    return set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", code))
+
+
+def _key_names(obj, skip=False):
+    """Every key name in a JSON value; the keys of a `degrees` object are
+    basis indices and are skipped."""
+    names = set()
+    if isinstance(obj, dict):
+        if not skip:
+            names |= set(obj)
+        for key, value in obj.items():
+            names |= _key_names(value, key == "degrees")
+    elif isinstance(obj, list):
+        for value in obj:
+            names |= _key_names(value)
+    return names
+
+
+def test_documented_json_schema_is_emitted_schema(capsys):
+    """Every key the CLI emits is named in README's JSON schemas section:
+    one request per verb, and the classify requests that add notes (the
+    half case, 1 in C(p), --bound)."""
+    orbit21 = ["--orbit", '{"p":[2],"q":[1]}']
+    orbit64 = ["--orbit", '{"p":[3,3],"q":[4]}']
+    requests = [
+        ["classify", "osp", "6", "4", *orbit64],
+        ["classify", "osp", "6", "4", "--orbit", '{"p":[3,3],"q":[2,2]}'],
+        ["classify", "osp", "2", "2", "--orbit", '{"p":[1,1],"q":[2]}'],
+        ["classify", "gl", "2", "1", *orbit21, "--bound", "2"],
+        ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "E12"],
+        ["centralizer", "osp", "6", "4", *orbit64],
+        ["pyramids", "gl", "2", "1", *orbit21],
+        ["pyramids", "osp", "6", "4", *orbit64],
+        ["diagram", "gl", "2", "1", *orbit21],
+        ["selftest", "--max-size", "2"],
+    ]
+    emitted = set()
+    for argv in requests:
+        code, out, _ = _run(capsys, argv)
+        assert code in (0, 1), argv
+        emitted |= _key_names(json.loads(out))
+    assert {"rejectedByGoodness", "lastShiftBoundTerms", "oracleAgrees",
+            "label", "checked"} <= emitted
+    assert emitted - _json_schema_section() == set()

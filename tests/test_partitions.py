@@ -75,6 +75,9 @@ def test_psi_merge_multiset(m, n):
         assert sorted(r for r, t in merged) == sorted(sp.p + sp.q)
         assert [r for r, t in merged] == \
             sorted((r for r, t in merged), reverse=True)
+        # within equal values, the rows of p come before those of q
+        assert not [r for (r, t), (s, u) in zip(merged, merged[1:])
+                    if r == s and (t, u) == ("-", "+")]
 
 
 def test_multiplicities():

@@ -2,9 +2,11 @@
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import goodgradings
+from goodgradings.classification import brute_force_shifts
 from goodgradings.linalg import Matrix
 
 SOURCES = sorted(Path(goodgradings.__file__).parent.glob("*.py"))
@@ -147,6 +149,27 @@ def test_realizations_copy_the_cached_templates():
                 if isinstance(node, ast.FunctionDef)
                 and any(map(calls("build_gl", "build_osp"), ast.walk(node)))}
     assert builders == {"build_roots"}
+
+
+def test_classification_makes_no_bracket():
+    """The classifiers and the oracle read degree tables: classification.py
+    neither imports nor calls `superbracket`."""
+    path = next(path for path in SOURCES if path.name == "classification.py")
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    assert "superbracket" not in names
+
+
+def test_oracle_takes_no_bound():
+    """The polytope oracle works its range out from e and h."""
+    assert list(inspect.signature(brute_force_shifts).parameters) == \
+        ["R", "sp"]
 
 
 def test_mutation_targets_are_unique():

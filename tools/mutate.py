@@ -68,6 +68,15 @@ MUTANTS = [
     ("pair-filter-ignored", "classification.py",
      "abs(s[k] - t[l]) <= 2", "abs(s[k] - t[l]) <= 4",
      ["tests/test_classification.py", "tests/test_golden.py"]),
+    ("oracle-centrality-unchecked", "classification.py",
+     "any(g.degrees[j] for j in central)", "False",
+     ["tests/test_classification.py"]),
+    ("case-table-none-degree-passes", "classification.py",
+     "R.degrees(gen.diag())[j] != 0", "R.degrees(gen.diag())[j]",
+     ["tests/test_classification.py"]),
+    ("cli-bound-check-inclusive", "cli.py",
+     "if args.bound < largest:", "if args.bound <= largest:",
+     ["tests/test_golden.py"]),
     ("ad-kernel-key-ignores-transpose", "gradings.py",
      "key = frozenset(e.entries.items())",
      "key = frozenset(frozenset(ab) for ab in e.entries)",
