@@ -21,7 +21,7 @@ from .gradings import (Grading, NonIntegralGrading, ad_kernel, complete_sl2,
                        grading_from, is_good, s_centralizer)
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
                          is_orthosymplectic)
-from .pyramids import dynkin_pair, enumerate_pyr, realize_pyramid, shift_matrix
+from .pyramids import dynkin_pair, enumerate_pyr, shift_matrix
 from .superalgebra import build_gl, build_osp
 
 
@@ -47,13 +47,12 @@ class GoodGradingSet:
 
 
 def good_gradings_gl(sp):
-    """All good gradings for e_{p,q} in gl(m|n): one per pyramid,
-    deduplicated as degree maps."""
+    """All good gradings for e_{p,q} in gl(m|n): one per pyramid, ad h for
+    h the diagonal of its box x-coordinates, deduplicated as degree maps."""
     R = build_gl(sp.m, sp.n)
     seen = {}
     for P in enumerate_pyr(sp):
-        e, h = realize_pyramid(P, R)
-        g = grading_from(R, h)
+        g = grading_from(R, R.diagonal({lab: x for x, y, t, lab in P.boxes}))
         seen.setdefault(g.key(), g)
     return GoodGradingSet(sp, [seen[k] for k in sorted(seen)], "pyramid")
 

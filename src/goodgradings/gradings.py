@@ -46,7 +46,7 @@ class Grading:
 
     def to_json(self):
         return {"H": [str(x) for x in self.H.diag()],
-                "degrees": {str(i): d for i, d in enumerate(self.degrees)}}
+                "degrees": dict(zip(self.ambient.degree_keys, self.degrees))}
 
 
 def integral_degrees(R, diag):

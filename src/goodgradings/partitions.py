@@ -47,6 +47,9 @@ class SuperPartition:
 
     @classmethod
     def from_json(cls, obj):
+        if not (isinstance(obj, dict)
+                and all(isinstance(obj.get(k), list) for k in "pq")):
+            raise ValueError('expected an object {"p": [...], "q": [...]}')
         return cls(tuple(obj["p"]), tuple(obj["q"]))
 
 

@@ -118,11 +118,12 @@ class Realization:
         return R
 
     def _set_basis(self, supports, parities):
-        """Install the homogeneous basis and give each element a private
-        entry, one that no other basis element touches; each element's
-        entries (a, b) + (c, d) are kept for the degree table."""
+        """Install the homogeneous basis, its index strings (the grading-JSON
+        keys) and a private entry per element that no other element touches;
+        each element's entries (a, b) + (c, d) are kept for the degree table."""
         self.supports = supports
         self.basis_parities = parities
+        self.degree_keys = tuple(map(str, range(len(supports))))
         touched = Counter(ab for sup in supports for ab in sup)
         self._private = {}
         self._degree_entries = []

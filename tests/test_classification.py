@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from fractions import Fraction
 
@@ -24,6 +25,30 @@ def test_gl_counts():
     assert len(good_gradings_gl(SuperPartition((1,), (1,)))) == 1
     assert len(good_gradings_gl(SuperPartition((2, 2), ()))) == 1
     assert len(good_gradings_gl(SuperPartition((3, 1), (4, 2)))) == 27
+
+
+def _json_by_index(g):
+    """Grading JSON with its degree keys built from the indices."""
+    return json.dumps({"H": [str(x) for x in g.H.diag()],
+                       "degrees": {str(i): d
+                                   for i, d in enumerate(g.degrees)}})
+
+
+def test_grading_json_reads_the_key_table():
+    """The per-algebra key table gives the bytes of index-built keys."""
+    for sp, classify in [(sp, good_gradings_gl) for sp in _gl_orbits(6)] \
+            + [(sp, good_gradings_osp) for sp in _osp_orbits(8)]:
+        for g in classify(sp).gradings:
+            assert json.dumps(g.to_json()) == _json_by_index(g), sp
+
+
+def test_gl_gradings_are_the_pyramid_h_gradings():
+    """Each gl grading is ad h for the h that realizes its pyramid."""
+    for sp in _gl_orbits(6):
+        R = build_gl(sp.m, sp.n)
+        expected = {grading_from(R, realize_pyramid(P, R)[1]).key()
+                    for P in enumerate_pyr(sp)}
+        assert good_gradings_gl(sp).keys() == expected, sp
 
 
 def test_gl_members_are_good():

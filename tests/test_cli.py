@@ -140,6 +140,10 @@ def test_verify_wrong_h_length(capsys):
     ["pyramids", "osp", "0", "0", "--orbit", '{"p":[],"q":[]}'],
     ["pyramids", "osp", "2", "0", "--orbit", '{"p":[1,1],"q":[]}'],
     ["pyramids", "osp", "0", "2", "--orbit", '{"p":[],"q":[2]}'],
+    ["classify", "gl", "2", "1", "--orbit", "5"],
+    ["classify", "gl", "2", "1", "--orbit", '{"p":[2]}'],
+    ["classify", "gl", "2", "1", "--orbit", "[1,2]"],
+    ["classify", "gl", "2", "1", "--orbit", '{"p":2,"q":[1]}'],
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = _run(capsys, argv)

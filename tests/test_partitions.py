@@ -88,3 +88,10 @@ def test_multiplicities():
 def test_json_roundtrip():
     sp = SuperPartition((3, 1), (4, 2))
     assert SuperPartition.from_json(sp.to_json()) == sp
+
+
+@pytest.mark.parametrize("obj", [5, [1, 2], {"p": [2]}, {"q": [1]},
+                                 {"p": 2, "q": [1]}, {"p": [2], "q": "1"}])
+def test_from_json_names_the_expected_shape(obj):
+    with pytest.raises(ValueError, match=r'expected an object \{"p"'):
+        SuperPartition.from_json(obj)

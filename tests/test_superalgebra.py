@@ -172,6 +172,7 @@ def test_each_build_is_a_fresh_realization():
     A, B = build_osp(3, 1), build_osp(3, 1)
     assert A is not B and A.ad_kernels is not B.ad_kernels
     assert A.supports is B.supports
+    assert build_gl(2, 3).degree_keys is build_gl(2, 3).degree_keys
     assert all(x.ambient is A for x in A.basis)
     assert all(y.ambient is B for y in B.basis)
     with pytest.raises(AmbientMismatch):
@@ -208,7 +209,7 @@ def test_templates_are_never_changed():
         built.add((kind, m, n))
     assert len(built) == 10 + 12
     tables = ("labels", "phi", "supports", "basis_parities", "_private",
-              "_degree_entries", "_index_of_label")
+              "_degree_entries", "_index_of_label", "degree_keys")
     for kind, m, n in built:
         template = TEMPLATES[kind == "osp"]
         cached, uncached = template(m, n), template.__wrapped__(m, n)

@@ -65,6 +65,10 @@ MUTANTS = [
     ("odd-parity-pass-dropped", "classification.py",
      "for parity in (0, 1) if odd else (0,):", "for parity in (0,):",
      ["tests/test_classification.py"]),
+    ("gl-pyramid-h-reads-y", "classification.py",
+     "grading_from(R, R.diagonal({lab: x",
+     "grading_from(R, R.diagonal({lab: y",
+     ["tests/test_classification.py"]),
     ("pair-filter-ignored", "classification.py",
      "abs(s[k] - t[l]) <= 2", "abs(s[k] - t[l]) <= 4",
      ["tests/test_classification.py", "tests/test_golden.py"]),
@@ -91,6 +95,10 @@ MUTANTS = [
     ("degrees-not-divided-by-den", "superalgebra.py",
      "d if d is None else quotient(d, den)", "d",
      ["tests/test_gradings.py", "tests/test_superalgebra.py"]),
+    ("degree-keys-start-at-1", "superalgebra.py",
+     "range(len(supports))", "range(1, len(supports) + 1)",
+     ["tests/test_classification.py::"
+      "test_grading_json_reads_the_key_table"]),
     ("fresh-copy-shares-ad-kernels", "superalgebra.py",
      "R.ad_kernels = {}", "R.ad_kernels = self.ad_kernels",
      ["tests/test_superalgebra.py"]),
