@@ -149,7 +149,7 @@ def brute_force_shifts(R, sp):
     support of g^s must keep degree 0 under h + z/2 (else NotCentral)."""
     _, e, h = dynkin_pair(sp, R)
     screp = s_centralizer(R, complete_sl2(R, e, h))
-    central = {j for b in screp.basis for j in R.coords(b)}
+    central = {j for v in screp.vectors for j in v}
     hd = h.diag()
     gradings = []
     for shift in _good_shifts(R, e, h):

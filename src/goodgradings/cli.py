@@ -135,10 +135,11 @@ def _parse_e(text, R):
 
 
 def cmd_verify(args):
-    R = _algebra(args)
+    _size(args)
     diag = _parse_rationals(args.H)
-    if len(diag) != R.size:
-        raise UsageError("need %d diagonal entries" % R.size)
+    if len(diag) != args.m + args.n:
+        raise UsageError("need %d diagonal entries" % (args.m + args.n))
+    R = _algebra(args)
     g = grading_from(R, R.from_entries({(i, i): v
                                         for i, v in enumerate(diag)}))
     e = _parse_e(args.e, R)

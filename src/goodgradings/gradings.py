@@ -85,7 +85,7 @@ class Sl2Triple:
 class CentralizerReport:
     evenDim: int
     oddDim: int
-    basis: list
+    vectors: list                  # ad_kernel's vectors {index: c}, read only
     blockTypes: list = field(default_factory=list)
 
 
@@ -108,7 +108,7 @@ def _report(R, vectors, types=()):
     parity of each is read at any index of its support."""
     by_parity = ([], [])
     for v in vectors:
-        by_parity[R.basis_parities[next(iter(v))]].append(R.from_coords(v))
+        by_parity[R.basis_parities[next(iter(v))]].append(v)
     even, odd = by_parity
     return CentralizerReport(len(even), len(odd), even + odd, list(types))
 

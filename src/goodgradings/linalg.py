@@ -178,7 +178,9 @@ def _eliminate(rows, ncols):
 def _column_blocks(M):
     """M's nonzero columns split into blocks that share no nonzero row,
     each as (its columns in order, its rows over them scaled to coprime
-    integers): a union-find joins the columns of each stored row."""
+    integers): a union-find joins the columns of each stored row.  A
+    block of one column carries None: that column holds a stored nonzero,
+    so it is a pivot with no elimination."""
     rows = {}
     for (i, j), x in M.nonzero.items():
         rows.setdefault(i, {})[j] = x
@@ -199,14 +201,14 @@ def _column_blocks(M):
         blocks.setdefault(root(j), ([], []))[0].append(j)
     for row in rows.values():
         blocks[root(next(iter(row)))][1].append(row)
-    return [(cols, [_int_row([row.get(j, 0) for j in cols])
-                    for row in block_rows])
+    return [(cols, None if len(cols) == 1 else
+             [_int_row([row.get(j, 0) for j in cols]) for row in block_rows])
             for cols, block_rows in blocks.values()]
 
 
 def rank(M):
     """Rank of M over the rationals: the pivots of its column blocks."""
-    return sum(len(_eliminate(rows, len(cols)))
+    return sum(1 if rows is None else len(_eliminate(rows, len(cols)))
                for cols, rows in _column_blocks(M))
 
 
@@ -221,6 +223,9 @@ def kernel_basis(M):
     """
     found, pivot_cols = {}, set()
     for cols, rows in _column_blocks(M):
+        if rows is None:
+            pivot_cols.add(cols[0])
+            continue
         pivots = _eliminate(rows, len(cols))
         pivot_cols.update(cols[pc] for pc in pivots)
         # echelon rows as (pivot column, pivot, nonzero entries after it)

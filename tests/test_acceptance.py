@@ -206,8 +206,8 @@ def test_criterion_7_structural_properties():
             tr = complete_sl2(R, e, h)
             assert tr.verify()
             rep = s_centralizer(R, tr, sp)
-            for b in rep.basis:
-                assert all(g.degrees[k] == 0 for k in R.coords(b))
+            for v in rep.vectors:
+                assert all(g.degrees[k] == 0 for k in v)
             assert is_good(g, e) == is_good_by_ranks(g, e) is True
             if g.is_even():
                 assert is_richardson(g, e) == is_good(g, e)

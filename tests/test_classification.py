@@ -68,7 +68,7 @@ def test_oracle_checks_centrality(monkeypatch):
 
     def widened(R, triple):
         rep = s_centralizer(R, triple)
-        rep.basis = rep.basis + [R.E(1, 3)]
+        rep.vectors = rep.vectors + [R.coords(R.E(1, 3))]
         return rep
 
     monkeypatch.setattr(classification, "s_centralizer", widened)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goodgradings import cli
 from goodgradings.cli import build_parser, main
 from goodgradings.partitions import (enumerate_super_partitions,
                                      is_orthosymplectic)
@@ -176,6 +177,21 @@ def test_verify_e_outside_algebra(capsys):
         "verify", "osp", "2", "2", "--H", "[1,-1,0,0]", "--e", "E12"])
     assert code == 2
     assert err == "error: e is not in osp(2|2)\n"
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["verify", "gl", "100000", "1", "--H", "[1]", "--e", "E12"], 100001),
+    (["verify", "osp", "100000", "2", "--H", "[1]", "--e", "E12"], 100002),
+], ids=["gl", "osp"])
+def test_verify_checks_h_before_building(capsys, monkeypatch, argv, size):
+    # a wrong --H length exits 2 before the algebra is built
+    def refuse(m, n):
+        raise AssertionError("built the algebra (%d|%d)" % (m, n))
+
+    monkeypatch.setattr(cli, "build_gl", refuse)
+    monkeypatch.setattr(cli, "build_osp", refuse)
+    assert _run(capsys, argv) == \
+        (2, "", "error: need %d diagonal entries\n" % size)
 
 
 def test_format_flag_removed(capsys):

@@ -246,8 +246,8 @@ def test_s_centralizer_in_degree_zero():
         g = grading_from(R, h)
         tr = complete_sl2(R, e, h)
         rep = s_centralizer(R, tr, sp)
-        for b in rep.basis:
-            assert all(g.degrees[j] == 0 for j in R.coords(b))
+        for v in rep.vectors:
+            assert all(g.degrees[j] == 0 for j in v)
 
 
 def _stacked_kernel(R, ads):
@@ -312,7 +312,7 @@ def test_s_centralizer_equals_stacked_kernel(kind, sp):
     ref = _stacked_kernel(R, [adjoint_matrix(triple.e),
                               adjoint_matrix(triple.f),
                               adjoint_matrix(triple.h)])
-    assert [dense(R.coords(b), R.dim) for b in rep.basis] == ref
+    assert [dense(v, R.dim) for v in rep.vectors] == ref
     assert rep.evenDim + rep.oddDim == len(ref)
 
 

@@ -184,6 +184,43 @@ def test_kernel_matches_dense_elimination(m):
     assert all(all(v.values()) for v in kernel)
 
 
+nonzero_entries = st.builds(lambda a, s, d: Fraction(s * a, d),
+                            st.integers(1, 6), st.sampled_from([1, -1]),
+                            st.integers(1, 3))
+
+
+@st.composite
+def single_column_matrices(draw):
+    """A drawn matrix beside columns whose row supports are pairwise
+    disjoint (each alone in its block) and zero columns, with some rows
+    duplicated and the rows and columns permuted."""
+    core = draw(matrices())
+    supports = draw(st.lists(st.integers(1, 3), max_size=4))
+    zeros = draw(st.integers(0, 2))
+    cols = core.cols + len(supports) + zeros
+    grid = [row + [Fraction(0)] * (cols - core.cols)
+            for row in rows_of(core)]
+    for t, size in enumerate(supports):
+        for _ in range(size):
+            row = [Fraction(0)] * cols
+            row[core.cols + t] = draw(nonzero_entries)
+            grid.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        grid.append(list(draw(st.sampled_from(grid))))
+    rperm = draw(st.permutations(range(len(grid))))
+    cperm = draw(st.permutations(range(cols)))
+    return Matrix(len(grid), cols, {(i, j): grid[rperm[i]][cperm[j]]
+                                    for i in range(len(grid))
+                                    for j in range(cols)})
+
+
+@given(single_column_matrices())
+def test_single_column_blocks_match_dense_references(m):
+    reference = _dense_kernel(m)
+    assert [dense(v, m.cols) for v in kernel_basis(m)] == reference
+    assert rank(m) == m.cols - len(reference)
+
+
 def _dense_solve(A, b):
     """Whole-matrix elimination of [A | b] and back substitution, the
     reference that solve must reproduce, None included."""

@@ -75,6 +75,9 @@ MUTANTS = [
     ("oracle-centrality-unchecked", "classification.py",
      "any(g.degrees[j] for j in central)", "False",
      ["tests/test_classification.py"]),
+    ("oracle-central-set-empty", "classification.py",
+     "central = {j for v in screp.vectors for j in v}", "central = set()",
+     ["tests/test_classification.py"]),
     ("case-table-none-degree-passes", "classification.py",
      "R.degrees(gen.diag())[j] != 0", "R.degrees(gen.diag())[j]",
      ["tests/test_classification.py"]),
@@ -86,6 +89,12 @@ MUTANTS = [
      "key = frozenset(frozenset(ab) for ab in e.entries)",
      ["tests/test_classification.py::"
       "test_goodness_is_symmetric_under_supertranspose"]),
+    ("rank-single-column-block-zero", "linalg.py",
+     "1 if rows is None", "0 if rows is None",
+     ["tests/test_linalg.py"]),
+    ("kernel-single-column-pivot-dropped", "linalg.py",
+     "pivot_cols.add(cols[0])", "pass",
+     ["tests/test_linalg.py"]),
     ("kernel-free-column-not-unit", "linalg.py",
      "v = {fc: 1}", "v = {fc: 2}",
      ["tests/test_linalg.py"]),
