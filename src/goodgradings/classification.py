@@ -19,8 +19,7 @@ from math import inf
 
 from .gradings import (Grading, NonIntegralGrading, ad_kernel, complete_sl2,
                        grading_from, is_good, s_centralizer)
-from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
-                         is_orthosymplectic)
+from .partitions import SuperPartition, cp_dq
 from .pyramids import dynkin_pair, enumerate_pyr, shift_matrix
 from .superalgebra import build_gl, build_osp
 
@@ -168,30 +167,6 @@ def brute_force_shifts(R, sp):
 # osp classification by the case table
 
 
-def _scan_case_table(R, e, h, gens, candidates):
-    """The good gradings h + sum(a/2 * gen) over the candidate doubled
-    coefficient tuples a: one per degree map (from the first candidate
-    reaching it) in degree-map order, and the number of integral
-    candidates that are not good.  The generators must keep e's degree
-    (else NotCentral)."""
-    ec = R.coords(e)
-    if any(R.degrees(gen.diag())[j] != 0 for gen in gens for j in ec):
-        raise NotCentral("a shift generator moves the degree of e")
-    found = {}
-    not_good = 0
-    for doubled in candidates:
-        try:
-            g = grading_from(R, sum((gen.scale(Fraction(a, 2)) for a, gen
-                                     in zip(doubled, gens) if a), h))
-        except NonIntegralGrading:
-            continue
-        if is_good(g, e):
-            found.setdefault(g.key(), g)
-        else:
-            not_good += 1
-    return [found[k] for k in sorted(found)], not_good
-
-
 def _pair_constraint_ok(cp, dq, s, t):
     """|s_k - t_l| <= 1 wherever |p_k - q_l| = 1, on doubled shifts."""
     return all(abs(s[k] - t[l]) <= 2 for k, pk in enumerate(cp)
@@ -212,10 +187,10 @@ def _literal_bound_note(sp, cp, dq):
 
 
 def good_gradings_osp(sp):
-    """All good gradings for e_{p,q} in osp(m|2n), by the shift-vector case
-    table; orbits with 1 in C(p) fall back to the brute-force oracle."""
-    if not is_orthosymplectic(sp):
-        raise NotOrthosymplectic(f"{sp} is not orthosymplectic")
+    """All good gradings for e_{p,q} in osp(m|2n): h + z(s, t) for each
+    shift (s, t) of the case table, graded once, the first per degree map;
+    a shift must keep e's degree (else NotCentral).  Orbits with 1 in C(p)
+    fall back to the brute-force oracle."""
     cp, dq = cp_dq(sp)
     R = build_osp(sp.m, sp.n // 2)
     if 1 in cp:
@@ -225,21 +200,34 @@ def good_gradings_osp(sp):
         return out
 
     P, e, h = dynkin_pair(sp, R)
-    jp, jq = set(sp.p), set(sp.q)
-    half_case = (sp.m % 2 == 0 and set(cp) == jp and set(dq) == jq)
+    half_case = (sp.m % 2 == 0 and set(cp) == set(sp.p)
+                 and set(dq) == set(sp.q))
     # doubled shifts: integers in {-1, 0, 1}, then halves +-1/2, of the
-    # unit shifts of the C(p) and D(q) parts; the stated shift conditions
-    # admit the candidates that goodness then rejects (the mirror pairing
-    # adds a |s_k + t_l| constraint)
-    k, units = len(cp), range(len(cp) + len(dq))
-    gens = [shift_matrix(R, P, u[:k], u[k:])
-            for u in ([int(i == j) for j in units] for i in units)]
+    # C(p) and D(q) parts; the stated shift conditions admit the
+    # candidates that goodness then rejects (the mirror pairing adds a
+    # |s_k + t_l| constraint)
+    k, ec = len(cp), R.coords(e)
     boxes = [(-2, 0, 2)] + ([(-1, 1)] if half_case else [])
-    candidates = [v for values in boxes
-                  for v in product(values, repeat=len(gens))
-                  if _pair_constraint_ok(cp, dq, v[:k], v[k:])]
-    gradings, not_good = _scan_case_table(R, e, h, gens, candidates)
-    out = GoodGradingSet(sp, gradings, "shift-vector")
+    found, not_good = {}, 0
+    for values in boxes:
+        for v in product(values, repeat=k + len(dq)):
+            if not _pair_constraint_ok(cp, dq, v[:k], v[k:]):
+                continue
+            half = [Fraction(a, 2) for a in v]
+            z = shift_matrix(R, P, half[:k], half[k:])
+            moved = R.degrees(z.diag())
+            if any(moved[j] != 0 for j in ec):
+                raise NotCentral("a shift moves the degree of e")
+            try:
+                g = grading_from(R, h + z)
+            except NonIntegralGrading:
+                continue
+            if is_good(g, e):
+                found.setdefault(g.key(), g)
+            else:
+                not_good += 1
+    out = GoodGradingSet(sp, [found[key] for key in sorted(found)],
+                         "shift-vector")
     out.notes["case"] = "half-integer shifts allowed" if half_case \
         else "integer shifts in {-1,0,1}"
     if not_good:

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 from .classification import (brute_force_shifts, good_gradings_gl,
                              good_gradings_osp)
-from .gradings import (NonIntegralGrading, centralizer, dim_formula_gl,
-                       dim_formula_osp, complete_sl2, grading_from, is_good,
-                       s_centralizer, block_type_dim)
+from .gradings import (NonIntegralGrading, block_type_dim, centralizer,
+                       complete_sl2, dim_formula_gl, dim_formula_osp,
+                       grading_from, is_good, predicted_block_types,
+                       s_centralizer)
 from .partitions import (NotOrthosymplectic, SuperPartition,
                          enumerate_super_partitions, is_orthosymplectic)
 from .pyramids import dynkin_pair, dynkin_pyramid_osp, enumerate_pyr, render
@@ -161,17 +162,17 @@ def cmd_centralizer(args):
     _, e, h = dynkin_pair(sp, R)
     formula = _dim_formula(sp, args.kind)
     rep = centralizer(R, e)
-    triple = complete_sl2(R, e, h)
-    srep = s_centralizer(R, triple, sp)
+    srep = s_centralizer(R, complete_sl2(R, e, h))
+    types = predicted_block_types(R, sp)
     out = {"orbit": sp.to_json(),
            "evenDim": rep.evenDim, "oddDim": rep.oddDim,
            "formulaEvenDim": formula[0], "formulaOddDim": formula[1],
            "sCentralizerDim": srep.evenDim + srep.oddDim,
-           "blockTypes": [list(t) for t in srep.blockTypes],
-           "predictedBlockDim": sum(block_type_dim(t)
-                                    for t in srep.blockTypes)}
+           "blockTypes": [list(t) for t in types],
+           "predictedBlockDim": sum(block_type_dim(t) for t in types)}
     _emit(out, args)
-    return 0 if (rep.evenDim, rep.oddDim) == formula else 1
+    return 0 if (rep.evenDim, rep.oddDim) == formula \
+        and out["sCentralizerDim"] == out["predictedBlockDim"] else 1
 
 
 def cmd_pyramids(args):

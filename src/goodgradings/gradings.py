@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import kernel_basis, rank, solve
@@ -70,15 +70,20 @@ def grading_from(R, H):
 
 @dataclass
 class Sl2Triple:
+    """[e, f] = h, [h, e] = 2e and [h, f] = -2f, checked when the triple
+    is made (else NoSolution)."""
     e: object
     f: object
     h: object
 
+    def __post_init__(self):
+        if not self.verify():
+            raise NoSolution("(e, f, h) breaks the sl2 relations")
+
     def verify(self):
-        ok = (superbracket(self.e, self.f) - self.h).is_zero() \
+        return (superbracket(self.e, self.f) - self.h).is_zero() \
             and (superbracket(self.h, self.e) - self.e.scale(2)).is_zero() \
             and (superbracket(self.h, self.f) + self.f.scale(2)).is_zero()
-        return ok
 
 
 @dataclass
@@ -86,7 +91,6 @@ class CentralizerReport:
     evenDim: int
     oddDim: int
     vectors: list                  # ad_kernel's vectors {index: c}, read only
-    blockTypes: list = field(default_factory=list)
 
 
 def ad_kernel(R, e):
@@ -103,14 +107,14 @@ def ad_kernel(R, e):
     return R.ad_kernels[key]
 
 
-def _report(R, vectors, types=()):
+def _report(R, vectors):
     """CentralizerReport of even or odd kernel vectors, even first; the
     parity of each is read at any index of its support."""
     by_parity = ([], [])
     for v in vectors:
         by_parity[R.basis_parities[next(iter(v))]].append(v)
     even, odd = by_parity
-    return CentralizerReport(len(even), len(odd), even + odd, list(types))
+    return CentralizerReport(len(even), len(odd), even + odd)
 
 
 def centralizer(R, e):
@@ -151,14 +155,10 @@ def complete_sl2(R, e, h):
     """Find f completing (e, h) to an sl2-triple: solve [e, f] = h in basis
     coordinates over the (-2)-eigenspace of ad h.  With e in degree 2,
     ad e sends that eigenspace into degree 0, so only the degree-0 rows
-    are solved; the final relation check covers any other e."""
+    are solved; the triple's own relation check covers any other e."""
     degrees = R.degrees(h.diag())
     candidates = [j for j, p in enumerate(R.basis_parities)
                   if p == EVEN and degrees[j] == -2]
-    if not candidates:
-        if e.is_zero() and h.is_zero():
-            return Sl2Triple(e, R.zero(), h)
-        raise NoSolution("no (-2)-eigenspace to search")
     hc = R.coords(h)
     if hc is None:
         raise NoSolution("h is not in the algebra")
@@ -167,11 +167,8 @@ def complete_sl2(R, e, h):
               [hc.get(i, 0) for i in rows])
     if x is None:
         raise NoSolution("(e, h) does not complete to an sl2-triple")
-    triple = Sl2Triple(e, R.from_coords({candidates[t]: c
-                                         for t, c in x.items()}), h)
-    if not triple.verify():
-        raise NoSolution("the solved f breaks the sl2 relations")
-    return triple
+    return Sl2Triple(e, R.from_coords({candidates[t]: c
+                                       for t, c in x.items()}), h)
 
 
 def predicted_block_types(R, sp):
@@ -201,21 +198,19 @@ def block_type_dim(t):
     return a * (a - 1) // 2 + b * (b + 1) // 2 + a * b
 
 
-def s_centralizer(R, triple, sp=None):
+def s_centralizer(R, triple):
     """Simultaneous centralizer g^s of an sl2-triple {e, f, h} with e even
-    and h diagonal, with predicted factor types when the orbit partition
-    is supplied: the kernel vectors of ad e in h-degree 0.
+    and h diagonal: the kernel vectors of ad e in h-degree 0.
 
     g is a finite-dimensional module over the even sl2 <e, h, f>, so a
     weight-0 vector that ad e kills spans a trivial submodule and f kills
     it too.  ad e has degree 2, so each kernel vector (the unique one with
     a 1 at its free column) lies in a single degree."""
-    if triple.e.parity() != EVEN or not triple.verify():
+    if triple.e.parity() != EVEN:
         raise NoSolution("(e, f, h) is not an even sl2-triple")
     degrees = R.degrees(triple.h.diag())
     return _report(R, [v for v in ad_kernel(R, triple.e)[1]
-                        if all(degrees[j] == 0 for j in v)],
-                   predicted_block_types(R, sp) if sp is not None else [])
+                        if all(degrees[j] == 0 for j in v)])
 
 
 def _in_degree_2(g, e):

@@ -10,14 +10,15 @@ import time
 from goodgradings.classification import (brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
-from goodgradings.gradings import (centralizer, complete_sl2, dim_formula_gl,
+from goodgradings.gradings import (block_type_dim, centralizer,
+                                   complete_sl2, dim_formula_gl,
                                    dim_formula_osp, grading_from, is_good,
                                    is_good_by_ranks, is_richardson,
-                                   s_centralizer)
+                                   predicted_block_types, s_centralizer)
 from goodgradings.partitions import (SuperPartition, cp_dq, dual_partition,
                                      enumerate_super_partitions,
                                      is_orthosymplectic, psi_merge)
-from goodgradings.pyramids import (Pyramid, dynkin_pyramid_gl,
+from goodgradings.pyramids import (Pyramid, dynkin_pair, dynkin_pyramid_gl,
                                    dynkin_pyramid_osp, enumerate_pyr,
                                    jordan_type, realize_osp_pyramid,
                                    realize_pyramid)
@@ -205,7 +206,7 @@ def test_criterion_7_structural_properties():
                         assert invariant_form(x, y) == 0
             tr = complete_sl2(R, e, h)
             assert tr.verify()
-            rep = s_centralizer(R, tr, sp)
+            rep = s_centralizer(R, tr)
             for v in rep.vectors:
                 assert all(g.degrees[k] == 0 for k in v)
             assert is_good(g, e) == is_good_by_ranks(g, e) is True
@@ -270,3 +271,35 @@ def test_criterion_9_oracle_on_large_gl_orbits():
             assert gs.keys() == bf.keys(), sp
     _criterion(9, "gl oracle equals the pyramids on (5,4,3,2,1|4,3,2,1) "
                   "(81 gradings) and (3,2,1|6,5,4) (243)", 60, run)
+
+
+def test_criterion_10_exhaustive_sweeps():
+    def run():
+        gl = [("gl", sp) for m in range(1, 8) for n in range(1, 9 - m)
+              for sp in enumerate_super_partitions(m, n)]
+        osp = [("osp", sp) for m in range(1, 14) for n2 in range(2, 15 - m, 2)
+               for sp in enumerate_super_partitions(m, n2)
+               if is_orthosymplectic(sp)]
+        assert (len(gl), len(osp)) == (301, 1206)
+        for kind, sp in gl + osp:
+            if kind == "gl":
+                R, formula, classify = build_gl(sp.m, sp.n), \
+                    dim_formula_gl(sp), good_gradings_gl
+            else:
+                R, formula, classify = build_osp(sp.m, sp.n // 2), \
+                    dim_formula_osp(sp), good_gradings_osp
+            _, e, h = dynkin_pair(sp, R)
+            rep = centralizer(R, e)
+            assert (rep.evenDim, rep.oddDim) == formula, sp
+            assert is_good(grading_from(R, h), e), sp
+            srep = s_centralizer(R, complete_sl2(R, e, h))
+            assert srep.evenDim + srep.oddDim == sum(
+                block_type_dim(t) for t in predicted_block_types(R, sp)), sp
+            found, oracle = classify(sp), brute_force_shifts(R, sp)
+            assert len(found) == len(oracle) and \
+                found.keys() == oracle.keys(), sp
+    _criterion(10, "all 301 gl orbits with m, n >= 1 and m+n <= 8 and all "
+                   "1206 osp orbits with m+2n <= 14: dimensions equal the "
+                   "formulas, the Dynkin grading is good, dim g^s equals "
+                   "the predicted block dimension, and the classification "
+                   "equals the polytope oracle", 120, run)

@@ -209,8 +209,8 @@ def _gl_row_generators(R, P):
 
 
 def _osp_generators(R, sp, P):
-    """The unit shifts of the C(p) and D(q) parts, as the case table
-    scans them."""
+    """The unit shifts of the C(p) and D(q) parts; the reference sums
+    them, where the case table makes each shift with one shift_matrix."""
     cp, dq = cp_dq(sp)
     k, units = len(cp), range(len(cp) + len(dq))
     return [shift_matrix(R, P, u[:k], u[k:])
@@ -225,10 +225,13 @@ def _oracle_boxes(ng, bound):
 
 
 def _case_candidates(sp, ng):
-    """The case table's doubled candidates, the half box included, that
-    pass its pair filter."""
+    """The case table's doubled candidates that pass its pair filter: the
+    integer box, then the half box in the half case (m even, C(p) = J_p
+    and D(q) = J_q)."""
     cp, dq = cp_dq(sp)
-    return [v for values in ((-2, 0, 2), (-1, 1))
+    half_case = sp.m % 2 == 0 and set(cp) == set(sp.p) \
+        and set(dq) == set(sp.q)
+    return [v for values in [(-2, 0, 2)] + [(-1, 1)] * half_case
             for v in itertools.product(values, repeat=ng)
             if classification._pair_constraint_ok(
                 cp, dq, v[:len(cp)], v[len(cp):])]
@@ -240,17 +243,16 @@ def _algebra(sp, kind):
 
 
 def _case_table_agrees(sp):
-    """The case-table loop on the Dynkin pair of sp against the
-    per-candidate reference: same degree maps, H diagonals and count of
-    not good."""
+    """good_gradings_osp on an orbit with 1 not in C(p) against the
+    per-candidate reference over the unit shifts and the case table's
+    candidates: same degree maps, H diagonals and count of not good."""
     R = _algebra(sp, "osp")
     P, e, h = dynkin_pair(sp, R)
     gens = _osp_generators(R, sp, P)
-    candidates = _case_candidates(sp, len(gens))
-    gradings, not_good = classification._scan_case_table(R, e, h, gens,
-                                                         candidates)
-    return ([(g.key(), g.H.diag()) for g in gradings], not_good) == \
-        _scan_per_candidate(R, e, h, gens, candidates)
+    out = good_gradings_osp(sp)
+    return ([(g.key(), g.H.diag()) for g in out.gradings],
+            out.notes.get("rejectedByGoodness", 0)) == \
+        _scan_per_candidate(R, e, h, gens, _case_candidates(sp, len(gens)))
 
 
 def _oracle_agrees(sp, kind, bound=None):
@@ -281,7 +283,7 @@ def _oracle_agrees(sp, kind, bound=None):
 ])
 def test_box_scan_matches_per_candidate_scan(kind, p, q, bound):
     """With a bound, the oracle against the reference over the generator
-    boxes; without, the case-table loop against it."""
+    boxes; without, the case-table classifier against it."""
     sp = SuperPartition(p, q)
     if bound is None:
         assert _case_table_agrees(sp)
@@ -310,10 +312,11 @@ def test_staged_scan_matches_reference_on_gl_oracle_boxes():
 
 
 def test_staged_scan_matches_reference_on_osp_case_boxes():
-    # every osp orbit with m+2n <= 8, the case table's boxes (the half
-    # box included) and its pair filter
-    orbits = _osp_orbits(8)
-    assert len(orbits) > 0
+    # every osp orbit with m+2n <= 8 that the case table classifies (1 not
+    # in C(p)), its boxes (the half box in the half case) and its pair
+    # filter
+    orbits = [sp for sp in _osp_orbits(8) if 1 not in cp_dq(sp)[0]]
+    assert len(orbits) == 67
     for sp in orbits:
         assert _case_table_agrees(sp), sp
 
@@ -366,15 +369,13 @@ def test_oracle_points_are_good_by_ranks():
                 assert is_good_by_ranks(g, e), sp
 
 
-def test_scan_refuses_a_generator_moving_e():
-    # 1 on the first label alone changes the degree of e's first step; a
-    # raise, not an assert, so it holds under python -O too
-    sp = SuperPartition((3, 3), (4,))
-    R = build_osp(sp.m, sp.n // 2)
-    P, e, h = dynkin_pair(sp, R)
+def test_scan_refuses_a_generator_moving_e(monkeypatch):
+    # a shift of 1 on the first label alone changes the degree of e's
+    # first step; a raise, not an assert, so it holds under python -O too
+    monkeypatch.setattr(classification, "shift_matrix",
+                        lambda R, P, s, t: R.diagonal({1: 1}))
     with pytest.raises(NotCentral):
-        classification._scan_case_table(R, e, h, [R.diagonal({1: 1})],
-                                        [(0,), (2,)])
+        good_gradings_osp(SuperPartition((3, 3), (4,)))
 
 
 def _diagonals_mod_identity(gs, swap):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from goodgradings import cli
 from goodgradings.cli import build_parser, main
+from goodgradings.gradings import block_type_dim
 from goodgradings.partitions import (enumerate_super_partitions,
                                      is_orthosymplectic)
 
@@ -209,6 +210,27 @@ def test_centralizer(capsys):
     js = json.loads(out)
     assert (js["evenDim"], js["oddDim"]) == (16, 14)
     assert js["sCentralizerDim"] == js["predictedBlockDim"]
+
+
+@pytest.mark.parametrize("kind, m, n, orbit", [
+    ("gl", "4", "6", '{"p": [3, 1], "q": [4, 2]}'),
+    ("osp", "6", "2", '{"p": [3, 3], "q": [2]}'),
+])
+def test_centralizer_checks_the_prediction(capsys, monkeypatch, kind, m, n,
+                                           orbit):
+    # the dimensions match their formulas, but one more predicted block
+    # makes the printed prediction disagree with dim g^s: exit 1
+    predicted = cli.predicted_block_types
+    monkeypatch.setattr(cli, "predicted_block_types",
+                        lambda R, sp: predicted(R, sp) + [(R.kind, 1, 1)])
+    code, out, _ = _run(capsys, ["centralizer", kind, m, n,
+                                 "--orbit", orbit])
+    js = json.loads(out)
+    assert (js["evenDim"], js["oddDim"]) == \
+        (js["formulaEvenDim"], js["formulaOddDim"])
+    assert js["sCentralizerDim"] + block_type_dim((kind, 1, 1)) == \
+        js["predictedBlockDim"]
+    assert code == 1
 
 
 def test_pyramids_json(capsys):

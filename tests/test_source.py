@@ -7,6 +7,7 @@ from pathlib import Path
 
 import goodgradings
 from goodgradings.classification import brute_force_shifts
+from goodgradings.gradings import Sl2Triple, s_centralizer
 from goodgradings.linalg import Matrix
 
 SOURCES = sorted(Path(goodgradings.__file__).parent.glob("*.py"))
@@ -170,6 +171,18 @@ def test_oracle_takes_no_bound():
     """The polytope oracle works its range out from e and h."""
     assert list(inspect.signature(brute_force_shifts).parameters) == \
         ["R", "sp"]
+
+
+def test_one_sl2_relation_check():
+    """The sl2 relations are checked once, when an Sl2Triple is made: only
+    its `__post_init__` calls `.verify()`, and `s_centralizer` reads the
+    triple alone, with no orbit for block types."""
+    callers = _owners(lambda node: isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", None) == "verify")
+    assert callers == {"__post_init__"}
+    assert ".verify()" in inspect.getsource(Sl2Triple.__post_init__)
+    assert list(inspect.signature(s_centralizer).parameters) == \
+        ["R", "triple"]
 
 
 def test_mutation_targets_are_unique():

@@ -79,11 +79,17 @@ MUTANTS = [
      "central = {j for v in screp.vectors for j in v}", "central = set()",
      ["tests/test_classification.py"]),
     ("case-table-none-degree-passes", "classification.py",
-     "R.degrees(gen.diag())[j] != 0", "R.degrees(gen.diag())[j]",
+     "any(moved[j] != 0 for j in ec)", "any(moved[j] for j in ec)",
      ["tests/test_classification.py"]),
     ("cli-bound-check-inclusive", "cli.py",
      "if args.bound < largest:", "if args.bound <= largest:",
      ["tests/test_golden.py"]),
+    ("centralizer-prediction-unchecked", "cli.py",
+     'out["sCentralizerDim"] == out["predictedBlockDim"]', "True",
+     ["tests/test_cli.py"]),
+    ("sl2-triple-unchecked", "gradings.py",
+     'raise NoSolution("(e, f, h) breaks the sl2 relations")', "pass",
+     ["tests/test_gradings.py"]),
     ("ad-kernel-key-ignores-transpose", "gradings.py",
      "key = frozenset(e.entries.items())",
      "key = frozenset(frozenset(ab) for ab in e.entries)",
