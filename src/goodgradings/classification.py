@@ -1,13 +1,14 @@
 """Enumerate all good Z-gradings for a nilpotent orbit.
 
 gl orbits: one grading per pyramid.  osp orbits: shifted Dynkin gradings
-with shift vectors given by a case table, each candidate tested by the one
-goodness kernel (`grading_from` and `is_good`).  The oracle uses neither
+with shift vectors given by a case table, the last shift bounded by the
+paper's closed form when 1 is in C(p), each candidate tested by the one
+goodness kernel (`grading_from` and `is_good`, counting degrees against
+the centralizer formula), so no ad e is built.  The oracle uses neither
 the case table nor that test: it lists the lattice points of the
 good-grading polytope of the Dynkin pair, whose inequalities each have two
 variables, so shortest paths bound it and no bound is guessed.  It
-cross-checks both classifiers and classifies the ambiguous 1-in-C(p) osp
-orbits.
+cross-checks both classifiers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import product
 from math import inf
 
 from .gradings import (Grading, NonIntegralGrading, ad_kernel, complete_sl2,
-                       grading_from, is_good, s_centralizer)
+                       dim_formula_osp, grading_from, is_good, s_centralizer)
 from .partitions import SuperPartition, cp_dq
 from .pyramids import dynkin_pair, enumerate_pyr, shift_matrix
 from .superalgebra import build_gl, build_osp
@@ -95,7 +96,7 @@ def _good_shifts(R, e, h):
         else list(range(1, nb))
     # dist[u][v]: the least bound on z_v - z_u, closed over paths
     dist = [[inf] * nb for _ in range(nb)]
-    for j in ad_kernel(R, e)[2]:
+    for j in {j for v in ad_kernel(R, e)[1] for j in v}:
         for a, b in R.supports[j]:
             u, v = block[a], block[b]
             dist[u][v] = min(dist[u][v], 2 * (hd[a] - hd[b]))
@@ -168,37 +169,26 @@ def brute_force_shifts(R, sp):
 
 
 def _pair_constraint_ok(cp, dq, s, t):
-    """|s_k - t_l| <= 1 wherever |p_k - q_l| = 1, on doubled shifts."""
+    """|s_k - t_l| <= 1 wherever |p_k - q_l| = 1, and with 1 in C(p) the
+    last shift's terms |s_c| <= p_{c-1} - |s_{c-1}| - 1 and
+    |s_c| <= q_d - |t_d| - 1, on doubled shifts."""
+    if 1 in cp and any(abs(s[-1]) + abs(x) > 2 * (part - 1) for x, part
+                       in zip(s[-2:-1] + t[-1:], cp[-2:-1] + dq[-1:])):
+        return False
     return all(abs(s[k] - t[l]) <= 2 for k, pk in enumerate(cp)
                for l, ql in enumerate(dq) if abs(pk - ql) == 1)
 
 
-def _literal_bound_note(sp, cp, dq):
-    """The closed-form bound on the last shift, under the natural index
-    reading: p_{alpha-1} = smallest part of J_p except 1, q_beta = smallest
-    part of J_q; absent terms are unbounded."""
-    terms = [min(values) - 1 for values in ({v for v in sp.p if v != 1},
-                                            set(sp.q)) if values]
-    if len(cp) >= 2:
-        terms.append("p[c-1]-|s[c-1]|-1 with p[c-1]=%d" % cp[-2])
-    if dq:
-        terms.append("q[d]-|t[d]|-1 with q[d]=%d" % dq[-1])
-    return {"lastShiftBoundTerms": terms}
-
-
 def good_gradings_osp(sp):
     """All good gradings for e_{p,q} in osp(m|2n): h + z(s, t) for each
-    shift (s, t) of the case table, graded once, the first per degree map;
-    a shift must keep e's degree (else NotCentral).  Orbits with 1 in C(p)
-    fall back to the brute-force oracle."""
+    shift (s, t) of the case table, graded once, the first per degree map,
+    good when its degrees 0 and 1 count `dim_formula_osp`; a shift must
+    keep e's degree (else NotCentral).  With 1 in C(p), the last C(p)
+    shift s_c (of part 1) runs over |s_c| <= B, the least constant term of
+    the paper's bound on it, and the pair filter applies its other terms;
+    no ad e, kernel or oracle is needed."""
     cp, dq = cp_dq(sp)
     R = build_osp(sp.m, sp.n // 2)
-    if 1 in cp:
-        out = brute_force_shifts(R, sp)
-        out.notes["case"] = "1 in C(p): oracle-classified"
-        out.notes.update(_literal_bound_note(sp, cp, dq))
-        return out
-
     P, e, h = dynkin_pair(sp, R)
     half_case = (sp.m % 2 == 0 and set(cp) == set(sp.p)
                  and set(dq) == set(sp.q))
@@ -206,11 +196,19 @@ def good_gradings_osp(sp):
     # C(p) and D(q) parts; the stated shift conditions admit the
     # candidates that goodness then rejects (the mirror pairing adds a
     # |s_k + t_l| constraint)
-    k, ec = len(cp), R.coords(e)
-    boxes = [(-2, 0, 2)] + ([(-1, 1)] if half_case else [])
+    k, ec, dim = len(cp), R.coords(e), sum(dim_formula_osp(sp))
+    # the constant terms of the paper's bound on the last shift, read
+    # literally: p_{alpha-1} - 1 and q_beta - 1, with p_{alpha-1} the
+    # smallest part of J_p except 1 and q_beta the smallest part of J_q
+    terms = [min(values) - 1 for values in ({v for v in sp.p if v != 1},
+                                            set(sp.q)) if values]
+    bound = min(terms)
     found, not_good = {}, 0
-    for values in boxes:
-        for v in product(values, repeat=k + len(dq)):
+    for step in range(1 + half_case):
+        box = [range(step - 2, 3 - step, 2)] * (k + len(dq))
+        if 1 in cp:
+            box[k - 1] = range(step - 2 * bound, 2 * bound + 1 - step, 2)
+        for v in product(*box):
             if not _pair_constraint_ok(cp, dq, v[:k], v[k:]):
                 continue
             half = [Fraction(a, 2) for a in v]
@@ -222,12 +220,19 @@ def good_gradings_osp(sp):
                 g = grading_from(R, h + z)
             except NonIntegralGrading:
                 continue
-            if is_good(g, e):
+            if is_good(g, e, dim):
                 found.setdefault(g.key(), g)
             else:
                 not_good += 1
     out = GoodGradingSet(sp, [found[key] for key in sorted(found)],
                          "shift-vector")
+    if 1 in cp:
+        # the text of the old oracle fallback, kept for identical output
+        out.notes["case"] = "1 in C(p): oracle-classified"
+        out.notes["lastShiftBoundTerms"] = terms \
+            + ["p[c-1]-|s[c-1]|-1 with p[c-1]=%d" % c for c in cp[-2:-1]] \
+            + ["q[d]-|t[d]|-1 with q[d]=%d" % d for d in dq[-1:]]
+        return out
     out.notes["case"] = "half-integer shifts allowed" if half_case \
         else "integer shifts in {-1,0,1}"
     if not_good:

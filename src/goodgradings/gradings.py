@@ -94,16 +94,13 @@ class CentralizerReport:
 
 
 def ad_kernel(R, e):
-    """(ad e as a Matrix, a basis of ker(ad e) as coordinates {index: c},
-    the union of their supports), computed once per element of R and kept
-    in R.ad_kernels, keyed by e's entries; the record is read, never
-    changed."""
+    """(ad e as a Matrix, a basis of ker(ad e) as coordinates {index: c}),
+    computed once per element of R and kept in R.ad_kernels, keyed by e's
+    entries; the record is read, never changed."""
     key = frozenset(e.entries.items())
     if key not in R.ad_kernels:
         ad = adjoint_matrix(e)
-        vectors = tuple(kernel_basis(ad))
-        R.ad_kernels[key] = (ad, vectors,
-                             frozenset(j for v in vectors for j in v))
+        R.ad_kernels[key] = (ad, tuple(kernel_basis(ad)))
     return R.ad_kernels[key]
 
 
@@ -221,15 +218,22 @@ def _in_degree_2(g, e):
     return not (e.is_zero() and any(g.degrees))
 
 
-def is_good(g, e):
-    """Kernel criterion: e in g(2) and ker(ad e) supported in degrees >= 0.
+def is_good(g, e, dim=None):
+    """Counting criterion: e in g(2) and dim g^e = dim g(0) + dim g(1),
+    with dim the closed-form dim g^e where the caller knows e's orbit, and
+    otherwise the count of ker(ad e) vectors.
 
-    Valid because ad e is degree-homogeneous, so every degree component of
-    a kernel vector is again in the kernel.
+    ad e has degree 2, so its kernel on g(j) has dimension at least
+    dim g(j) - dim g(j+2); a diagonal H grades the root spaces g_a and g_-a
+    oppositely, so dim g(j) = dim g(-j).  Summing over j >= 0 gives
+    dim g^e >= dim g(0) + dim g(1), with equality exactly when ad e is
+    injective on g(j) for j <= -1 and surjective for j >= -1.
     """
     if not _in_degree_2(g, e):
         return False
-    return all(g.degrees[j] >= 0 for j in ad_kernel(g.ambient, e)[2])
+    if dim is None:
+        dim = len(ad_kernel(g.ambient, e)[1])
+    return sum(d in (0, 1) for d in g.degrees) == dim
 
 
 def is_good_by_ranks(g, e):

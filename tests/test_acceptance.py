@@ -6,6 +6,7 @@ budget.  All comparisons are exact (rational arithmetic, tolerance zero).
 """
 
 import time
+from collections import Counter
 
 from goodgradings.classification import (brute_force_shifts,
                                          extensions_of_even_grading,
@@ -273,6 +274,23 @@ def test_criterion_9_oracle_on_large_gl_orbits():
                   "(81 gradings) and (3,2,1|6,5,4) (243)", 60, run)
 
 
+def _graded_kernel(R, g, vectors):
+    """Counter of ker(ad e) vectors by (degree, parity); each vector lies
+    in one degree and one parity."""
+    keys = [{(g.degrees[j], R.basis_parities[j]) for j in v} for v in vectors]
+    assert all(len(key) == 1 for key in keys)
+    return Counter(key.pop() for key in keys)
+
+
+def _graded_kernel_by_count(R, g):
+    """The same Counter for a good grading with e even, read off the
+    degree counts d: d_j - d_(j+2) for j >= 0, by parity, and nothing in
+    negative degrees (Counters compare missing keys as 0)."""
+    d = Counter(zip(g.degrees, R.basis_parities))
+    return Counter({(j, p): c - d[j + 2, p] for (j, p), c in d.items()
+                    if j >= 0})
+
+
 def test_criterion_10_exhaustive_sweeps():
     def run():
         gl = [("gl", sp) for m in range(1, 8) for n in range(1, 9 - m)
@@ -291,7 +309,10 @@ def test_criterion_10_exhaustive_sweeps():
             _, e, h = dynkin_pair(sp, R)
             rep = centralizer(R, e)
             assert (rep.evenDim, rep.oddDim) == formula, sp
-            assert is_good(grading_from(R, h), e), sp
+            g = grading_from(R, h)
+            assert is_good(g, e), sp
+            assert _graded_kernel(R, g, rep.vectors) == \
+                _graded_kernel_by_count(R, g), sp
             srep = s_centralizer(R, complete_sl2(R, e, h))
             assert srep.evenDim + srep.oddDim == sum(
                 block_type_dim(t) for t in predicted_block_types(R, sp)), sp
@@ -300,6 +321,7 @@ def test_criterion_10_exhaustive_sweeps():
                 found.keys() == oracle.keys(), sp
     _criterion(10, "all 301 gl orbits with m, n >= 1 and m+n <= 8 and all "
                    "1206 osp orbits with m+2n <= 14: dimensions equal the "
-                   "formulas, the Dynkin grading is good, dim g^s equals "
-                   "the predicted block dimension, and the classification "
-                   "equals the polytope oracle", 120, run)
+                   "formulas, the Dynkin grading is good with "
+                   "dim g^e_j = dim g_j - dim g_(j+2) for j >= 0 by parity, "
+                   "dim g^s equals the predicted block dimension, and the "
+                   "classification equals the polytope oracle", 120, run)

@@ -1,11 +1,12 @@
 import itertools
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from goodgradings import classification
+from goodgradings import classification, gradings
 from goodgradings.classification import (NotCentral, Unbounded,
                                          brute_force_shifts,
                                          extensions_of_even_grading,
@@ -173,7 +174,7 @@ def _scan_per_candidate(R, e, h, gens, candidates):
     forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
              for i, d in enumerate(integral_degrees(R, h.diag()))]
     e_support = list(R.coords(e))
-    ker_support = ad_kernel(R, e)[2]
+    ker_support = {j for v in ad_kernel(R, e)[1] for j in v}
     found = {}
     not_good = 0
     for doubled in candidates:
@@ -357,6 +358,50 @@ def test_oracle_equals_case_table_on_osp_orbits():
         bf = brute_force_shifts(build_osp(sp.m, sp.n // 2), sp)
         assert [(g.key(), g.H.diag()) for g in bf.gradings] == \
             [(g.key(), g.H.diag()) for g in gs.gradings], sp
+
+
+def test_case_table_needs_neither_the_oracle_nor_ad_e(monkeypatch):
+    """The osp classifier is independent of the oracle in code: with
+    `brute_force_shifts`, `adjoint_matrix` and `kernel_basis` made to
+    raise, it still classifies every osp orbit with m+2n <= 12, those with
+    1 in C(p) included."""
+    def refuse(*args):
+        raise RuntimeError("the classifier reached the oracle or ad e")
+
+    monkeypatch.setattr(classification, "brute_force_shifts", refuse)
+    monkeypatch.setattr(gradings, "adjoint_matrix", refuse)
+    monkeypatch.setattr(gradings, "kernel_basis", refuse)
+    orbits = _osp_orbits(12)
+    assert len(orbits) == 530
+    assert sum(len(good_gradings_osp(sp)) for sp in orbits) == 952
+
+
+def test_last_shift_bound_equals_the_oracle(monkeypatch):
+    """On every osp orbit with 1 in C(p) and m+2n <= 16, the case table
+    with the paper's bound on the last shift gives the oracle's degree
+    maps and H diagonals.  No output key shows the candidates that the
+    bound admits and goodness rejects, so their count is pinned here: the
+    bound is attained on every orbit but three."""
+    orbits = [sp for sp in _osp_orbits(16) if 1 in cp_dq(sp)[0]]
+    assert len(orbits) == 200
+    rejected = Counter()
+
+    def recording(g, e, dim=None):
+        good = is_good(g, e, dim)
+        if not good:
+            rejected[sp.p, sp.q] += 1
+        return good
+
+    monkeypatch.setattr(classification, "is_good", recording)
+    for sp in orbits:
+        gs = good_gradings_osp(sp)
+        bf = brute_force_shifts(build_osp(sp.m, sp.n // 2), sp)
+        assert [(g.key(), g.H.diag()) for g in bf.gradings] == \
+            [(g.key(), g.H.diag()) for g in gs.gradings], sp
+        assert "rejectedByGoodness" not in gs.notes
+    assert rejected == {((3, 3, 1, 1), (4, 4)): 6,
+                        ((3, 3, 1, 1), (2, 2)): 2,
+                        ((3, 3, 1, 1), (4, 2, 2)): 2}
 
 
 def test_oracle_points_are_good_by_ranks():

@@ -368,6 +368,24 @@ def test_one_ad_kernel_record_per_element(monkeypatch):
     assert len(built) == 2
 
 
+def test_ad_kernel_records_of_e_and_its_transpose_differ():
+    """A record is keyed by e's entries with their positions and
+    coefficients: after e's record is made, theta(e) = -e^T (the same
+    index pairs, transposed) gets its own, whose vectors it kills.  The
+    two centralizers have the same dimension, so no count tells them
+    apart."""
+    for size in range(2, 5):
+        for m in range(size + 1):
+            R = build_gl(m, size - m)
+            for sp in enumerate_super_partitions(m, size - m):
+                e, _ = realize_pyramid(dynkin_pyramid_gl(sp), R)
+                theta_e = R.from_entries({(b, a): -c for (a, b), c
+                                          in e.entries.items()})
+                centralizer(R, e)
+                for v in centralizer(R, theta_e).vectors:
+                    assert superbracket(theta_e, R.from_coords(v)).is_zero()
+
+
 def test_centralizer_needs_homogeneous_e():
     R = build_gl(1, 1)
     with pytest.raises(ValueError, match="mixed"):
@@ -441,3 +459,55 @@ def test_complete_sl2_needs_h_in_algebra():
     shifted = R.diagonal({lab: x + 1 for lab, x in zip(R.labels, h.diag())})
     with pytest.raises(NoSolution):
         complete_sl2(R, e, shifted)
+
+
+def _block_shifts(R, e, values):
+    """Diagonal shifts constant on each Jordan block of e (a component of
+    its support, so e keeps its degree), one per choice of values on the
+    free blocks: in gl every block but the first (the identity grades
+    nothing), in osp one block of each mirror pair, its mirror taking the
+    negative and a self-mirror block 0."""
+    block = list(range(R.size))
+    for a, b in e.entries:
+        old, new = max(block[a], block[b]), min(block[a], block[b])
+        block = [new if x == old else x for x in block]
+    roots = sorted(set(block))
+    mirror = {r: block[R.index(-R.labels[r])] if R.kind == "osp" else None
+              for r in roots}
+    free = roots[1:] if R.kind == "gl" \
+        else [r for r in roots if r < mirror[r]]
+    for chosen in itertools.product(values, repeat=len(free)):
+        value = dict(zip(free, chosen))
+        if R.kind == "osp":
+            value.update({mirror[r]: -v for r, v in zip(free, chosen)})
+        yield [value.get(b, 0) for b in block]
+
+
+def test_counting_with_the_formula_equals_rank_definition():
+    """is_good with dim g^e given by the closed-form formula decides as
+    the rank definition does, on every integral block-constant shift in
+    {-1, -1/2, 0, 1/2, 1} of the Dynkin gradings of gl m+n <= 5 and osp
+    m+2n <= 8."""
+    orbits = [("gl", sp) for size in range(1, 6) for m in range(size + 1)
+              for sp in enumerate_super_partitions(m, size - m)] \
+        + [("osp", sp) for m in range(1, 8) for n2 in range(2, 9 - m, 2)
+           for sp in enumerate_super_partitions(m, n2)
+           if is_orthosymplectic(sp)]
+    assert len(orbits) == 149
+    verdicts = []
+    for kind, sp in orbits:
+        R = build_gl(sp.m, sp.n) if kind == "gl" \
+            else build_osp(sp.m, sp.n // 2)
+        _, e, h = dynkin_pair(sp, R)
+        dim = sum(dim_formula_gl(sp) if kind == "gl"
+                  else dim_formula_osp(sp))
+        hd, values = h.diag(), [Fraction(v, 2) for v in range(-2, 3)]
+        for z in _block_shifts(R, e, values):
+            try:
+                g = grading_from(R, R.from_entries(
+                    {(i, i): d + c for i, (d, c) in enumerate(zip(hd, z))}))
+            except NonIntegralGrading:
+                continue
+            verdicts.append(is_good(g, e, dim))
+            assert verdicts[-1] == is_good_by_ranks(g, e), (kind, sp, z)
+    assert (len(verdicts), verdicts.count(True)) == (2111, 275)

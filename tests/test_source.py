@@ -56,8 +56,9 @@ def test_one_element_representation():
 
 
 def test_one_ad_builder_call_site():
-    """ad e is built once per element, by `ad_kernel`, whose record every
-    centralizer and goodness question reads; `is_good_by_ranks` builds
+    """ad e is built once per element, by `ad_kernel`, whose record the
+    centralizers, the oracle and `is_good` without a formula dimension
+    read; the osp classifier builds none, and `is_good_by_ranks` builds
     its own, as the reference that shares no kernel with the others."""
     def calls_adjoint(node):
         if not isinstance(node, ast.Call):
@@ -165,6 +166,28 @@ def test_classification_makes_no_bracket():
         elif isinstance(node, ast.alias):
             names.add(node.asname or node.name)
     assert "superbracket" not in names
+
+
+def test_case_table_calls_neither_the_oracle_nor_ad_kernel():
+    """`good_gradings_osp`, and the functions of classification.py that it
+    calls, call neither the polytope oracle nor `ad_kernel`: goodness
+    there is a count against the centralizer formula, so the classifier
+    and the oracle share no kernel."""
+    path = next(path for path in SOURCES if path.name == "classification.py")
+    functions = {node.name: node
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.FunctionDef)}
+    reached, called, todo = set(), set(), ["good_gradings_osp"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called.add(getattr(f, "id", getattr(f, "attr", None)))
+        todo += [f for f in called & set(functions) if f not in reached]
+    assert {"is_good", "_pair_constraint_ok"} <= called
+    assert not called & {"brute_force_shifts", "_good_shifts", "ad_kernel"}
 
 
 def test_oracle_takes_no_bound():

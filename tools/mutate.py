@@ -81,6 +81,14 @@ MUTANTS = [
     ("case-table-none-degree-passes", "classification.py",
      "any(moved[j] != 0 for j in ec)", "any(moved[j] for j in ec)",
      ["tests/test_classification.py"]),
+    ("last-shift-bound-one-smaller", "classification.py",
+     "bound = min(terms)", "bound = min(terms) - 1",
+     ["tests/test_classification.py::"
+      "test_last_shift_bound_equals_the_oracle"]),
+    ("last-shift-bound-one-larger", "classification.py",
+     "bound = min(terms)", "bound = min(terms) + 1",
+     ["tests/test_classification.py::"
+      "test_last_shift_bound_equals_the_oracle"]),
     ("cli-bound-check-inclusive", "cli.py",
      "if args.bound < largest:", "if args.bound <= largest:",
      ["tests/test_golden.py"]),
@@ -90,11 +98,15 @@ MUTANTS = [
     ("sl2-triple-unchecked", "gradings.py",
      'raise NoSolution("(e, f, h) breaks the sl2 relations")', "pass",
      ["tests/test_gradings.py"]),
+    ("count-without-degree-1", "gradings.py",
+     "sum(d in (0, 1) for d in g.degrees)", "sum(d == 0 for d in g.degrees)",
+     ["tests/test_gradings.py::"
+      "test_counting_with_the_formula_equals_rank_definition"]),
     ("ad-kernel-key-ignores-transpose", "gradings.py",
      "key = frozenset(e.entries.items())",
      "key = frozenset(frozenset(ab) for ab in e.entries)",
-     ["tests/test_classification.py::"
-      "test_goodness_is_symmetric_under_supertranspose"]),
+     ["tests/test_gradings.py::"
+      "test_ad_kernel_records_of_e_and_its_transpose_differ"]),
     ("rank-single-column-block-zero", "linalg.py",
      "1 if rows is None", "0 if rows is None",
      ["tests/test_linalg.py"]),
