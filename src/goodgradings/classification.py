@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import product
 from math import inf
 
-from .gradings import (Grading, NonIntegralGrading, ad_kernel, complete_sl2,
-                       dim_formula_osp, grading_from, is_good, s_centralizer)
+from .gradings import (Grading, ad_kernel, complete_sl2, dim_formula_osp,
+                       grading_from, is_good, s_centralizer)
 from .partitions import SuperPartition, cp_dq
 from .pyramids import dynkin_pair, enumerate_pyr, shift_matrix
 from .superalgebra import build_gl, build_osp
@@ -48,13 +48,14 @@ class GoodGradingSet:
 
 def good_gradings_gl(sp):
     """All good gradings for e_{p,q} in gl(m|n): one per pyramid, ad h for
-    h the diagonal of its box x-coordinates, deduplicated as degree maps."""
+    h the diagonal of its box x-coordinates, in degree-map order.  No two
+    share a degree map: the centre of gl(m|n) is the identity, so two such
+    H differ by c*I; the labels and the centred bottom row depend on the
+    orbit alone, so c = 0 and every row has the same offset."""
     R = build_gl(sp.m, sp.n)
-    seen = {}
-    for P in enumerate_pyr(sp):
-        g = grading_from(R, R.diagonal({lab: x for x, y, t, lab in P.boxes}))
-        seen.setdefault(g.key(), g)
-    return GoodGradingSet(sp, [seen[k] for k in sorted(seen)], "pyramid")
+    return GoodGradingSet(sp, sorted(
+        (grading_from(R, R.diagonal({lab: x for x, y, t, lab in P.boxes}))
+         for P in enumerate_pyr(sp)), key=Grading.key), "pyramid")
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +182,17 @@ def _pair_constraint_ok(cp, dq, s, t):
 
 def good_gradings_osp(sp):
     """All good gradings for e_{p,q} in osp(m|2n): h + z(s, t) for each
-    shift (s, t) of the case table, graded once, the first per degree map,
-    good when its degrees 0 and 1 count `dim_formula_osp`; a shift must
-    keep e's degree (else NotCentral).  With 1 in C(p), the last C(p)
-    shift s_c (of part 1) runs over |s_c| <= B, the least constant term of
-    the paper's bound on it, and the pair filter applies its other terms;
-    no ad e, kernel or oracle is needed."""
+    shift (s, t) of the case table, graded once, good when its degrees 0
+    and 1 count `dim_formula_osp`; a shift must keep e's degree (else
+    NotCentral).  With 1 in C(p), the last C(p) shift s_c (of part 1) runs
+    over |s_c| <= B, the least constant term of the paper's bound on it,
+    and the pair filter applies its other terms; no ad e, kernel or oracle
+    is needed.  Every candidate is integral: integer shifts keep h's
+    degrees integral, and half shifts run only in the half case, where
+    every box lies in a shifted row, so every entry of h + z is an integer
+    plus a half.  No two share a degree map: osp(m|2n), m, n >= 1, has
+    zero centre, so ad H determines H, and z(s, t) is injective, as each
+    C(p), D(q) part has one nonempty shifted row (`shift_matrix` checks)."""
     cp, dq = cp_dq(sp)
     R = build_osp(sp.m, sp.n // 2)
     P, e, h = dynkin_pair(sp, R)
@@ -203,7 +209,7 @@ def good_gradings_osp(sp):
     terms = [min(values) - 1 for values in ({v for v in sp.p if v != 1},
                                             set(sp.q)) if values]
     bound = min(terms)
-    found, not_good = {}, 0
+    good, not_good = [], 0
     for step in range(1 + half_case):
         box = [range(step - 2, 3 - step, 2)] * (k + len(dq))
         if 1 in cp:
@@ -216,16 +222,12 @@ def good_gradings_osp(sp):
             moved = R.degrees(z.diag())
             if any(moved[j] != 0 for j in ec):
                 raise NotCentral("a shift moves the degree of e")
-            try:
-                g = grading_from(R, h + z)
-            except NonIntegralGrading:
-                continue
+            g = grading_from(R, h + z)
             if is_good(g, e, dim):
-                found.setdefault(g.key(), g)
+                good.append(g)
             else:
                 not_good += 1
-    out = GoodGradingSet(sp, [found[key] for key in sorted(found)],
-                         "shift-vector")
+    out = GoodGradingSet(sp, sorted(good, key=Grading.key), "shift-vector")
     if 1 in cp:
         # the text of the old oracle fallback, kept for identical output
         out.notes["case"] = "1 in C(p): oracle-classified"
@@ -244,27 +246,16 @@ def good_gradings_osp(sp):
 # extensions of an even grading
 
 
-def _pyramid_diag(P):
-    """Diagonal x-coordinates of a single-parity pyramid, in label order."""
-    boxes = sorted(P.boxes, key=lambda b: b[3])
-    return [x for x, y, t, lab in boxes]
-
-
-def extensions_of_even_grading(sp, even_pyramids, full_set=None):
-    """Members of good_gradings_gl(sp) whose restriction to the even part
-    equals the grading of the given (p-pyramid, q-pyramid) pair."""
-    pyr_p, pyr_q = even_pyramids
-    hp = _pyramid_diag(pyr_p)
-    hq = _pyramid_diag(pyr_q)
-    if full_set is None:
-        full_set = good_gradings_gl(sp)
-    m = sp.m
-    picked = []
-    for g in full_set.gradings:
-        diag = g.H.diag()
-        dp = {diag[i] - hp[i] for i in range(m)}
-        dq_ = {diag[m + j] - hq[j] for j in range(len(hq))}
-        if len(dp) == 1 and len(dq_) == 1:
-            picked.append(g)
+def extensions_of_even_grading(sp, even_pyramids, full_set):
+    """Members of full_set, good_gradings_gl(sp), whose restriction to the
+    even part equals the grading of the given (p-pyramid, q-pyramid) pair:
+    on each parity, H minus the box x-coordinates (in label order) is one
+    constant."""
+    hp, hq = ([x for x, y, t, lab in sorted(P.boxes, key=lambda b: b[3])]
+              for P in even_pyramids)
+    picked = [g for g in full_set.gradings
+              if all(len({d - x for d, x in zip(diag, hx)}) == 1
+                     for diag, hx in ((g.H.diag()[:sp.m], hp),
+                                      (g.H.diag()[sp.m:], hq)))]
     return GoodGradingSet(sp, picked, full_set.provenance,
-                          {"evenGrading": [pyr_p.to_json(), pyr_q.to_json()]})
+                          {"evenGrading": [P.to_json() for P in even_pyramids]})

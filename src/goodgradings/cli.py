@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: classify, verify, centralizer, pyramids, diagram, selftest.
-Output is JSON (rationals as "a/b" strings) or, with --pretty, text tables
-and ASCII pyramids.  Exit codes: 0 success, 1 verification failure,
+Output is JSON (rationals as "a/b" strings); --pretty indents the JSON and
+renders pyramids as ASCII.  Exit codes: 0 success, 1 verification failure,
 2 usage error.
 """
 
@@ -65,10 +65,7 @@ def _check_orbit_size(sp, args):
 
 
 def _emit(obj, args):
-    if getattr(args, "pretty", False) and isinstance(obj, dict):
-        print(json.dumps(obj, indent=2))
-    else:
-        print(json.dumps(obj))
+    print(json.dumps(obj, indent=2 if args.pretty else None))
 
 
 def cmd_classify(args):

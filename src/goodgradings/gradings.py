@@ -34,7 +34,7 @@ class Grading:
     degrees: tuple                 # integer ad-H eigenvalue per basis element
 
     def key(self):
-        """Degree map fingerprint used for deduplication."""
+        """Degree map fingerprint: the classifications are sorted by it."""
         return self.degrees
 
     def component(self, j):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from goodgradings import classification, gradings
+from goodgradings import classification, gradings, partitions, pyramids
 from goodgradings.classification import (NotCentral, Unbounded,
                                          brute_force_shifts,
                                          extensions_of_even_grading,
@@ -374,6 +374,60 @@ def test_case_table_needs_neither_the_oracle_nor_ad_e(monkeypatch):
     orbits = _osp_orbits(12)
     assert len(orbits) == 530
     assert sum(len(good_gradings_osp(sp)) for sp in orbits) == 952
+
+
+def test_each_pyramid_and_each_admitted_shift_grades_once(monkeypatch):
+    """The classifiers keep no map by degree map, so none may be needed:
+    on every gl orbit with m+n <= 8 each pyramid gives its own degree map,
+    and on every osp orbit with m+2n <= 14 each candidate that goodness
+    accepts does."""
+    orbits = _gl_orbits(8)
+    assert len(orbits) == 433
+    for sp in orbits:
+        gs = good_gradings_gl(sp)
+        assert len(gs.keys()) == len(gs) == len(enumerate_pyr(sp)), sp
+    accepted = 0
+
+    def counting(g, e, dim=None):
+        nonlocal accepted
+        good = is_good(g, e, dim)
+        accepted += good
+        return good
+
+    monkeypatch.setattr(classification, "is_good", counting)
+    orbits = _osp_orbits(14)
+    assert len(orbits) == 1206
+    for sp in orbits:
+        accepted = 0
+        gs = good_gradings_osp(sp)
+        assert len(gs.keys()) == len(gs) == accepted, sp
+
+
+def test_osp_classifier_reads_the_orbit_once(monkeypatch):
+    """The orthosymplectic checks of one osp classification do not grow
+    with its candidates: cp_dq is cached per orbit, so `shift_matrix`
+    does not check the orbit again for each candidate."""
+    calls = Counter()
+    check = partitions.is_orthosymplectic
+
+    def counting(sp):
+        calls["check"] += 1
+        return check(sp)
+
+    def shifting(*args):
+        calls["candidate"] += 1
+        return shift_matrix(*args)
+
+    for module in (partitions, pyramids, gradings):
+        monkeypatch.setattr(module, "is_orthosymplectic", counting)
+    monkeypatch.setattr(classification, "shift_matrix", shifting)
+    seen = []
+    for p, q in [((1,), (2,)), ((3, 3, 1, 1), (4, 4))]:
+        cp_dq.cache_clear()
+        calls.clear()
+        good_gradings_osp(SuperPartition(p, q))
+        seen.append((calls["candidate"], calls["check"]))
+    assert seen == [(1, 3), (43, 3)]
 
 
 def test_last_shift_bound_equals_the_oracle(monkeypatch):

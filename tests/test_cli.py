@@ -129,6 +129,10 @@ def test_verify_wrong_h_length(capsys):
     ["verify", "osp", "2", "2", "--H", "[1,0,0,0]", "--e", "E12"],
     ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "[[0,1]]"],
     ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "[[0,1],5]"],
+    ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "[[0,1],[0]]"],
+    ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "E1,2,3"],
+    ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "E123"],
+    ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e", "Ex2"],
     ["classify", "gl", "0", "0", "--orbit", '{"p":[],"q":[]}'],
     ["classify", "osp", "1", "0", "--orbit", '{"p":[1],"q":[]}'],
     ["classify", "gl", "2", "1", "--orbit", '{"p":[2],"q":[1]}',
@@ -268,6 +272,20 @@ def test_selftest(capsys):
     code, out, _ = _run(capsys, ["selftest", "--max-size", "3"])
     assert code == 0
     assert json.loads(out)["failures"] == []
+
+
+def test_selftest_lists_failures(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_good", lambda g, e: False)
+    code, out, _ = _run(capsys, ["selftest", "--max-size", "2"])
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        "gl dynkin not good SuperPartition(p=(1,), q=(1,))"]
+
+
+def test_verify_reads_the_comma_element_spec(capsys):
+    argv = ["verify", "gl", "2", "0", "--H", "[1,-1]", "--e"]
+    comma = _run(capsys, argv + ["E1,2"])
+    assert comma[0] == 0 and comma == _run(capsys, argv + ["E12"])
 
 
 # Random argv for the input contract: mostly well-formed requests on sizes

@@ -16,7 +16,8 @@ from goodgradings.gradings import (FormulaError, NonIntegralGrading,
                                    is_good_by_ranks, is_richardson,
                                    predicted_block_types, s_centralizer)
 from goodgradings.linalg import Matrix, kernel_basis, solve
-from goodgradings.partitions import (SuperPartition, dual_partition,
+from goodgradings.partitions import (NotOrthosymplectic,
+                                     SuperPartition, dual_partition,
                                      enumerate_super_partitions,
                                      is_orthosymplectic, psi_merge)
 from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
@@ -99,6 +100,11 @@ def test_dim_formula_osp_checks_integrality(monkeypatch):
         dim_formula_osp(SimpleNamespace(p=(1,), q=(), m=2, n=0))
 
 
+def test_dim_formula_osp_rejects_non_orthosymplectic():
+    with pytest.raises(NotOrthosymplectic):
+        dim_formula_osp(SuperPartition((2,), (2,)))
+
+
 def test_complete_sl2_gl2():
     R = build_gl(2, 0)
     e = R.E(1, 2)
@@ -119,6 +125,13 @@ def test_complete_sl2_checks_relations(monkeypatch):
     R = build_gl(2, 0)
     with pytest.raises(NoSolution, match="sl2 relations"):
         complete_sl2(R, R.E(1, 2), R.diagonal({1: 1, 2: -1}))
+
+
+def test_complete_sl2_without_solution():
+    # [0, f] = 0 never equals h
+    R = build_gl(2, 0)
+    with pytest.raises(NoSolution, match="does not complete"):
+        complete_sl2(R, R.zero(), R.diagonal({1: 1, 2: -1}))
 
 
 def test_complete_sl2_gl46():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from goodgradings import pyramids
-from goodgradings.partitions import (SuperPartition, cp_dq,
+from goodgradings.partitions import (NotOrthosymplectic,
+                                     SuperPartition, cp_dq,
                                      enumerate_super_partitions,
                                      is_orthosymplectic)
 from goodgradings.pyramids import (LengthMismatch, MembershipFailure,
@@ -133,6 +134,27 @@ def test_realize_osp_checks_membership_of_e(monkeypatch):
     P = dynkin_pyramid_osp(SuperPartition((3,), (2,)))
     with pytest.raises(MembershipFailure, match="e is not in osp"):
         realize_osp_pyramid(P, R)
+
+
+def test_realize_osp_checks_jordan_type(monkeypatch):
+    monkeypatch.setattr(pyramids, "jordan_type",
+                        lambda R, e: ((1, 1, 1), (1, 1)))
+    P = dynkin_pyramid_osp(SuperPartition((3,), (2,)))
+    with pytest.raises(MembershipFailure, match="Jordan type"):
+        realize_osp_pyramid(P, build_osp(3, 1))
+
+
+@pytest.mark.parametrize("build, m, n", [(build_osp, 1, 1), (build_gl, 3, 2)],
+                         ids=["smaller-osp", "gl"])
+def test_realize_osp_checks_size(build, m, n):
+    P = dynkin_pyramid_osp(SuperPartition((3,), (2,)))
+    with pytest.raises(SizeMismatch):
+        realize_osp_pyramid(P, build(m, n))
+
+
+def test_osp_pyramid_rejects_non_orthosymplectic():
+    with pytest.raises(NotOrthosymplectic):
+        dynkin_pyramid_osp(SuperPartition((2,), (2,)))
 
 
 def test_osp_central_symmetry():

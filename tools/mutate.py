@@ -69,6 +69,10 @@ MUTANTS = [
      "grading_from(R, R.diagonal({lab: x",
      "grading_from(R, R.diagonal({lab: y",
      ["tests/test_classification.py"]),
+    ("osp-box-doubled", "classification.py",
+     "range(step - 2, 3 - step, 2)", "[*range(step - 2, 3 - step, 2)] * 2",
+     ["tests/test_classification.py::"
+      "test_each_pyramid_and_each_admitted_shift_grades_once"]),
     ("pair-filter-ignored", "classification.py",
      "abs(s[k] - t[l]) <= 2", "abs(s[k] - t[l]) <= 4",
      ["tests/test_classification.py", "tests/test_golden.py"]),
@@ -95,6 +99,9 @@ MUTANTS = [
     ("centralizer-prediction-unchecked", "cli.py",
      'out["sCentralizerDim"] == out["predictedBlockDim"]', "True",
      ["tests/test_cli.py"]),
+    ("osp-jordan-type-unchecked", "pyramids.py",
+     "if jt != (P.sp.p, P.sp.q):", "if False:",
+     ["tests/test_pyramids.py::test_realize_osp_checks_jordan_type"]),
     ("sl2-triple-unchecked", "gradings.py",
      'raise NoSolution("(e, f, h) breaks the sl2 relations")', "pass",
      ["tests/test_gradings.py"]),
