@@ -5,19 +5,18 @@ from .partitions import (SuperPartition, NotOrthosymplectic, cp_dq,
                          dual_partition, enumerate_super_partitions,
                          is_orthosymplectic, partitions_of, psi_merge)
 from .superalgebra import (AlgebraElement, AmbientMismatch, DimensionError,
-                           Realization, RealizationError, adjoint_matrix,
-                           build_gl, build_osp, invariant_form,
-                           is_member_osp, superbracket)
+                           NonIntegralGrading, Realization, RealizationError,
+                           adjoint_matrix, build_gl, build_osp,
+                           invariant_form, is_member_osp, superbracket)
 from .pyramids import (LengthMismatch, MembershipFailure, OspPyramid,
                        Pyramid, PyramidError, SizeMismatch, dynkin_pair,
                        dynkin_pyramid_gl, dynkin_pyramid_osp, enumerate_pyr,
                        jordan_type, realize_osp_pyramid, realize_pyramid,
                        render, shift_matrix)
-from .gradings import (CentralizerReport, FormulaError, Grading,
-                       NonIntegralGrading, NoSolution, OddGrading, Sl2Triple,
-                       centralizer, complete_sl2, dim_formula_gl,
-                       dim_formula_osp, grading_from, integral_degrees,
-                       is_good, is_good_by_ranks, is_richardson, s_centralizer)
+from .gradings import (CentralizerReport, FormulaError, Grading, NoSolution,
+                       OddGrading, Sl2Triple, centralizer, complete_sl2,
+                       dim_formula_gl, dim_formula_osp, grading_from, is_good,
+                       is_good_by_ranks, is_richardson, s_centralizer)
 from .classification import (GoodGradingSet, NotCentral, Unbounded,
                              brute_force_shifts, extensions_of_even_grading,
                              good_gradings_gl, good_gradings_osp)

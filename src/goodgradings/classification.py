@@ -183,16 +183,17 @@ def _pair_constraint_ok(cp, dq, s, t):
 def good_gradings_osp(sp):
     """All good gradings for e_{p,q} in osp(m|2n): h + z(s, t) for each
     shift (s, t) of the case table, graded once, good when its degrees 0
-    and 1 count `dim_formula_osp`; a shift must keep e's degree (else
-    NotCentral).  With 1 in C(p), the last C(p) shift s_c (of part 1) runs
-    over |s_c| <= B, the least constant term of the paper's bound on it,
-    and the pair filter applies its other terms; no ad e, kernel or oracle
-    is needed.  Every candidate is integral: integer shifts keep h's
-    degrees integral, and half shifts run only in the half case, where
-    every box lies in a shifted row, so every entry of h + z is an integer
-    plus a half.  No two share a degree map: osp(m|2n), m, n >= 1, has
-    zero centre, so ad H determines H, and z(s, t) is injective, as each
-    C(p), D(q) part has one nonempty shifted row (`shift_matrix` checks)."""
+    and 1 count `dim_formula_osp`; e must stay in degree 2, where h puts
+    it (else NotCentral).  With 1 in C(p), the last C(p) shift s_c (of
+    part 1) runs over |s_c| <= B, the least constant term of the paper's
+    bound on it, and the pair filter applies its other terms; no ad e,
+    kernel or oracle is needed.  Every candidate is integral: integer
+    shifts keep h's degrees integral, and half shifts run only in the half
+    case, where every box lies in a shifted row, so every entry of h + z
+    is an integer plus a half.  No two share a degree map: osp(m|2n), m,
+    n >= 1, has zero centre, so ad H determines H, and z(s, t) is
+    injective, as each C(p), D(q) part has one nonempty shifted row
+    (`shift_matrix` checks)."""
     cp, dq = cp_dq(sp)
     R = build_osp(sp.m, sp.n // 2)
     P, e, h = dynkin_pair(sp, R)
@@ -218,11 +219,9 @@ def good_gradings_osp(sp):
             if not _pair_constraint_ok(cp, dq, v[:k], v[k:]):
                 continue
             half = [Fraction(a, 2) for a in v]
-            z = shift_matrix(R, P, half[:k], half[k:])
-            moved = R.degrees(z.diag())
-            if any(moved[j] != 0 for j in ec):
+            g = grading_from(R, h + shift_matrix(R, P, half[:k], half[k:]))
+            if not all(g.degrees[j] == 2 for j in ec):
                 raise NotCentral("a shift moves the degree of e")
-            g = grading_from(R, h + z)
             if is_good(g, e, dim):
                 good.append(g)
             else:

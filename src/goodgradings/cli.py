@@ -16,15 +16,15 @@ from fractions import Fraction
 
 from .classification import (brute_force_shifts, good_gradings_gl,
                              good_gradings_osp)
-from .gradings import (NonIntegralGrading, block_type_dim, centralizer,
-                       complete_sl2, dim_formula_gl, dim_formula_osp,
-                       grading_from, is_good, predicted_block_types,
-                       s_centralizer)
+from .gradings import (block_type_dim, centralizer, complete_sl2,
+                       dim_formula_gl, dim_formula_osp, grading_from, is_good,
+                       predicted_block_types, s_centralizer)
 from .partitions import (NotOrthosymplectic, SuperPartition,
                          enumerate_super_partitions, is_orthosymplectic)
 from .pyramids import dynkin_pair, dynkin_pyramid_osp, enumerate_pyr, render
 from .roots import find_nonnegative_base
-from .superalgebra import DimensionError, build_gl, build_osp, check_size
+from .superalgebra import (DimensionError, NonIntegralGrading, build_gl,
+                           build_osp, check_size)
 
 
 class UsageError(Exception):
@@ -40,7 +40,7 @@ def _parse_orbit(text):
     try:
         obj = json.loads(text)
         return SuperPartition.from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError("bad --orbit value: %s" % exc)
 
 
@@ -100,10 +100,6 @@ def _rationals(items, what):
         raise UsageError("bad %s entry: %s" % (what, exc))
 
 
-def _parse_rationals(text):
-    return _rationals(_json(text, "--H"), "--H")
-
-
 def _parse_e(text, R):
     text = text.strip()
     s = R.size
@@ -134,7 +130,7 @@ def _parse_e(text, R):
 
 def cmd_verify(args):
     _size(args)
-    diag = _parse_rationals(args.H)
+    diag = _rationals(_json(args.H, "--H"), "--H")
     if len(diag) != args.m + args.n:
         raise UsageError("need %d diagonal entries" % (args.m + args.n))
     R = _algebra(args)

@@ -8,11 +8,8 @@ from fractions import Fraction
 from .linalg import kernel_basis, rank, solve
 from .partitions import (NotOrthosymplectic, is_orthosymplectic,
                          multiplicities)
-from .superalgebra import EVEN, adjoint_matrix, superbracket
-
-
-class NonIntegralGrading(ValueError):
-    pass
+from .superalgebra import (EVEN, NonIntegralGrading, adjoint_matrix,
+                           superbracket)
 
 
 class OddGrading(ValueError):
@@ -49,23 +46,10 @@ class Grading:
                 "degrees": dict(zip(self.ambient.degree_keys, self.degrees))}
 
 
-def integral_degrees(R, diag):
-    """Integer ad-degree of every basis element under the diagonal element
-    with entries diag; each basis element must be an eigenvector."""
-    out = R.degrees(diag)
-    for lam in out:
-        if lam is None:
-            raise NonIntegralGrading("basis element is not an ad-H "
-                                     "eigenvector")
-        if type(lam) is not int:
-            raise NonIntegralGrading("non-integer degree %s" % lam)
-    return out
-
-
 def grading_from(R, H):
     """Grading defined by ad H; every homogeneous basis element must be an
-    eigenvector with integer eigenvalue."""
-    return Grading(R, H, tuple(integral_degrees(R, H.diag())))
+    eigenvector with integer eigenvalue (else NonIntegralGrading)."""
+    return Grading(R, H, R.degrees(H.diag()))
 
 
 @dataclass

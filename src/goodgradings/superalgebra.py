@@ -38,6 +38,11 @@ class RealizationError(ValueError):
     """A realization broke one of its own invariants."""
 
 
+class NonIntegralGrading(ValueError):
+    """A diagonal element does not give every basis element an integer
+    ad-degree."""
+
+
 @dataclass
 class AlgebraElement:
     """An element stored as its support: the nonzero entries {(a, b): c}
@@ -208,16 +213,23 @@ class Realization:
         return self.from_entries(entries)
 
     def degrees(self, diag):
-        """ad-eigenvalue of each basis element under the diagonal element
-        with entries diag, or None where it is not an eigenvector: exact
-        int differences of diag scaled by the lcm den of its denominators,
-        divided by den at the end (an int where integral, else a Fraction)."""
+        """The integer ad-eigenvalue of each basis element under the
+        diagonal element with entries diag, as a tuple: exact int
+        differences of diag scaled by the lcm den of its denominators.
+        The first basis element that is not an eigenvector, or whose
+        degree is not an integer, raises NonIntegralGrading."""
         v, den = scaled_to_ints(diag)
-        out = [d if (d := v[a] - v[b]) == v[c] - v[e] else None
-               for a, b, c, e in self._degree_entries]
-        if den == 1:
-            return out
-        return [d if d is None else quotient(d, den) for d in out]
+        out = []
+        for a, b, c, e in self._degree_entries:
+            d = v[a] - v[b]
+            if d != v[c] - v[e]:
+                raise NonIntegralGrading("basis element is not an ad-H "
+                                         "eigenvector")
+            if d % den:
+                raise NonIntegralGrading("non-integer degree %s"
+                                         % quotient(d, den))
+            out.append(d // den)
+        return tuple(out)
 
 
 def supertrace(R, mat):

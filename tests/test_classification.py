@@ -11,8 +11,7 @@ from goodgradings.classification import (NotCentral, Unbounded,
                                          brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
-from goodgradings.gradings import (ad_kernel, grading_from,
-                                   integral_degrees, is_good,
+from goodgradings.gradings import (ad_kernel, grading_from, is_good,
                                    is_good_by_ranks)
 from goodgradings.partitions import (SuperPartition, cp_dq,
                                      enumerate_super_partitions,
@@ -170,9 +169,9 @@ def _scan_per_candidate(R, e, h, gens, candidates):
     """The scan one candidate at a time over the full degree tuple: the
     reference for the box scan.  Returns (degree map, H diagonal) pairs
     in degree-map order and the count of integral candidates not good."""
-    gen_degrees = [integral_degrees(R, z.diag()) for z in gens]
+    gen_degrees = [R.degrees(z.diag()) for z in gens]
     forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
-             for i, d in enumerate(integral_degrees(R, h.diag()))]
+             for i, d in enumerate(R.degrees(h.diag()))]
     e_support = list(R.coords(e))
     ker_support = {j for v in ad_kernel(R, e)[1] for j in v}
     found = {}
@@ -469,10 +468,11 @@ def test_oracle_points_are_good_by_ranks():
 
 
 def test_scan_refuses_a_generator_moving_e(monkeypatch):
-    # a shift of 1 on the first label alone changes the degree of e's
-    # first step; a raise, not an assert, so it holds under python -O too
+    # a shift of 1 on label 1 and -1 on label -1, an osp diagonal, changes
+    # the degree of e's first step; a raise, not an assert, so it holds
+    # under python -O too
     monkeypatch.setattr(classification, "shift_matrix",
-                        lambda R, P, s, t: R.diagonal({1: 1}))
+                        lambda R, P, s, t: R.diagonal({1: 1, -1: -1}))
     with pytest.raises(NotCentral):
         good_gradings_osp(SuperPartition((3, 3), (4,)))
 

@@ -150,6 +150,12 @@ def test_verify_wrong_h_length(capsys):
     ["classify", "gl", "2", "1", "--orbit", '{"p":[2]}'],
     ["classify", "gl", "2", "1", "--orbit", "[1,2]"],
     ["classify", "gl", "2", "1", "--orbit", '{"p":2,"q":[1]}'],
+    # --orbit shapes that SuperPartition.from_json refuses with ValueError,
+    # the one error _parse_orbit catches
+    *(["classify", "gl", "2", "1", "--orbit", shape] for shape in [
+        "null", '"x"', "{}", "true", "[]", '{"q":[1]}', '{"p":[2],"q":1}',
+        '{"p":["a"],"q":[1]}', '{"p":[null],"q":[1]}', '{"p":[[2]],"q":[1]}',
+        '{"p":{"a":1},"q":[1]}', '{"p":[NaN],"q":[1]}', '{"p":[2],"q":[1]']),
 ])
 def test_malformed_input_exits_2(capsys, argv):
     code, out, err = _run(capsys, argv)
@@ -272,6 +278,15 @@ def test_selftest(capsys):
     code, out, _ = _run(capsys, ["selftest", "--max-size", "3"])
     assert code == 0
     assert json.loads(out)["failures"] == []
+
+
+def test_selftest_lists_dimension_failures(capsys, monkeypatch):
+    # a wrong closed form is a "dims" failure on every orbit checked
+    monkeypatch.setattr(cli, "_dim_formula", lambda sp, kind: (-1, -1))
+    code, out, _ = _run(capsys, ["selftest", "--max-size", "2"])
+    assert code == 1
+    assert json.loads(out)["failures"] == [
+        "gl dims SuperPartition(p=(1,), q=(1,))"]
 
 
 def test_selftest_lists_failures(capsys, monkeypatch):

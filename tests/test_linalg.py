@@ -299,6 +299,11 @@ def test_solve_is_zero_at_free_columns():
     assert solve(Matrix.zero(0, 2), []) == {}
 
 
+def test_from_rows_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix.from_rows([[1, 2], [3]])
+
+
 def test_kernel_of_empty_shapes():
     assert [dense(v, 3) for v in kernel_basis(Matrix.zero(0, 3))] == \
         _dense_kernel(Matrix.zero(0, 3))

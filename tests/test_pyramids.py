@@ -365,6 +365,11 @@ def test_render():
     assert len(out.splitlines()) == 5
 
 
+def test_empty_orbit_has_the_empty_pyramid():
+    assert enumerate_pyr(SuperPartition((), ())) == [Pyramid(())]
+    assert render(Pyramid(())) == ""
+
+
 def test_osp_realize_all_small():
     for m in range(1, 5):
         for n2 in range(2, 7 - m, 2):

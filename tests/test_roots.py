@@ -109,6 +109,15 @@ def test_nonnegative_base_seed_independent():
     assert marked_equivalent(b1, b2)
 
 
+def test_nonnegative_base_refuses_a_vanishing_functional():
+    # seed 1 gives every coordinate weight 1, which vanishes on eps_1 - eps_2
+    sp = SuperPartition((2, 1), (2,))
+    R = build_gl(3, 2)
+    e, h = realize_pyramid(dynkin_pyramid_gl(sp), R)
+    with pytest.raises(RootSystemError, match="functional vanishes"):
+        find_nonnegative_base(grading_from(R, h), seed=1)
+
+
 def test_marked_equivalent_reflexive_symmetric():
     for b in _sample_bases():
         assert marked_equivalent(b, b)

@@ -13,6 +13,7 @@ from goodgradings.partitions import (enumerate_super_partitions,
 from goodgradings.pyramids import dynkin_pair, jordan_type
 from goodgradings.roots import find_nonnegative_base
 from goodgradings.superalgebra import (EVEN, ODD, AmbientMismatch,
+                                       NonIntegralGrading,
                                        RealizationError, adjoint_matrix,
                                        build_gl, build_osp, invariant_form,
                                        is_member_osp, superbracket,
@@ -308,6 +309,14 @@ def test_adjoint_matrix():
     assert rank(adjoint_matrix(e)) + _centdim(R, e) == R.dim
 
 
+def test_adjoint_matrix_refuses_a_bracket_outside_the_algebra(monkeypatch):
+    # E_00 is not in osp(1|2): phi(v_0, v_0) = 2 makes it fail membership
+    R = build_osp(1, 1)
+    monkeypatch.setattr(superalgebra, "_bracket", lambda m, x, y: {(0, 0): 1})
+    with pytest.raises(RealizationError, match="bracket left the algebra"):
+        adjoint_matrix(R.basis[0])
+
+
 def _centdim(R, e):
     from goodgradings.linalg import kernel_basis
     return len(kernel_basis(adjoint_matrix(e)))
@@ -449,16 +458,27 @@ DEGREE_ALGEBRAS = {"gl21": build_gl(2, 1), "gl32": build_gl(3, 2),
        data=st.data())
 def test_degrees_match_fraction_differences(R, den, in_algebra, data):
     """Integral, half-integral and third diagonals; for osp a diagonal
-    outside the algebra (no phi-skew symmetry) gives non-eigenvectors."""
+    outside the algebra (no phi-skew symmetry) gives non-eigenvectors.
+    Where the Fraction reference is integral, the table is that tuple of
+    ints; else the first offending basis element names the refusal."""
     diag = [Fraction(v, den) for v in data.draw(
         st.lists(st.integers(-6, 6), min_size=R.size, max_size=R.size))]
     if in_algebra and R.kind == "osp":
         diag = [diag[R.index(lab)] if lab > 0 else
                 -diag[R.index(-lab)] if lab else Fraction(0)
                 for lab in R.labels]
-    got = R.degrees(diag)
-    assert got == _fraction_degrees(R, diag)
-    assert all((type(d) is int) == (d.denominator == 1)
-               for d in got if d is not None)
+    expected = _fraction_degrees(R, diag)
     if R.kind == "osp" and in_algebra:
-        assert None not in got
+        assert None not in expected
+    bad = next((d for d in expected
+                if d is None or d.denominator != 1), False)
+    if bad is False:
+        got = R.degrees(diag)
+        assert type(got) is tuple and got == tuple(expected)
+        assert all(type(d) is int for d in got)
+        return
+    message = "basis element is not an ad-H eigenvector" if bad is None \
+        else "non-integer degree %s" % bad
+    with pytest.raises(NonIntegralGrading) as info:
+        R.degrees(diag)
+    assert str(info.value) == message

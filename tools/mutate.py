@@ -82,9 +82,10 @@ MUTANTS = [
     ("oracle-central-set-empty", "classification.py",
      "central = {j for v in screp.vectors for j in v}", "central = set()",
      ["tests/test_classification.py"]),
-    ("case-table-none-degree-passes", "classification.py",
-     "any(moved[j] != 0 for j in ec)", "any(moved[j] for j in ec)",
-     ["tests/test_classification.py"]),
+    ("case-table-moved-e-passes", "classification.py",
+     "not all(g.degrees[j] == 2 for j in ec)", "False",
+     ["tests/test_classification.py::"
+      "test_scan_refuses_a_generator_moving_e"]),
     ("last-shift-bound-one-smaller", "classification.py",
      "bound = min(terms)", "bound = min(terms) - 1",
      ["tests/test_classification.py::"
@@ -127,8 +128,12 @@ MUTANTS = [
      "out[i] = quotient(v, self.supports[i][ab])", "out[i] = v",
      ["tests/test_superalgebra.py"]),
     ("degrees-not-divided-by-den", "superalgebra.py",
-     "d if d is None else quotient(d, den)", "d",
+     "out.append(d // den)", "out.append(d)",
      ["tests/test_gradings.py", "tests/test_superalgebra.py"]),
+    ("degrees-integrality-unchecked", "superalgebra.py",
+     "if d % den:", "if False:",
+     ["tests/test_superalgebra.py::"
+      "test_degrees_match_fraction_differences"]),
     ("degree-keys-start-at-1", "superalgebra.py",
      "range(len(supports))", "range(1, len(supports) + 1)",
      ["tests/test_classification.py::"
