@@ -8,8 +8,7 @@ from fractions import Fraction
 from .linalg import kernel_basis, rank, solve
 from .partitions import (NotOrthosymplectic, is_orthosymplectic,
                          multiplicities)
-from .superalgebra import (EVEN, NonIntegralGrading, adjoint_matrix,
-                           superbracket)
+from .superalgebra import EVEN, adjoint_matrix, superbracket
 
 
 class OddGrading(ValueError):
@@ -136,13 +135,15 @@ def complete_sl2(R, e, h):
     """Find f completing (e, h) to an sl2-triple: solve [e, f] = h in basis
     coordinates over the (-2)-eigenspace of ad h.  With e in degree 2,
     ad e sends that eigenspace into degree 0, so only the degree-0 rows
-    are solved; the triple's own relation check covers any other e."""
-    degrees = R.degrees(h.diag())
-    candidates = [j for j, p in enumerate(R.basis_parities)
-                  if p == EVEN and degrees[j] == -2]
+    are solved; the triple's own relation check covers any other e.  An h
+    outside g raises NoSolution; an h in g with a non-integer degree, which
+    no sl2-triple has, raises NonIntegralGrading."""
     hc = R.coords(h)
     if hc is None:
         raise NoSolution("h is not in the algebra")
+    degrees = R.degrees(h.diag())
+    candidates = [j for j, p in enumerate(R.basis_parities)
+                  if p == EVEN and degrees[j] == -2]
     rows = [i for i, d in enumerate(degrees) if d == 0]
     x = solve(ad_kernel(R, e)[0].submatrix(rows, candidates),
               [hc.get(i, 0) for i in rows])

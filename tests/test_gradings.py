@@ -8,10 +8,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from goodgradings import gradings
-from goodgradings.gradings import (FormulaError, NonIntegralGrading,
-                                   NoSolution, OddGrading, Sl2Triple,
-                                   ad_kernel, block_type_dim, centralizer,
-                                   complete_sl2, dim_formula_gl,
+from goodgradings.gradings import (FormulaError, NoSolution, OddGrading,
+                                   Sl2Triple, ad_kernel, block_type_dim,
+                                   centralizer, complete_sl2, dim_formula_gl,
                                    dim_formula_osp, grading_from, is_good,
                                    is_good_by_ranks, is_richardson,
                                    predicted_block_types, s_centralizer)
@@ -24,9 +23,9 @@ from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
                                    dynkin_pyramid_osp,
                                    realize_osp_pyramid, realize_pyramid,
                                    shift_matrix)
-from goodgradings.superalgebra import (EVEN, ODD, adjoint_matrix, build_gl,
-                                       build_osp, invariant_form,
-                                       superbracket)
+from goodgradings.superalgebra import (EVEN, ODD, NonIntegralGrading,
+                                       adjoint_matrix, build_gl, build_osp,
+                                       invariant_form, superbracket)
 from test_linalg import _dense_kernel
 
 
@@ -472,6 +471,23 @@ def test_complete_sl2_needs_h_in_algebra():
     shifted = R.diagonal({lab: x + 1 for lab, x in zip(R.labels, h.diag())})
     with pytest.raises(NoSolution):
         complete_sl2(R, e, shifted)
+
+
+def test_complete_sl2_refuses_a_non_integral_h():
+    R = build_gl(2, 0)
+    h = R.diagonal({1: Fraction(1, 4), 2: Fraction(-1, 4)})
+    with pytest.raises(NonIntegralGrading, match="non-integer degree 1/2"):
+        complete_sl2(R, R.E(1, 2), h)
+
+
+def test_complete_sl2_refuses_a_non_skew_h():
+    # h + E_11 leaves osp and its ad-action has non-eigenvector basis
+    # elements; the membership check comes before the degree table
+    sp = SuperPartition((3, 3), (4,))
+    R = build_osp(6, 2)
+    _, e, h = dynkin_pair(sp, R)
+    with pytest.raises(NoSolution, match="not in the algebra"):
+        complete_sl2(R, e, h + R.diagonal({1: 1}))
 
 
 def _block_shifts(R, e, values):
