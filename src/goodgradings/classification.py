@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import product
 from math import inf
 
-from .gradings import (Grading, ad_kernel, complete_sl2, dim_formula_osp,
-                       grading_from, is_good, s_centralizer)
+from .gradings import (Grading, complete_sl2, dim_formula_osp, grading_from,
+                       is_good, s_centralizer)
 from .partitions import SuperPartition, cp_dq
 from .pyramids import dynkin_pair, enumerate_pyr, shift_matrix
 from .superalgebra import build_gl, build_osp
@@ -97,7 +97,7 @@ def _good_shifts(R, e, h):
         else list(range(1, nb))
     # dist[u][v]: the least bound on z_v - z_u, closed over paths
     dist = [[inf] * nb for _ in range(nb)]
-    for j in {j for v in ad_kernel(R, e)[1] for j in v}:
+    for j in {j for v in e.ad_kernel[1] for j in v}:
         for a, b in R.supports[j]:
             u, v = block[a], block[b]
             dist[u][v] = min(dist[u][v], 2 * (hd[a] - hd[b]))

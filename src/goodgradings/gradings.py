@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import kernel_basis, rank, solve
+from .linalg import rank, solve
 from .partitions import (NotOrthosymplectic, is_orthosymplectic,
                          multiplicities)
 from .superalgebra import EVEN, adjoint_matrix, superbracket
@@ -73,18 +73,7 @@ class Sl2Triple:
 class CentralizerReport:
     evenDim: int
     oddDim: int
-    vectors: list                  # ad_kernel's vectors {index: c}, read only
-
-
-def ad_kernel(R, e):
-    """(ad e as a Matrix, a basis of ker(ad e) as coordinates {index: c}),
-    computed once per element of R and kept in R.ad_kernels, keyed by e's
-    entries; the record is read, never changed."""
-    key = frozenset(e.entries.items())
-    if key not in R.ad_kernels:
-        ad = adjoint_matrix(e)
-        R.ad_kernels[key] = (ad, tuple(kernel_basis(ad)))
-    return R.ad_kernels[key]
+    vectors: list                  # e.ad_kernel vectors {index: c}, read only
 
 
 def _report(R, vectors):
@@ -102,7 +91,7 @@ def centralizer(R, e):
     column to an odd one, so each kernel vector is even or odd."""
     if e.parity() is None:
         raise ValueError("ker(ad e) of a mixed e is not split by parity")
-    return _report(R, ad_kernel(R, e)[1])
+    return _report(R, e.ad_kernel[1])
 
 
 def dim_formula_gl(sp):
@@ -145,7 +134,7 @@ def complete_sl2(R, e, h):
     candidates = [j for j, p in enumerate(R.basis_parities)
                   if p == EVEN and degrees[j] == -2]
     rows = [i for i, d in enumerate(degrees) if d == 0]
-    x = solve(ad_kernel(R, e)[0].submatrix(rows, candidates),
+    x = solve(e.ad_kernel[0].submatrix(rows, candidates),
               [hc.get(i, 0) for i in rows])
     if x is None:
         raise NoSolution("(e, h) does not complete to an sl2-triple")
@@ -191,7 +180,7 @@ def s_centralizer(R, triple):
     if triple.e.parity() != EVEN:
         raise NoSolution("(e, f, h) is not an even sl2-triple")
     degrees = R.degrees(triple.h.diag())
-    return _report(R, [v for v in ad_kernel(R, triple.e)[1]
+    return _report(R, [v for v in triple.e.ad_kernel[1]
                         if all(degrees[j] == 0 for j in v)])
 
 
@@ -217,7 +206,7 @@ def is_good(g, e, dim=None):
     if not _in_degree_2(g, e):
         return False
     if dim is None:
-        dim = len(ad_kernel(g.ambient, e)[1])
+        dim = len(e.ad_kernel[1])
     return sum(d in (0, 1) for d in g.degrees) == dim
 
 
@@ -244,4 +233,4 @@ def is_richardson(g, e):
         raise OddGrading("grading has odd degrees")
     src = [i for i, d in enumerate(g.degrees) if d >= 0]
     tgt = [i for i, d in enumerate(g.degrees) if d > 0]
-    return rank(ad_kernel(g.ambient, e)[0].submatrix(tgt, src)) == len(tgt)
+    return rank(e.ad_kernel[0].submatrix(tgt, src)) == len(tgt)

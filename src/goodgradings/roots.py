@@ -26,10 +26,6 @@ class Root:
     def __neg__(self):
         return Root(tuple(-c for c in self.coeffs), self.parity)
 
-    def plus(self, other, parity):
-        return Root(tuple(a + b for a, b in
-                          zip(self.coeffs, other.coeffs)), parity)
-
 
 @dataclass(eq=False)
 class RootSystem:
@@ -42,9 +38,7 @@ class RootSystem:
         self.by_coeffs = {r.coeffs: r for r in self.roots}
 
     def form(self, a, b):
-        k = self.eps_count
-        ca = a.coeffs if isinstance(a, Root) else a
-        cb = b.coeffs if isinstance(b, Root) else b
+        k, ca, cb = self.eps_count, a.coeffs, b.coeffs
         return sum(ca[i] * cb[i] for i in range(k)) \
             - sum(ca[i] * cb[i] for i in range(k, len(ca)))
 
@@ -56,20 +50,15 @@ def is_isotropic(system, alpha):
     return system.form(alpha, alpha) == 0
 
 
-_ROOT_SYSTEMS = {}   # (kind, m, odd_dim) -> (RootSystem, index)
-
-
+@cache
 def root_system(R):
     """The root system of the realization R and each root's basis index,
-    read once per algebra (all its realizations copy one template).
+    read once per algebra (each algebra has one realization).
 
     Every basis element off the Cartan spans a root space; its root is
     weight(a) - weight(b) at any entry (a, b) of its support, where the
     V-basis vector of label l has weight sign(l) * unit(|l| - 1) (label 0
     has weight 0)."""
-    key = (R.kind, R.m, R.odd_dim)
-    if key in _ROOT_SYSTEMS:
-        return _ROOT_SYSTEMS[key]
     k, d = (R.m, R.odd_dim) if R.kind == "gl" else (R.m // 2, R.odd_dim // 2)
     weights = []
     for lab in R.labels:
@@ -84,8 +73,7 @@ def root_system(R):
         if any(coeffs):
             roots.append(Root(coeffs, R.basis_parities[j]))
             index.append(j)
-    _ROOT_SYSTEMS[key] = RootSystem(R.kind, k, d, tuple(roots)), tuple(index)
-    return _ROOT_SYSTEMS[key]
+    return RootSystem(R.kind, k, d, tuple(roots)), tuple(index)
 
 
 def build_roots(kind, m, n):
@@ -126,8 +114,8 @@ def reflect_marked(b, k):
                 new_simple.append(-alpha)
                 new_marks.append(-dk)
             elif sys.form(beta, alpha) != 0:
-                summed = beta.plus(alpha, None)
-                new_simple.append(_find(sys, summed.coeffs))
+                new_simple.append(_find(sys, tuple(
+                    x + a for x, a in zip(beta.coeffs, alpha.coeffs))))
                 new_marks.append(di + dk)
             else:
                 new_simple.append(beta)

@@ -8,13 +8,13 @@ supports.  gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the
 even part is the Chevalley basis of so(m) x sp(2n) and the odd part is
 the kernel of the membership equations, two terms each on phi's pairing
 of the basis vectors, so its signs are consistent with the form phi.
-Each algebra's tables are built once per process, in a cached template
-that is never handed out; every build returns a fresh copy of it.
+Each algebra is built once per process and that one realization is handed
+out; nothing changes its tables.  Each element keeps its own ker(ad e)
+record.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -100,8 +100,16 @@ class AlgebraElement:
     def is_zero(self):
         return not self.entries
 
+    @cached_property
+    def ad_kernel(self):
+        """(ad x as a Matrix, a basis of ker(ad x) as coordinates
+        {index: c}), computed once per element; the record is read, never
+        changed."""
+        ad = adjoint_matrix(self)
+        return ad, tuple(kernel_basis(ad))
 
-@dataclass
+
+@dataclass(eq=False)
 class Realization:
     kind: str              # "gl" or "osp"
     m: int                 # dim V0
@@ -113,14 +121,6 @@ class Realization:
 
     def __post_init__(self):
         self._index_of_label = {lab: i for i, lab in enumerate(self.labels)}
-        self.ad_kernels = {}   # gradings.ad_kernel records, by e's entries
-
-    def _fresh(self):
-        """A copy sharing these tables, which nothing changes, with its own
-        ker(ad e) records and basis elements."""
-        R = copy.copy(self)
-        R.ad_kernels = {}
-        return R
 
     def _set_basis(self, supports, parities):
         """Install the homogeneous basis, its index strings (the grading-JSON
@@ -288,14 +288,11 @@ def check_size(kind, m, n):
                              % (m, 2 * n))
 
 
-def build_gl(m, n):
-    """gl(m|n) with index order 1..m even, m+1..m+n odd."""
-    check_size("gl", m, n)
-    return _gl_template(m, n)._fresh()
-
-
 @cache
-def _gl_template(m, n):
+def build_gl(m, n, /):
+    """gl(m|n) with index order 1..m even, m+1..m+n odd.  Positional, so
+    that every call of one algebra reads the one cache entry."""
+    check_size("gl", m, n)
     R = Realization("gl", m, n, list(range(1, m + n + 1)))
     pairs = [(a, b) for a in range(m + n) for b in range(m + n)]
     R._set_basis([{ab: 1} for ab in pairs],
@@ -341,18 +338,14 @@ def _osp_odd_basis(R):
                                            equations))]
 
 
-def build_osp(m, n):
-    """osp(m|2n) inside gl(m|2n).
+@cache
+def build_osp(m, n, /):
+    """osp(m|2n) inside gl(m|2n), positional like `build_gl`.
 
     V0 labels: 0 (m odd only), +-1..+-k with k = floor(m/2);
     V1 labels: +-(k+1)..+-(k+n).  phi(v_0,v_0)=2, phi(v_i,v_-j)=delta_ij.
     """
     check_size("osp", m, n)
-    return _osp_template(m, n)._fresh()
-
-
-@cache
-def _osp_template(m, n):
     k = m // 2
     even_labels = ([0] if m % 2 else []) \
         + list(range(1, k + 1)) + [-i for i in range(1, k + 1)]

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from goodgradings import classification, gradings, partitions, pyramids
+from goodgradings import (classification, gradings, partitions, pyramids,
+                         superalgebra)
 from goodgradings.classification import (NotCentral, Unbounded,
                                          brute_force_shifts,
                                          extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
-from goodgradings.gradings import (ad_kernel, grading_from, is_good,
-                                   is_good_by_ranks)
+from goodgradings.gradings import grading_from, is_good, is_good_by_ranks
 from goodgradings.partitions import (SuperPartition, cp_dq,
                                      enumerate_super_partitions,
                                      is_orthosymplectic)
@@ -77,15 +77,15 @@ def test_oracle_checks_centrality(monkeypatch):
         brute_force_shifts(build_gl(sp.m, sp.n), sp)
 
 
-def test_oracle_raises_on_an_unbounded_block(monkeypatch):
+def test_oracle_raises_on_an_unbounded_block():
     # with no ker(ad e) support there is no inequality, so no free block
-    # of the polytope is bounded
-    monkeypatch.setattr(classification, "ad_kernel",
-                        lambda R, e: (None, (), frozenset()))
+    # of the polytope is bounded; the empty record sits on this e alone
     for sp, R in [(SuperPartition((2,), (1,)), build_gl(2, 1)),
                   (SuperPartition((3, 3), (4,)), build_osp(6, 2))]:
+        _, e, h = dynkin_pair(sp, R)
+        vars(e)["ad_kernel"] = (None, ())
         with pytest.raises(Unbounded):
-            brute_force_shifts(R, sp)
+            classification._good_shifts(R, e, h)
 
 
 def test_oracle_small_gl():
@@ -173,7 +173,7 @@ def _scan_per_candidate(R, e, h, gens, candidates):
     forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
              for i, d in enumerate(R.degrees(h.diag()))]
     e_support = list(R.coords(e))
-    ker_support = {j for v in ad_kernel(R, e)[1] for j in v}
+    ker_support = {j for v in e.ad_kernel[1] for j in v}
     found = {}
     not_good = 0
     for doubled in candidates:
@@ -361,15 +361,17 @@ def test_oracle_equals_case_table_on_osp_orbits():
 
 def test_case_table_needs_neither_the_oracle_nor_ad_e(monkeypatch):
     """The osp classifier is independent of the oracle in code: with
-    `brute_force_shifts`, `adjoint_matrix` and `kernel_basis` made to
-    raise, it still classifies every osp orbit with m+2n <= 12, those with
-    1 in C(p) included."""
+    `brute_force_shifts`, `adjoint_matrix` and every element's ker(ad e)
+    record, cached or not, made to raise, it still classifies every osp
+    orbit with m+2n <= 12, those with 1 in C(p) included."""
     def refuse(*args):
         raise RuntimeError("the classifier reached the oracle or ad e")
 
     monkeypatch.setattr(classification, "brute_force_shifts", refuse)
     monkeypatch.setattr(gradings, "adjoint_matrix", refuse)
-    monkeypatch.setattr(gradings, "kernel_basis", refuse)
+    monkeypatch.setattr(superalgebra, "adjoint_matrix", refuse)
+    monkeypatch.setattr(superalgebra.AlgebraElement, "ad_kernel",
+                        property(refuse))
     orbits = _osp_orbits(12)
     assert len(orbits) == 530
     assert sum(len(good_gradings_osp(sp)) for sp in orbits) == 952

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from goodgradings import gradings
+from goodgradings import gradings, superalgebra
 from goodgradings.gradings import (FormulaError, NoSolution, OddGrading,
-                                   Sl2Triple, ad_kernel, block_type_dim,
-                                   centralizer, complete_sl2, dim_formula_gl,
+                                   Sl2Triple, block_type_dim, centralizer,
+                                   complete_sl2, dim_formula_gl,
                                    dim_formula_osp, grading_from, is_good,
                                    is_good_by_ranks, is_richardson,
                                    predicted_block_types, s_centralizer)
@@ -305,7 +305,7 @@ def test_ad_kernel_matches_dense_kernel(kind, sp):
     _, e, _ = dynkin_pair(sp, R)
     columns = [dense(R.coords(superbracket(e, b)), R.dim) for b in R.basis]
     ad = Matrix.from_rows([list(row) for row in zip(*columns)])
-    assert [dense(v, R.dim) for v in ad_kernel(R, e)[1]] == \
+    assert [dense(v, R.dim) for v in e.ad_kernel[1]] == \
         _dense_kernel(ad)
 
 
@@ -363,27 +363,26 @@ def test_one_ad_kernel_record_per_element(monkeypatch):
         built.append(x)
         return adjoint_matrix(x)
 
-    monkeypatch.setattr(gradings, "adjoint_matrix", counting)
+    monkeypatch.setattr(superalgebra, "adjoint_matrix", counting)
     sp = SuperPartition((3, 3), (4,))
     R = build_osp(6, 2)
     _, e, h = dynkin_pair(sp, R)
     centralizer(R, e)
     assert is_good(grading_from(R, h), e)
     s_centralizer(R, complete_sl2(R, e, h))
-    assert len(built) == 1
-    # the record is keyed by the entries, not by the element object
-    centralizer(R, R.from_entries(dict(e.entries)))
-    assert len(built) == 1
-    # and lives on its realization
-    R2 = build_osp(6, 2)
-    centralizer(R2, R2.from_entries(dict(e.entries)))
-    assert len(built) == 2
+    assert len(built) == 1 and built[0] is e
+    # the record lives on the element: an element with e's entries makes
+    # its own, with the same vectors
+    twin = R.from_entries(dict(e.entries))
+    assert centralizer(R, twin).vectors == centralizer(R, e).vectors
+    assert len(built) == 2 and built[1] is twin
+    assert twin.ad_kernel is not e.ad_kernel
 
 
 def test_ad_kernel_records_of_e_and_its_transpose_differ():
-    """A record is keyed by e's entries with their positions and
-    coefficients: after e's record is made, theta(e) = -e^T (the same
-    index pairs, transposed) gets its own, whose vectors it kills.  The
+    """Each element has its own record: after e's record is made,
+    theta(e) = -e^T (the same index pairs, transposed) gets its own, whose
+    vectors it kills.  The
     two centralizers have the same dimension, so no count tells them
     apart."""
     for size in range(2, 5):

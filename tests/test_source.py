@@ -9,6 +9,7 @@ import goodgradings
 from goodgradings.classification import brute_force_shifts
 from goodgradings.gradings import Sl2Triple, s_centralizer
 from goodgradings.linalg import Matrix
+from goodgradings.superalgebra import build_gl, build_osp
 
 SOURCES = sorted(Path(goodgradings.__file__).parent.glob("*.py"))
 
@@ -135,17 +136,17 @@ def test_one_box_format_and_step_rule():
     assert "render" not in _owners(calls("isinstance"))
 
 
-def test_realizations_copy_the_cached_templates():
-    """A Realization is constructed only by the two cached template
-    builders, so every realization of one (kind, m, n) has the same tables
-    and `roots.root_system` may key its cache on (kind, m, odd_dim); the
-    root systems are read off the realization passed in, never from a
-    build of their own."""
+def test_realizations_are_built_only_by_the_cached_builders():
+    """A Realization is constructed only by `build_gl` and `build_osp`,
+    both cached, so each algebra has one realization per process and
+    `roots.root_system` may cache on it; the root systems are read off the
+    realization passed in, never from a build of their own."""
     def calls(*names):
         return lambda node: isinstance(node, ast.Call) \
             and getattr(node.func, "id", None) in names
 
-    assert _owners(calls("Realization")) == {"_gl_template", "_osp_template"}
+    assert _owners(calls("Realization")) == {"build_gl", "build_osp"}
+    assert all(hasattr(f, "cache_info") for f in (build_gl, build_osp))
     roots = next(path for path in SOURCES if path.name == "roots.py")
     builders = {node.name for node in ast.walk(ast.parse(roots.read_text()))
                 if isinstance(node, ast.FunctionDef)
@@ -170,14 +171,15 @@ def test_classification_makes_no_bracket():
 
 def test_case_table_calls_neither_the_oracle_nor_ad_kernel():
     """`good_gradings_osp`, and the functions of classification.py that it
-    calls, call neither the polytope oracle nor `ad_kernel`: goodness
-    there is a count against the centralizer formula, so the classifier
-    and the oracle share no kernel."""
+    calls, call neither the polytope oracle nor anything named
+    `ad_kernel`, and read no `ad_kernel` attribute (an element's ker(ad e)
+    record): goodness there is a count against the centralizer formula,
+    so the classifier and the oracle share no kernel."""
     path = next(path for path in SOURCES if path.name == "classification.py")
     functions = {node.name: node
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if isinstance(node, ast.FunctionDef)}
-    reached, called, todo = set(), set(), ["good_gradings_osp"]
+    reached, called, read, todo = set(), set(), set(), ["good_gradings_osp"]
     while todo:
         name = todo.pop()
         reached.add(name)
@@ -185,9 +187,13 @@ def test_case_table_calls_neither_the_oracle_nor_ad_kernel():
             if isinstance(node, ast.Call):
                 f = node.func
                 called.add(getattr(f, "id", getattr(f, "attr", None)))
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
         todo += [f for f in called & set(functions) if f not in reached]
     assert {"is_good", "_pair_constraint_ok"} <= called
+    assert "coords" in read
     assert not called & {"brute_force_shifts", "_good_shifts", "ad_kernel"}
+    assert "ad_kernel" not in read
 
 
 def test_oracle_takes_no_bound():

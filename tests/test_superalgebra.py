@@ -20,20 +20,6 @@ from goodgradings.superalgebra import (EVEN, ODD, AmbientMismatch,
                                        supertrace)
 from test_linalg import canonical
 
-TEMPLATES = (superalgebra._gl_template, superalgebra._osp_template)
-
-
-@pytest.fixture
-def uncached_builders():
-    """Builds run the builder bodies, for a test that patches one of
-    their internals: the templates are dropped before and after it."""
-    for template in TEMPLATES:
-        template.cache_clear()
-    yield
-    for template in TEMPLATES:
-        template.cache_clear()
-
-
 def test_build_gl_counts():
     R = build_gl(1, 1)
     assert R.dim == 4
@@ -100,10 +86,11 @@ def test_superbracket_matches_matrix_products():
                 assert superbracket(x, y).matrix.entries == expected
 
 
-def test_build_osp_checks_odd_dimension(monkeypatch, uncached_builders):
+def test_build_osp_checks_odd_dimension(monkeypatch):
+    # the builder body, past the cache that holds osp(2|2) once built
     monkeypatch.setattr(superalgebra, "_osp_odd_basis", lambda R: [])
     with pytest.raises(RealizationError, match="odd part"):
-        build_osp(2, 1)
+        build_osp.__wrapped__(2, 1)
 
 
 def dense(v, n):
@@ -163,23 +150,25 @@ def test_odd_basis_matches_dense_equations(m, n):
 
 
 def test_ambient_mismatch():
-    R1, R2 = build_gl(1, 1), build_gl(1, 1)
+    R1, R2 = build_gl(1, 1), build_gl(2, 0)
     with pytest.raises(AmbientMismatch):
         superbracket(R1.E(1, 1), R2.E(1, 1))
 
 
-def test_each_build_is_a_fresh_realization():
-    """Builds share their tables but not their elements or records."""
-    A, B = build_osp(3, 1), build_osp(3, 1)
-    assert A is not B and A.ad_kernels is not B.ad_kernels
-    assert A.supports is B.supports
-    assert build_gl(2, 3).degree_keys is build_gl(2, 3).degree_keys
+def test_each_algebra_is_built_once():
+    """A build hands out the algebra's one realization, whose tables and
+    basis elements every caller shares; a ker(ad e) record lands on its
+    element only."""
+    A = build_osp(3, 1)
+    assert A is build_osp(3, 1) and build_gl(2, 3) is build_gl(2, 3)
+    assert A is not build_osp(1, 1)
+    with pytest.raises(TypeError):     # a keyword call would miss the cache
+        build_osp(m=3, n=1)
     assert all(x.ambient is A for x in A.basis)
-    assert all(y.ambient is B for y in B.basis)
-    with pytest.raises(AmbientMismatch):
-        superbracket(A.basis[0], B.basis[0])
-    centralizer(A, A.basis[-1])
-    assert len(A.ad_kernels) == 1 and B.ad_kernels == {}
+    e = A.from_entries(dict(A.basis[-1].entries))
+    twin = A.from_entries(dict(e.entries))
+    centralizer(A, e)
+    assert "ad_kernel" in vars(e) and "ad_kernel" not in vars(twin)
 
 
 def _dynkin_orbits():
@@ -195,9 +184,10 @@ def _dynkin_orbits():
 
 
 def test_templates_are_never_changed():
-    """After the whole pipeline has read every algebra, each cached
-    template still equals a build that skips the cache, has no records
-    and has never made its basis elements."""
+    """After the whole pipeline has read every algebra, each cached build,
+    the template every caller shares, still equals a run of the builder
+    body that skips the cache: every attribute it had when built is
+    unchanged, and the only one added is its cached basis."""
     built = set()
     for kind, m, n, sp in _dynkin_orbits():
         R = (build_gl if kind == "gl" else build_osp)(m, n)
@@ -209,36 +199,38 @@ def test_templates_are_never_changed():
         find_nonnegative_base(g)
         built.add((kind, m, n))
     assert len(built) == 10 + 12
-    tables = ("labels", "phi", "supports", "basis_parities", "_private",
-              "_degree_entries", "_index_of_label", "degree_keys")
     for kind, m, n in built:
-        template = TEMPLATES[kind == "osp"]
-        cached, uncached = template(m, n), template.__wrapped__(m, n)
-        assert cached is template(m, n)
-        for name in tables:
-            assert getattr(cached, name) == getattr(uncached, name)
-        assert cached.ad_kernels == {} and "basis" not in vars(cached)
+        build = build_osp if kind == "osp" else build_gl
+        cached, uncached = build(m, n), build.__wrapped__(m, n)
+        assert cached is build(m, n) and cached is not uncached
+        tables = vars(uncached)
+        assert {"labels", "phi", "supports", "basis_parities", "_private",
+                "_degree_entries", "_index_of_label", "degree_keys"} <= \
+            set(tables)
+        assert {name: getattr(cached, name) for name in tables} == tables
+        assert set(vars(cached)) - set(tables) <= {"basis"}
 
 
-def test_classify_oracle_reads_its_own_realization(monkeypatch, capsys):
-    """classify --bound builds the classifier's and the oracle's algebra
-    apart, and only the oracle computes ker(ad e): the classifier counts
-    degrees against the centralizer formula and holds no record."""
-    built = []
+def test_classify_oracle_reads_its_own_e(monkeypatch, capsys):
+    """classify --bound realizes the classifier's e and the oracle's e
+    apart, in the algebra's one realization, and only the oracle computes
+    ker(ad e): the classifier counts degrees against the centralizer
+    formula, so its e holds no record."""
+    pairs = []
 
-    def recording(m, n):
-        built.append(build_osp(m, n))
-        return built[-1]
+    def recording(sp, R):
+        pairs.append(dynkin_pair(sp, R))
+        return pairs[-1]
 
-    for module in (classification, cli):
-        monkeypatch.setattr(module, "build_osp", recording)
+    monkeypatch.setattr(classification, "dynkin_pair", recording)
     assert cli.main(["classify", "osp", "6", "4", "--orbit",
                      '{"p":[3,3],"q":[4]}', "--bound", "4"]) == 0
     assert '"oracleAgrees": true' in capsys.readouterr().out
-    classifier, oracle = built
-    assert classifier is not oracle
-    assert classifier.ad_kernels is not oracle.ad_kernels
-    assert classifier.ad_kernels == {} and len(oracle.ad_kernels) == 1
+    (_, classifier_e, _), (_, oracle_e, _) = pairs
+    assert classifier_e is not oracle_e
+    assert classifier_e.ambient is oracle_e.ambient is build_osp(6, 2)
+    assert "ad_kernel" not in vars(classifier_e)
+    assert "ad_kernel" in vars(oracle_e)
 
 
 def test_invariant_form_examples():

@@ -110,11 +110,6 @@ MUTANTS = [
      "sum(d in (0, 1) for d in g.degrees)", "sum(d == 0 for d in g.degrees)",
      ["tests/test_gradings.py::"
       "test_counting_with_the_formula_equals_rank_definition"]),
-    ("ad-kernel-key-ignores-transpose", "gradings.py",
-     "key = frozenset(e.entries.items())",
-     "key = frozenset(frozenset(ab) for ab in e.entries)",
-     ["tests/test_gradings.py::"
-      "test_ad_kernel_records_of_e_and_its_transpose_differ"]),
     ("rank-single-column-block-zero", "linalg.py",
      "1 if rows is None", "0 if rows is None",
      ["tests/test_linalg.py"]),
@@ -138,12 +133,17 @@ MUTANTS = [
      "range(len(supports))", "range(1, len(supports) + 1)",
      ["tests/test_classification.py::"
       "test_grading_json_reads_the_key_table"]),
-    ("fresh-copy-shares-ad-kernels", "superalgebra.py",
-     "R.ad_kernels = {}", "R.ad_kernels = self.ad_kernels",
-     ["tests/test_superalgebra.py"]),
-    ("root-system-key-without-odd-dim", "roots.py",
-     "key = (R.kind, R.m, R.odd_dim)", "key = (R.kind, R.m)",
-     ["tests/test_roots.py"]),
+    ("ad-kernel-rebuilt-per-read", "superalgebra.py",
+     "@cached_property\n    def ad_kernel(self):",
+     "@property\n    def ad_kernel(self):",
+     ["tests/test_gradings.py::test_one_ad_kernel_record_per_element"]),
+    ("build-osp-uncached", "superalgebra.py",
+     "@cache\ndef build_osp(m, n, /):", "def build_osp(m, n, /):",
+     ["tests/test_superalgebra.py::test_each_algebra_is_built_once"]),
+    ("case-table-reads-ad-kernel", "classification.py",
+     "sum(dim_formula_osp(sp))", "len(e.ad_kernel[1])",
+     ["tests/test_source.py::"
+      "test_case_table_calls_neither_the_oracle_nor_ad_kernel"]),
 ]
 
 
