@@ -4,16 +4,16 @@ Every value is kept `exact`: an int where integral, else a Fraction; the
 one true division, `quotient`, keeps that form, so there is no floating
 point anywhere.  A matrix stores only its nonzero entries {(i, j): c},
 the format of the algebra elements' supports, and kernel vectors and
-solutions come back as {index: c}.  Elimination is fraction-free, block
-by block over columns that share a nonzero row: rows are scaled to
-integers and eliminated with cross-multiplication, so all rank / kernel
-/ solve answers are exact.
+solutions come back as {index: c}.  Elimination is sparse, column by
+column in index order (`_eliminate`): it touches only stored nonzeros and
+divides exactly, so all rank / kernel / solve answers are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from heapq import heapify, heappop, heappush
+from math import lcm
 
 
 def exact(x):
@@ -129,87 +129,58 @@ def scaled_to_ints(row):
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
-def _int_row(row):
-    """A rational row scaled to coprime integers."""
-    ints, _ = scaled_to_ints(row)
-    g = gcd(*ints)
-    return [v // g for v in ints] if g > 1 else ints
+def _eliminate(M):
+    """Column-order sparse elimination of M: (its pivot columns, {free
+    nonzero column: its kernel vector}).
 
-
-def _eliminate(rows, ncols):
-    """Fraction-free forward elimination on integer rows (in place).
-
-    Returns the list of pivot columns; after the call rows[:rank] are in
-    echelon form with rows[i] pivoted at the i-th pivot column.
+    Each nonzero column, in index order, is reduced against the pivots
+    made before it, earliest pivot first (a heap of pivot numbers).  A
+    pivot is stored zero at the rows of the pivots made before it, so a
+    subtraction adds entries only at rows of later pivots and the
+    reduction ends; a column left nonzero pivots at its least row.  Each
+    column carries, at the keys rows + l, the combination of M's columns l
+    that it is.  A column that reduces to zero is free, and that
+    combination is its kernel vector: 1 at the column, and nonzero
+    elsewhere only at earlier pivot columns.
     """
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(r + 1, nrows):
-            q = rows[i][c]
-            if not q:
-                continue
-            cur = rows[i]
-            new = [p * cur[j] - q * prow[j] for j in range(ncols)]
-            g = 0
-            for v in new:
-                g = gcd(g, v)
-            if g > 1:
-                new = [v // g for v in new]
-            rows[i] = new
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _column_blocks(M):
-    """M's nonzero columns split into blocks that share no nonzero row,
-    each as (its columns in order, its rows over them scaled to coprime
-    integers): a union-find joins the columns of each stored row.  A
-    block of one column carries None: that column holds a stored nonzero,
-    so it is a pivot with no elimination."""
-    rows = {}
+    n = M.rows
+    columns = {}
     for (i, j), x in M.nonzero.items():
-        rows.setdefault(i, {})[j] = x
-    parent = {j: j for _, j in M.nonzero}
-
-    def root(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for first, *rest in rows.values():
-        r = root(first)
-        for j in rest:
-            parent[root(j)] = r
-    blocks = {}
-    for j in sorted(parent):
-        blocks.setdefault(root(j), ([], []))[0].append(j)
-    for row in rows.values():
-        blocks[root(next(iter(row)))][1].append(row)
-    return [(cols, None if len(cols) == 1 else
-             [_int_row([row.get(j, 0) for j in cols]) for row in block_rows])
-            for cols, block_rows in blocks.values()]
+        columns.setdefault(j, {})[i] = x
+    pivots, pivot_columns, free = [], [], {}
+    number = {}                     # pivot row -> its index in pivots
+    for j in sorted(columns):
+        v = columns[j]
+        v[n + j] = 1
+        heap = [number[i] for i in v if i in number]
+        heapify(heap)
+        while heap:
+            r, p = pivots[heappop(heap)]
+            if r not in v:              # cancelled, or queued twice
+                continue
+            t = quotient(v[r], p[r])
+            for i, a in p.items():
+                if i not in v:
+                    v[i] = -t * a
+                    if i in number:
+                        heappush(heap, number[i])
+                elif x := v[i] - t * a:
+                    v[i] = x
+                else:
+                    del v[i]
+        r = min(v)
+        if r < n:
+            number[r] = len(pivots)
+            pivots.append((r, v))
+            pivot_columns.append(j)
+        else:
+            free[j] = {i - n: exact(c) for i, c in v.items()}
+    return pivot_columns, free
 
 
 def rank(M):
-    """Rank of M over the rationals: the pivots of its column blocks."""
-    return sum(1 if rows is None else len(_eliminate(rows, len(cols)))
-               for cols, rows in _column_blocks(M))
+    """Rank of M over the rationals: its number of pivot columns."""
+    return len(_eliminate(M)[0])
 
 
 def kernel_basis(M):
@@ -218,30 +189,13 @@ def kernel_basis(M):
 
     A free column is one in the span of the columns before it, and its
     vector has a 1 there and 0 at the other free columns, so neither
-    depends on the elimination order: column blocks are eliminated apart,
-    and a zero column is free with a unit vector.
+    depends on the elimination order; a zero column is free with a unit
+    vector.
     """
-    found, pivot_cols = {}, set()
-    for cols, rows in _column_blocks(M):
-        if rows is None:
-            pivot_cols.add(cols[0])
-            continue
-        pivots = _eliminate(rows, len(cols))
-        pivot_cols.update(cols[pc] for pc in pivots)
-        # echelon rows as (pivot column, pivot, nonzero entries after it)
-        echelon = [(pc, rows[i][pc], [(j, a) for j, a in
-                                      enumerate(rows[i][pc + 1:], pc + 1)
-                                      if a])
-                   for i, pc in enumerate(pivots)][::-1]
-        for fc in set(range(len(cols))).difference(pivots):
-            v = {fc: 1}
-            for pc, p, tail in echelon:
-                s = sum(a * v[j] for j, a in tail if j in v)
-                if s:
-                    v[pc] = quotient(-s, p)
-            found[cols[fc]] = {cols[j]: c for j, c in v.items()}
-    return [found.get(j) or {j: 1} for j in range(M.cols)
-            if j not in pivot_cols]
+    pivots, free = _eliminate(M)
+    pivots = set(pivots)
+    return [free.get(j) or {j: 1} for j in range(M.cols)
+            if j not in pivots]
 
 
 def solve(A, b):

@@ -4,7 +4,8 @@ Every homogeneous basis element is stored once, as its support
 {(a, b): c}, the nonzero entries of its matrix (at most two of them),
 each an int where integral and a Fraction otherwise (`linalg.exact`).
 Coordinates, brackets, adjoint maps and ad-degrees are read off these
-supports.  gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the
+supports; ad x scatters x's entries over the basis entries grouped by row
+and by column, so it brackets only the basis elements x reaches.  gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the
 even part is the Chevalley basis of so(m) x sp(2n) and the odd part is
 the kernel of the membership equations, two terms each on phi's pairing
 of the basis vectors, so its signs are consistent with the form phi.
@@ -124,21 +125,25 @@ class Realization:
 
     def _set_basis(self, supports, parities):
         """Install the homogeneous basis, its index strings (the grading-JSON
-        keys) and a private entry per element that no other element touches;
-        each element's entries (a, b) + (c, d) are kept for the degree table."""
-        self.supports = supports
-        self.basis_parities = parities
-        self.degree_keys = tuple(map(str, range(len(supports))))
+        keys), a private entry per element that no other element touches,
+        each element's entries (a, b) + (c, d) for the degree table, and
+        the basis entries grouped by row and by column for `_bracket`.
+        Nothing is installed unless every element passes."""
         touched = Counter(ab for sup in supports for ab in sup)
-        self._private = {}
-        self._degree_entries = []
+        private, degree_entries = {}, []
         for i, sup in enumerate(supports):
             ab = next((ab for ab in sup if touched[ab] == 1), None)
             if ab is None or len(sup) > 2:
                 raise RealizationError("basis element %d needs a private "
                                        "entry and at most two" % i)
-            self._private[ab] = i
-            self._degree_entries.append(min(sup) + max(sup))
+            private[ab] = i
+            degree_entries.append(min(sup) + max(sup))
+        self.supports = supports
+        self.basis_parities = parities
+        self.degree_keys = tuple(map(str, range(len(supports))))
+        self._private = private
+        self._degree_entries = degree_entries
+        self._grouped = _grouped(self.m, supports)
 
     @property
     def size(self):
@@ -237,38 +242,46 @@ def supertrace(R, mat):
                      for i in range(R.size)))
 
 
-def _by_row_and_column(m, x):
-    """Entries of x grouped by column and by row, with their parity."""
-    by_col, by_row = {}, {}
-    for (a, b), u in x.items():
-        odd = (a < m) != (b < m)
-        by_col.setdefault(b, []).append((a, u))
-        by_row.setdefault(a, []).append((b, u, odd))
-    return by_col, by_row
+def _grouped(m, supports):
+    """The entries of the supports grouped by row and by column: row c
+    holds (j, d, v) and column d holds (j, c, v, odd) for each entry
+    (c, d): v of supports[j], odd its parity; m = dim V0."""
+    by_row, by_col = {}, {}
+    for j, sup in enumerate(supports):
+        for (c, d), v in sup.items():
+            by_row.setdefault(c, []).append((j, d, v))
+            by_col.setdefault(d, []).append((j, c, v, (c < m) != (d < m)))
+    return by_row, by_col
 
 
-def _bracket(m, x_grouped, y):
-    """Nonzero entries of [x, y] by the rule
-    [E_ab, E_cd] = d_bc E_ad - (-1)^{|ab||cd|} d_da E_cb; x is grouped by
-    _by_row_and_column, y is {(c, d): v}, m = dim V0."""
-    by_col, by_row = x_grouped
+def _bracket(m, x, grouped):
+    """{j: nonzero entries of [x, y_j]} for the elements y_j grouped by
+    `_grouped`, by the rule [E_ab, E_cd] = d_bc E_ad - (-1)^{|ab||cd|}
+    d_da E_cb; x is {(a, b): u}, m = dim V0.  Each entry of x reaches
+    only the y_j with an entry in its column's row or its row's column,
+    and a zero bracket is left out."""
+    by_row, by_col = grouped
     out = {}
-    for (c, d), v in y.items():
-        y_odd = (c < m) != (d < m)
-        for a, u in by_col.get(c, ()):
-            out[a, d] = out.get((a, d), 0) + u * v
-        for b, u, x_odd in by_row.get(d, ()):
+    for (a, b), u in x.items():
+        x_odd = (a < m) != (b < m)
+        for j, d, v in by_row.get(b, ()):
+            col = out.setdefault(j, {})
+            col[a, d] = col.get((a, d), 0) + u * v
+        for j, c, v, y_odd in by_col.get(a, ()):
+            col = out.setdefault(j, {})
             t = u * v
-            out[c, b] = out.get((c, b), 0) + (t if x_odd and y_odd else -t)
-    return {ab: v for ab, w in out.items() if (v := exact(w))}
+            col[c, b] = col.get((c, b), 0) + (t if x_odd and y_odd else -t)
+    return {j: nonzero for j, col in out.items()
+            if (nonzero := {ab: v for ab, w in col.items()
+                            if (v := exact(w))})}
 
 
 def superbracket(x, y):
     """[x, y] = xy - (-1)^{|x||y|} yx, extended bilinearly."""
     x._same(y)
     R = x.ambient
-    x_grouped = _by_row_and_column(R.m, x.entries)
-    return AlgebraElement(R, _bracket(R.m, x_grouped, y.entries))
+    entries = _bracket(R.m, x.entries, _grouped(R.m, [y.entries]))
+    return AlgebraElement(R, entries.get(0, {}))
 
 
 def invariant_form(x, y):
@@ -403,12 +416,14 @@ def build_osp(m, n, /):
 
 def adjoint_matrix(x):
     """Matrix of ad x on the homogeneous basis of its ambient algebra:
-    column j holds the coordinates of [x, b_j]."""
+    column j holds the coordinates of [x, b_j].  The brackets come from
+    x's entries scattered over the realization's grouped basis table, so
+    a basis element that shares no row or column with x is never reached
+    and its column stays zero."""
     R = x.ambient
-    x_grouped = _by_row_and_column(R.m, x.entries)
     nonzero = {}
-    for j, sup in enumerate(R.supports):
-        col = R.coords(_bracket(R.m, x_grouped, sup))
+    for j, entries in _bracket(R.m, x.entries, R._grouped).items():
+        col = R.coords(entries)
         if col is None:
             raise RealizationError("bracket left the algebra")
         nonzero.update(((i, j), v) for i, v in col.items())

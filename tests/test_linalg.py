@@ -122,7 +122,7 @@ def test_coords_outside_osp(R):
 
 def _dense_kernel(M):
     """Whole-matrix elimination and back substitution, the reference that
-    the block-split kernel_basis must reproduce vector for vector."""
+    kernel_basis must reproduce vector for vector."""
     n = M.cols
     rows = []
     for row in rows_of(M):
@@ -219,6 +219,27 @@ def test_single_column_blocks_match_dense_references(m):
     reference = _dense_kernel(m)
     assert [dense(v, m.cols) for v in kernel_basis(m)] == reference
     assert rank(m) == m.cols - len(reference)
+
+
+def test_fill_in_at_a_later_pivot_row():
+    # columns 0 and 1 pivot at rows 0 and 1; reducing column 2 by the
+    # first pivot fills in row 1, which the second pivot then clears
+    m = M([[2, 0, 1], [1, 3, 0]])
+    kernel = kernel_basis(m)
+    assert kernel == [{2: 1, 0: Fraction(-1, 2), 1: Fraction(1, 6)}]
+    assert [dense(v, 3) for v in kernel] == _dense_kernel(m)
+    assert rank(m) == 2
+
+
+def test_column_free_after_two_reductions():
+    # column 2 = column 0 + column 1 needs both pivots; column 3 equals
+    # column 0, so its queued row 1 is cancelled before its pivot's turn;
+    # column 4 is zero
+    m = M([[1, 0, 1, 1, 0], [1, 1, 2, 1, 0], [0, 1, 1, 0, 0]])
+    kernel = kernel_basis(m)
+    assert kernel == [{2: 1, 0: -1, 1: -1}, {3: 1, 0: -1}, {4: 1}]
+    assert [dense(v, 5) for v in kernel] == _dense_kernel(m)
+    assert rank(m) == 2
 
 
 def _dense_solve(A, b):

@@ -13,7 +13,7 @@ from goodgradings.partitions import (enumerate_super_partitions,
 from goodgradings.pyramids import dynkin_pair, jordan_type
 from goodgradings.roots import find_nonnegative_base
 from goodgradings.superalgebra import (EVEN, ODD, AmbientMismatch,
-                                       NonIntegralGrading,
+                                       NonIntegralGrading, Realization,
                                        RealizationError, adjoint_matrix,
                                        build_gl, build_osp, invariant_form,
                                        is_member_osp, superbracket,
@@ -301,10 +301,23 @@ def test_adjoint_matrix():
     assert rank(adjoint_matrix(e)) + _centdim(R, e) == R.dim
 
 
+@pytest.mark.parametrize("R", [build_gl(2, 1), build_osp(3, 1)],
+                         ids=["gl21", "osp32"])
+def test_adjoint_columns_are_the_bracket_coordinates(R):
+    """ad x read off the grouped basis table has, in column j, the
+    coordinates of [x, b_j] bracketed one pair at a time."""
+    for x in R.basis:
+        ad = adjoint_matrix(x)
+        for j, b in enumerate(R.basis):
+            assert {i: ad[i, j] for i in range(R.dim) if ad[i, j]} == \
+                R.coords(superbracket(x, b))
+
+
 def test_adjoint_matrix_refuses_a_bracket_outside_the_algebra(monkeypatch):
     # E_00 is not in osp(1|2): phi(v_0, v_0) = 2 makes it fail membership
     R = build_osp(1, 1)
-    monkeypatch.setattr(superalgebra, "_bracket", lambda m, x, y: {(0, 0): 1})
+    monkeypatch.setattr(superalgebra, "_bracket",
+                        lambda m, x, grouped: {0: {(0, 0): 1}})
     with pytest.raises(RealizationError, match="bracket left the algebra"):
         adjoint_matrix(R.basis[0])
 
@@ -425,9 +438,23 @@ def test_is_member_osp_needs_osp():
 
 
 def test_set_basis_rejects_three_entries():
-    R = build_gl(1, 1)
+    R = Realization("gl", 1, 1, [1, 2])
     with pytest.raises(RealizationError, match="at most two"):
         R._set_basis([{(0, 0): 1, (0, 1): 1, (1, 1): 1}], [EVEN])
+
+
+def test_refused_set_basis_leaves_the_realization_unchanged():
+    """A basis that fails validation installs nothing: not its supports,
+    nor any table built from them before the failing element."""
+    R = Realization("gl", 1, 1, [1, 2])
+    R._set_basis([{(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}, {(1, 1): 1}],
+                 [EVEN, ODD, ODD, EVEN])
+    before = dict(vars(R))
+    for supports in ([{(1, 0): 1}, {(0, 0): 1, (0, 1): 1, (1, 1): 1}],
+                     [{(1, 0): 1}, {(0, 0): 1}, {(0, 0): 2}]):
+        with pytest.raises(RealizationError, match="basis element 1 "):
+            R._set_basis(supports, [ODD] + [EVEN] * (len(supports) - 1))
+        assert vars(R) == before
 
 
 def _fraction_degrees(R, diag):
