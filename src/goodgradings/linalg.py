@@ -130,8 +130,8 @@ def scaled_to_ints(row):
 
 
 def _eliminate(M):
-    """Column-order sparse elimination of M: (its pivot columns, {free
-    nonzero column: its kernel vector}).
+    """Column-order sparse elimination of M: (the set of its pivot
+    columns, {free nonzero column: its kernel vector}).
 
     Each nonzero column, in index order, is reduced against the pivots
     made before it, earliest pivot first (a heap of pivot numbers).  A
@@ -147,7 +147,7 @@ def _eliminate(M):
     columns = {}
     for (i, j), x in M.nonzero.items():
         columns.setdefault(j, {})[i] = x
-    pivots, pivot_columns, free = [], [], {}
+    pivots, pivot_columns, free = [], set(), {}
     number = {}                     # pivot row -> its index in pivots
     for j in sorted(columns):
         v = columns[j]
@@ -172,7 +172,7 @@ def _eliminate(M):
         if r < n:
             number[r] = len(pivots)
             pivots.append((r, v))
-            pivot_columns.append(j)
+            pivot_columns.add(j)
         else:
             free[j] = {i - n: exact(c) for i, c in v.items()}
     return pivot_columns, free
@@ -192,10 +192,9 @@ def kernel_basis(M):
     depends on the elimination order; a zero column is free with a unit
     vector.
     """
-    pivots, free = _eliminate(M)
-    pivots = set(pivots)
+    pivot_columns, free = _eliminate(M)
     return [free.get(j) or {j: 1} for j in range(M.cols)
-            if j not in pivots]
+            if j not in pivot_columns]
 
 
 def solve(A, b):

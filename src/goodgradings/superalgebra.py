@@ -4,11 +4,12 @@ Every homogeneous basis element is stored once, as its support
 {(a, b): c}, the nonzero entries of its matrix (at most two of them),
 each an int where integral and a Fraction otherwise (`linalg.exact`).
 Coordinates, brackets, adjoint maps and ad-degrees are read off these
-supports; ad x scatters x's entries over the basis entries grouped by row
-and by column, so it brackets only the basis elements x reaches.  gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the
-even part is the Chevalley basis of so(m) x sp(2n) and the odd part is
-the kernel of the membership equations, two terms each on phi's pairing
-of the basis vectors, so its signs are consistent with the form phi.
+supports; ad x scatters x's entries over the basis entries grouped by
+row and by column, so it brackets only the basis elements x reaches.
+gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the even part is
+the Chevalley basis of so(m) x sp(2n) and the odd part is the kernel of
+the membership equations, two terms each on phi's pairing of the basis
+vectors, so its signs are consistent with the form phi.
 Each algebra is built once per process and that one realization is handed
 out; nothing changes its tables.  Each element keeps its own ker(ad e)
 record.
@@ -143,7 +144,7 @@ class Realization:
         self.degree_keys = tuple(map(str, range(len(supports))))
         self._private = private
         self._degree_entries = degree_entries
-        self._grouped = _grouped(self.m, supports)
+        self._grouped = _grouped(supports)
 
     @property
     def size(self):
@@ -242,15 +243,16 @@ def supertrace(R, mat):
                      for i in range(R.size)))
 
 
-def _grouped(m, supports):
-    """The entries of the supports grouped by row and by column: row c
-    holds (j, d, v) and column d holds (j, c, v, odd) for each entry
-    (c, d): v of supports[j], odd its parity; m = dim V0."""
+def _grouped(supports):
+    """The entries of the supports grouped by row and by column: row c and
+    column d share the one tuple (j, c, d, v) of each entry (c, d): v of
+    supports[j]."""
     by_row, by_col = {}, {}
     for j, sup in enumerate(supports):
         for (c, d), v in sup.items():
-            by_row.setdefault(c, []).append((j, d, v))
-            by_col.setdefault(d, []).append((j, c, v, (c < m) != (d < m)))
+            entry = j, c, d, v
+            by_row.setdefault(c, []).append(entry)
+            by_col.setdefault(d, []).append(entry)
     return by_row, by_col
 
 
@@ -264,12 +266,13 @@ def _bracket(m, x, grouped):
     out = {}
     for (a, b), u in x.items():
         x_odd = (a < m) != (b < m)
-        for j, d, v in by_row.get(b, ()):
+        for j, _, d, v in by_row.get(b, ()):
             col = out.setdefault(j, {})
             col[a, d] = col.get((a, d), 0) + u * v
-        for j, c, v, y_odd in by_col.get(a, ()):
+        for j, c, _, v in by_col.get(a, ()):
             col = out.setdefault(j, {})
             t = u * v
+            y_odd = (c < m) != (a < m)
             col[c, b] = col.get((c, b), 0) + (t if x_odd and y_odd else -t)
     return {j: nonzero for j, col in out.items()
             if (nonzero := {ab: v for ab, w in col.items()
@@ -280,7 +283,7 @@ def superbracket(x, y):
     """[x, y] = xy - (-1)^{|x||y|} yx, extended bilinearly."""
     x._same(y)
     R = x.ambient
-    entries = _bracket(R.m, x.entries, _grouped(R.m, [y.entries]))
+    entries = _bracket(R.m, x.entries, _grouped([y.entries]))
     return AlgebraElement(R, entries.get(0, {}))
 
 
