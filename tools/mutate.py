@@ -110,7 +110,7 @@ MUTANTS = [
      "sum(d in (0, 1) for d in g.degrees)", "sum(d == 0 for d in g.degrees)",
      ["tests/test_gradings.py::"
       "test_counting_with_the_formula_equals_rank_definition"]),
-    ("kernel-free-column-not-unit", "linalg.py",
+    ("kernel-zero-column-not-unit", "linalg.py",
      "{j: 1}", "{j: 2}",
      ["tests/test_linalg.py"]),
     ("fill-in-pivot-row-never-queued", "linalg.py",
