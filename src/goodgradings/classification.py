@@ -14,12 +14,12 @@ cross-checks both classifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from math import inf
 
 from .gradings import (Grading, complete_sl2, dim_formula_osp, grading_from,
                        is_good, s_centralizer)
+from .linalg import quotient
 from .partitions import SuperPartition, cp_dq
 from .pyramids import dynkin_pair, enumerate_pyr, shift_matrix
 from .superalgebra import build_gl, build_osp
@@ -155,7 +155,7 @@ def brute_force_shifts(R, sp):
     gradings = []
     for shift in _good_shifts(R, e, h):
         g = grading_from(R, R.from_entries(
-            {(i, i): d + Fraction(c, 2)
+            {(i, i): quotient(2 * d + c, 2)
              for i, (d, c) in enumerate(zip(hd, shift))}))
         if any(g.degrees[j] for j in central):
             raise NotCentral("a good shift does not commute with the "
@@ -218,7 +218,7 @@ def good_gradings_osp(sp):
         for v in product(*box):
             if not _pair_constraint_ok(cp, dq, v[:k], v[k:]):
                 continue
-            half = [Fraction(a, 2) for a in v]
+            half = [quotient(a, 2) for a in v]
             g = grading_from(R, h + shift_matrix(R, P, half[:k], half[k:]))
             if not all(g.degrees[j] == 2 for j in ec):
                 raise NotCentral("a shift moves the degree of e")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .linalg import Matrix, rank
+from .linalg import rank
 from .partitions import (NotOrthosymplectic, SuperPartition, cp_dq,
                          dual_partition, is_orthosymplectic, multiplicities,
                          psi_merge)
@@ -281,14 +281,11 @@ def _osp_connections(P):
 def _restricted_jordan_type(mat, indices):
     """Jordan type of a nilpotent matrix restricted to a coordinate block."""
     sub = mat.submatrix(indices, indices)
-    ranks = []
-    power = Matrix.identity(len(indices))
-    while True:
-        r = rank(power)
-        ranks.append(r)
-        if r == 0:
-            break
-        power = power @ sub
+    ranks, power = [len(indices)], sub        # rank(sub^0) = n
+    while ranks[-1]:
+        ranks.append(rank(power))
+        if ranks[-1]:
+            power = power @ sub
     # ranks[k] = rank(sub^k); the differences form the conjugate partition
     dual = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
     return dual_partition(dual)

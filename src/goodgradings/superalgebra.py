@@ -4,8 +4,9 @@ Every homogeneous basis element is stored once, as its support
 {(a, b): c}, the nonzero entries of its matrix (at most two of them),
 each an int where integral and a Fraction otherwise (`linalg.exact`).
 Coordinates, brackets, adjoint maps and ad-degrees are read off these
-supports; ad x scatters x's entries over the basis entries grouped by
-row and by column, so it brackets only the basis elements x reaches.
+supports; ad x is the combination, over x's coordinates, of the maps
+ad b_i, each bracketed once per algebra over a table of the basis entries
+grouped by row and by column, built on the first ad map the algebra needs.
 gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the even part is
 the Chevalley basis of so(m) x sp(2n) and the odd part is the kernel of
 the membership equations, two terms each on phi's pairing of the basis
@@ -127,8 +128,7 @@ class Realization:
     def _set_basis(self, supports, parities):
         """Install the homogeneous basis, its index strings (the grading-JSON
         keys), a private entry per element that no other element touches,
-        each element's entries (a, b) + (c, d) for the degree table, and
-        the basis entries grouped by row and by column for `_bracket`.
+        and each element's entries (a, b) + (c, d) for the degree table.
         Nothing is installed unless every element passes."""
         touched = Counter(ab for sup in supports for ab in sup)
         private, degree_entries = {}, []
@@ -144,7 +144,6 @@ class Realization:
         self.degree_keys = tuple(map(str, range(len(supports))))
         self._private = private
         self._degree_entries = degree_entries
-        self._grouped = _grouped(supports)
 
     @property
     def size(self):
@@ -417,17 +416,36 @@ def build_osp(m, n, /):
     return R
 
 
-def adjoint_matrix(x):
-    """Matrix of ad x on the homogeneous basis of its ambient algebra:
-    column j holds the coordinates of [x, b_j].  The brackets come from
-    x's entries scattered over the realization's grouped basis table, so
-    a basis element that shares no row or column with x is never reached
-    and its column stays zero."""
-    R = x.ambient
-    nonzero = {}
-    for j, entries in _bracket(R.m, x.entries, R._grouped).items():
+@cache
+def _basis_table(R):
+    """R's basis entries `_grouped`, built on the first ad b_i of R."""
+    return _grouped(R.supports)
+
+
+@cache
+def _ad_basis(R, i):
+    """ad b_i as {(k, j): c}, column j the coordinates of [b_i, b_j],
+    bracketed once per algebra over the basis table, so only the b_j
+    sharing a row or column with b_i are reached; read, never changed."""
+    out = {}
+    for j, entries in _bracket(R.m, R.supports[i], _basis_table(R)).items():
         col = R.coords(entries)
         if col is None:
             raise RealizationError("bracket left the algebra")
-        nonzero.update(((i, j), v) for i, v in col.items())
+        out.update(((k, j), v) for k, v in col.items())
+    return out
+
+
+def adjoint_matrix(x):
+    """Matrix of ad x on the homogeneous basis of its ambient algebra:
+    column j holds the coordinates of [x, b_j].  It is the sum of c ad b_i
+    over x's coordinates {i: c}; an x outside g raises RealizationError."""
+    R = x.ambient
+    coords = R.coords(x)
+    if coords is None:
+        raise RealizationError("element outside the algebra")
+    nonzero = {}
+    for i, c in coords.items():
+        for kj, v in _ad_basis(R, i).items():
+            nonzero[kj] = nonzero.get(kj, 0) + c * v
     return Matrix(R.dim, R.dim, nonzero)

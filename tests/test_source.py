@@ -53,7 +53,7 @@ def test_one_element_representation():
     callers = _owners(lambda node: isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Name)
                       and node.func.id == "_bracket")
-    assert callers == {"superbracket", "adjoint_matrix"}
+    assert callers == {"superbracket", "_ad_basis"}
 
 
 def test_one_ad_builder_call_site():

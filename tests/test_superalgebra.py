@@ -8,7 +8,8 @@ from goodgradings import classification, cli, superalgebra
 from goodgradings.gradings import (centralizer, complete_sl2, grading_from,
                                    is_good)
 from goodgradings.linalg import Matrix, kernel_basis, rank, solve
-from goodgradings.partitions import (enumerate_super_partitions,
+from goodgradings.partitions import (SuperPartition,
+                                     enumerate_super_partitions,
                                      is_orthosymplectic)
 from goodgradings.pyramids import dynkin_pair, jordan_type
 from goodgradings.roots import find_nonnegative_base
@@ -304,18 +305,58 @@ def test_adjoint_matrix():
 @pytest.mark.parametrize("R", [build_gl(2, 1), build_osp(3, 1)],
                          ids=["gl21", "osp32"])
 def test_adjoint_columns_are_the_bracket_coordinates(R):
-    """ad x read off the grouped basis table has, in column j, the
-    coordinates of [x, b_j] bracketed one pair at a time."""
-    for x in R.basis:
+    """ad x, summed from the cached ad b_i, has in column j the coordinates
+    of [x, b_j] bracketed one pair at a time: for each basis element, for
+    x = 2 b_i - (3/2) b_j, and in osp(3|2) for a Dynkin e with its -1
+    signs."""
+    xs = R.basis + [R.basis[i].scale(2) - R.basis[j].scale(Fraction(3, 2))
+                    for i, j in [(0, 1), (1, 0), (2, R.dim - 1),
+                                 (R.dim - 1, 3)]]
+    if R.kind == "osp":
+        e = dynkin_pair(SuperPartition((3,), (2,)), R)[1]
+        assert -1 in e.entries.values()
+        xs.append(e)
+    for x in xs:
         ad = adjoint_matrix(x)
         for j, b in enumerate(R.basis):
             assert {i: ad[i, j] for i in range(R.dim) if ad[i, j]} == \
                 R.coords(superbracket(x, b))
 
 
-def test_adjoint_matrix_refuses_a_bracket_outside_the_algebra(monkeypatch):
-    # E_00 is not in osp(1|2): phi(v_0, v_0) = 2 makes it fail membership
+def test_ad_basis_brackets_each_basis_element_once(monkeypatch):
+    """Two ad maps that share a basis element bracket it once, and its
+    cached ad b_i is unchanged by the second."""
+    R = build_gl.__wrapped__(2, 1)          # a realization no cache holds
+    bracketed = []
+
+    def counting(m, x, grouped):
+        bracketed.append(R.coords(x))
+        return bracket(m, x, grouped)
+
+    bracket = superalgebra._bracket
+    monkeypatch.setattr(superalgebra, "_bracket", counting)
+    x = R.basis[1] + R.basis[3].scale(2)
+    y = R.basis[3] - R.basis[5]
+    adjoint_matrix(x)
+    shared = dict(superalgebra._ad_basis(R, 3))
+    adjoint_matrix(y)
+    assert bracketed == [{1: 1}, {3: 1}, {5: 1}]
+    assert superalgebra._ad_basis(R, 3) == shared \
+        == superalgebra._ad_basis.__wrapped__(R, 3)
+
+
+def test_adjoint_matrix_refuses_an_element_outside_the_algebra():
+    # the identity is in gl(1|2) but not in osp(1|2)
     R = build_osp(1, 1)
+    one = R.from_entries({(a, a): 1 for a in range(R.size)})
+    with pytest.raises(RealizationError, match="outside the algebra"):
+        adjoint_matrix(one)
+
+
+def test_adjoint_matrix_refuses_a_bracket_outside_the_algebra(monkeypatch):
+    # E_00 is not in osp(1|2): phi(v_0, v_0) = 2 makes it fail membership;
+    # a fresh build, so that no cached ad b_i answers first
+    R = build_osp.__wrapped__(1, 1)
     monkeypatch.setattr(superalgebra, "_bracket",
                         lambda m, x, grouped: {0: {(0, 0): 1}})
     with pytest.raises(RealizationError, match="bracket left the algebra"):

@@ -140,6 +140,14 @@ MUTANTS = [
     ("build-osp-uncached", "superalgebra.py",
      "@cache\ndef build_osp(m, n, /):", "def build_osp(m, n, /):",
      ["tests/test_superalgebra.py::test_each_algebra_is_built_once"]),
+    ("ad-combination-drops-coefficient", "superalgebra.py",
+     "nonzero.get(kj, 0) + c * v", "nonzero.get(kj, 0) + v",
+     ["tests/test_superalgebra.py::"
+      "test_adjoint_columns_are_the_bracket_coordinates"]),
+    ("ad-basis-uncached", "superalgebra.py",
+     "@cache\ndef _ad_basis(R, i):", "def _ad_basis(R, i):",
+     ["tests/test_superalgebra.py::"
+      "test_ad_basis_brackets_each_basis_element_once"]),
     ("case-table-reads-ad-kernel", "classification.py",
      "sum(dim_formula_osp(sp))", "len(e.ad_kernel[1])",
      ["tests/test_source.py::"
