@@ -6,22 +6,20 @@ from .partitions import (SuperPartition, NotOrthosymplectic, cp_dq,
                          is_orthosymplectic, partitions_of, psi_merge)
 from .superalgebra import (AlgebraElement, AmbientMismatch, DimensionError,
                            NonIntegralGrading, Realization, RealizationError,
-                           adjoint_matrix, build_gl, build_osp,
-                           invariant_form, is_member_osp, superbracket)
+                           adjoint_matrix, build_gl, build_osp, superbracket)
 from .pyramids import (LengthMismatch, MembershipFailure, OspPyramid,
                        Pyramid, PyramidError, SizeMismatch, dynkin_pair,
                        dynkin_pyramid_gl, dynkin_pyramid_osp, enumerate_pyr,
                        jordan_type, realize_osp_pyramid, realize_pyramid,
                        render, shift_matrix)
 from .gradings import (CentralizerReport, FormulaError, Grading, NoSolution,
-                       OddGrading, Sl2Triple, centralizer, complete_sl2,
-                       dim_formula_gl, dim_formula_osp, grading_from, is_good,
-                       is_good_by_ranks, is_richardson, s_centralizer)
+                       Sl2Triple, centralizer, complete_sl2, dim_formula_gl,
+                       dim_formula_osp, grading_from, is_good, s_centralizer)
 from .classification import (GoodGradingSet, NotCentral, Unbounded,
-                             brute_force_shifts, extensions_of_even_grading,
-                             good_gradings_gl, good_gradings_osp)
+                             brute_force_shifts, good_gradings_gl,
+                             good_gradings_osp)
 from .roots import (MarkedBase, Root, RootSystem, RootSystemError,
-                    build_roots, find_nonnegative_base, is_isotropic,
-                    marked_equivalent, reflect_marked, root_system)
+                    find_nonnegative_base, is_isotropic, marked_equivalent,
+                    reflect_marked, root_system)
 
 __version__ = "0.1.0"

@@ -239,22 +239,3 @@ def good_gradings_osp(sp):
     if not_good:
         out.notes["rejectedByGoodness"] = not_good
     return out
-
-
-# ---------------------------------------------------------------------------
-# extensions of an even grading
-
-
-def extensions_of_even_grading(sp, even_pyramids, full_set):
-    """Members of full_set, good_gradings_gl(sp), whose restriction to the
-    even part equals the grading of the given (p-pyramid, q-pyramid) pair:
-    on each parity, H minus the box x-coordinates (in label order) is one
-    constant."""
-    hp, hq = ([x for x, y, t, lab in sorted(P.boxes, key=lambda b: b[3])]
-              for P in even_pyramids)
-    picked = [g for g in full_set.gradings
-              if all(len({d - x for d, x in zip(diag, hx)}) == 1
-                     for diag, hx in ((g.H.diag()[:sp.m], hp),
-                                      (g.H.diag()[sp.m:], hq)))]
-    return GoodGradingSet(sp, picked, full_set.provenance,
-                          {"evenGrading": [P.to_json() for P in even_pyramids]})

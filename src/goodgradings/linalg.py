@@ -49,21 +49,8 @@ class Matrix:
                         if (v := exact(x))}
 
     @classmethod
-    def from_rows(cls, row_lists):
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        if any(len(r) != cols for r in row_lists):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, {(i, j): x for i, r in enumerate(row_lists)
-                                for j, x in enumerate(r)})
-
-    @classmethod
     def zero(cls, rows, cols):
         return cls(rows, cols, {})
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @property
     def entries(self):
@@ -106,10 +93,6 @@ class Matrix:
                 out[i, j] = out.get((i, j), 0) + a * b
         return Matrix(self.rows, other.cols, out)
 
-    def transpose(self):
-        return Matrix(self.cols, self.rows, {(j, i): x for (i, j), x in
-                                             self.nonzero.items()})
-
     def submatrix(self, rows, cols):
         """The block on the given row and column indices, in their order."""
         r = {i: a for a, i in enumerate(rows)}
@@ -117,10 +100,6 @@ class Matrix:
         return Matrix(len(r), len(c), {(r[i], c[j]): x for (i, j), x in
                                        self.nonzero.items()
                                        if i in r and j in c})
-
-    def __repr__(self):
-        return "Matrix(%d x %d)" % (self.rows, self.cols)
-
 
 def scaled_to_ints(row):
     """(ints, den) with den the lcm of the row's denominators and

@@ -86,11 +86,6 @@ class Pyramid:
         return {"rows": [{"len": r, "parity": t, "f": f}
                          for r, t, f in self.rows]}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple((row["len"], row["parity"], row["f"])
-                         for row in obj["rows"]))
-
 
 def enumerate_pyr(sp):
     """All pyramids for the orbit (p, q): every integer row-shift choice

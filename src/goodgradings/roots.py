@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from .superalgebra import build_gl, build_osp
 
 
 class RootSystemError(ValueError):
@@ -74,12 +73,6 @@ def root_system(R):
             roots.append(Root(coeffs, R.basis_parities[j]))
             index.append(j)
     return RootSystem(R.kind, k, d, tuple(roots)), tuple(index)
-
-
-def build_roots(kind, m, n):
-    """Root system of gl(m|n) or osp(m|2n) (the latter with k = m // 2
-    epsilons and n deltas)."""
-    return root_system(build_gl(m, n) if kind == "gl" else build_osp(m, n))[0]
 
 
 @dataclass(frozen=True)

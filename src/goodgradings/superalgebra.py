@@ -57,7 +57,7 @@ class AlgebraElement:
     @property
     def matrix(self):
         """The element as a size x size Matrix on the same nonzeros, for
-        the algorithms on whole matrices."""
+        the one algorithm on whole matrices, the Jordan type."""
         return Matrix(self.ambient.size, self.ambient.size, self.entries)
 
     def _plus(self, other, sign):
@@ -75,9 +75,6 @@ class AlgebraElement:
 
     def __sub__(self, other):
         return self._plus(other, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
 
     def scale(self, c):
         c = exact(c)
@@ -153,14 +150,6 @@ class Realization:
     def dim(self):
         return len(self.supports)
 
-    @cached_property
-    def basis(self):
-        """The homogeneous basis as elements."""
-        return [self.from_entries(sup) for sup in self.supports]
-
-    def index_parity(self, idx):
-        return EVEN if idx < self.m else ODD
-
     def index(self, label):
         return self._index_of_label[label]
 
@@ -173,14 +162,6 @@ class Realization:
             raise ValueError("element entry outside %dx%d" % (s, s))
         return AlgebraElement(self, {ab: v for ab, c in entries.items()
                                      if (v := exact(c))})
-
-    def zero(self):
-        return self.from_entries({})
-
-    def E(self, label_i, label_j):
-        """Matrix unit sending the basis vector of label_j to label_i."""
-        return self.from_entries({(self.index(label_i),
-                                   self.index(label_j)): 1})
 
     def diagonal(self, values_by_label):
         return self.from_entries({(self.index(lab), self.index(lab)): v
@@ -237,11 +218,6 @@ class Realization:
         return tuple(out)
 
 
-def supertrace(R, mat):
-    return exact(sum(mat[i, i] if i < R.m else -mat[i, i]
-                     for i in range(R.size)))
-
-
 def _grouped(supports):
     """The entries of the supports grouped by row and by column: row c and
     column d share the one tuple (j, c, d, v) of each entry (c, d): v of
@@ -286,12 +262,6 @@ def superbracket(x, y):
     return AlgebraElement(R, entries.get(0, {}))
 
 
-def invariant_form(x, y):
-    """Supertrace form (x, y) = str(xy)."""
-    x._same(y)
-    return supertrace(x.ambient, x.matrix @ y.matrix)
-
-
 def check_size(kind, m, n):
     """Raise DimensionError unless gl(m|n), or osp(m|2n), is one this
     package builds."""
@@ -313,21 +283,6 @@ def build_gl(m, n, /):
     R._set_basis([{ab: 1} for ab in pairs],
                  [ODD if (a < m) != (b < m) else EVEN for a, b in pairs])
     return R
-
-
-def is_member_osp(R, mat, parity):
-    """Does mat satisfy phi(z u, v) = -(-1)^{parity |u|} phi(u, z v)?"""
-    if R.kind != "osp":
-        raise ValueError("%s is not an osp realization" % R.kind)
-    G = R.phi
-    # z^T G + S G z == 0, with S = diag((-1)^{parity * |u|}) on rows
-    left = (mat.transpose() @ G).nonzero
-    right = (G @ mat).nonzero
-    for b, c in left.keys() | right.keys():
-        sign = -1 if (parity and R.index_parity(b)) else 1
-        if left.get((b, c), 0) + sign * right.get((b, c), 0) != 0:
-            return False
-    return True
 
 
 def _osp_odd_basis(R):

@@ -1,0 +1,144 @@
+"""References and helpers that only the tests use, kept out of the package.
+
+The rank form of goodness, the Richardson test, osp membership, the
+supertrace form and the extensions of an even grading are checks the tests
+hold the package against.  The rank reference builds ad e from matrix
+products (`dense_ad`), so it shares no code path with the package's
+ad x, built from the cached ad b_i.  The small helpers build matrices and
+elements the way the tests write them.
+
+Not a test module: pytest collects only test_*.py files.
+"""
+
+from functools import cache
+
+from goodgradings.linalg import Matrix, exact, rank
+
+
+class OddGrading(ValueError):
+    pass
+
+
+def from_rows(row_lists):
+    """The Matrix with the given equal-length rows."""
+    rows = len(row_lists)
+    cols = len(row_lists[0]) if rows else 0
+    if any(len(r) != cols for r in row_lists):
+        raise ValueError("ragged rows")
+    return Matrix(rows, cols, {(i, j): x for i, r in enumerate(row_lists)
+                               for j, x in enumerate(r)})
+
+
+def transpose(M):
+    return Matrix(M.cols, M.rows, {(j, i): x for (i, j), x in
+                                   M.nonzero.items()})
+
+
+def identity(n):
+    return Matrix(n, n, {(i, i): 1 for i in range(n)})
+
+
+def E(R, i, j):
+    """The matrix unit of R sending the basis vector labelled j to the one
+    labelled i."""
+    return R.from_entries({(R.index(i), R.index(j)): 1})
+
+
+@cache
+def basis(R):
+    """R's homogeneous basis as elements, made once per realization."""
+    return [R.from_entries(sup) for sup in R.supports]
+
+
+def supertrace(R, mat):
+    return exact(sum(mat[i, i] if i < R.m else -mat[i, i]
+                     for i in range(R.size)))
+
+
+def invariant_form(x, y):
+    """Supertrace form (x, y) = str(xy)."""
+    x._same(y)
+    return supertrace(x.ambient, x.matrix @ y.matrix)
+
+
+def is_member_osp(R, mat, parity):
+    """Does mat satisfy phi(z u, v) = -(-1)^{parity |u|} phi(u, z v)?"""
+    if R.kind != "osp":
+        raise ValueError("%s is not an osp realization" % R.kind)
+    G = R.phi
+    # z^T G + S G z == 0, with S = diag((-1)^{parity * |u|}) on rows
+    left = (transpose(mat) @ G).nonzero
+    right = (G @ mat).nonzero
+    for b, c in left.keys() | right.keys():
+        sign = -1 if parity and b >= R.m else 1
+        if left.get((b, c), 0) + sign * right.get((b, c), 0) != 0:
+            return False
+    return True
+
+
+def dense_ad(x):
+    """ad x from matrix products: column j holds the coordinates of
+    x b_j - (-1)^{|x||b_j|} b_j x, with x split into its even and odd
+    parts, so a mixed x is bracketed part by part."""
+    R = x.ambient
+    parts = {}
+    for (a, b), c in x.entries.items():
+        parts.setdefault((a < R.m) != (b < R.m), {})[a, b] = c
+    parts = [(odd, Matrix(R.size, R.size, part))
+             for odd, part in parts.items()]
+    nonzero = {}
+    for j, (y, y_odd) in enumerate(zip(basis(R), R.basis_parities)):
+        Y, col = y.matrix, {}
+        for x_odd, X in parts:
+            sign = -1 if x_odd and y_odd else 1
+            for ab, v in (X @ Y).nonzero.items():
+                col[ab] = col.get(ab, 0) + v
+            for ab, v in (Y @ X).nonzero.items():
+                col[ab] = col.get(ab, 0) - sign * v
+        coords = R.coords({ab: v for ab, v in col.items() if v})
+        if coords is None:
+            raise ValueError("bracket left the algebra")
+        nonzero.update(((k, j), v) for k, v in coords.items())
+    return Matrix(R.dim, R.dim, nonzero)
+
+
+def is_good_by_ranks(g, e):
+    """Definition-level check: e in g(2), the zero element only for the
+    zero grading, and ad e injective g(j) -> g(j+2) for j <= -1 and
+    surjective for j >= -1."""
+    ec = g.ambient.coords(e)
+    if ec is None or any(g.degrees[j] != 2 for j in ec) \
+            or e.is_zero() and any(g.degrees):
+        return False
+    ad = dense_ad(e)
+    for j in sorted(set(g.degrees)):
+        src = [i for i, d in enumerate(g.degrees) if d == j]
+        tgt = [i for i, d in enumerate(g.degrees) if d == j + 2]
+        r = rank(ad.submatrix(tgt, src))
+        if j <= -1 and r != len(src):
+            return False
+        if j >= -1 and r != len(tgt):
+            return False
+    return True
+
+
+def is_richardson(g, e):
+    """For an even grading: does [g_>=0, e] fill g_+?"""
+    if any(d % 2 for d in g.degrees):
+        raise OddGrading("grading has odd degrees")
+    src = [i for i, d in enumerate(g.degrees) if d >= 0]
+    tgt = [i for i, d in enumerate(g.degrees) if d > 0]
+    return rank(e.ad_kernel[0].submatrix(tgt, src)) == len(tgt)
+
+
+def extensions_of_even_grading(sp, even_pyramids, full_set):
+    """The gradings of full_set, good_gradings_gl(sp), whose restriction to
+    the even part equals the grading of the given (p-pyramid, q-pyramid)
+    pair: on each parity, H minus the box x-coordinates (in label order)
+    is one constant."""
+    hp, hq = ([x for x, y, t, lab in sorted(P.boxes, key=lambda b: b[3])]
+              for P in even_pyramids)
+    return [g for g in full_set.gradings
+            if all(len({d - x for d, x in zip(diag, hx)}) == 1
+                   for diag, hx in ((g.H.diag()[:sp.m], hp),
+                                    (g.H.diag()[sp.m:], hq)))]

@@ -10,15 +10,15 @@ from goodgradings import (classification, gradings, partitions, pyramids,
                          superalgebra)
 from goodgradings.classification import (NotCentral, Unbounded,
                                          brute_force_shifts,
-                                         extensions_of_even_grading,
                                          good_gradings_gl, good_gradings_osp)
-from goodgradings.gradings import grading_from, is_good, is_good_by_ranks
+from goodgradings.gradings import grading_from, is_good
 from goodgradings.partitions import (SuperPartition, cp_dq,
                                      enumerate_super_partitions,
                                      is_orthosymplectic)
 from goodgradings.pyramids import (Pyramid, dynkin_pair, enumerate_pyr,
                                    realize_pyramid, shift_matrix)
 from goodgradings.superalgebra import build_gl, build_osp
+from reference import E, extensions_of_even_grading, is_good_by_ranks
 
 
 def test_gl_counts():
@@ -68,7 +68,7 @@ def test_oracle_checks_centrality(monkeypatch):
 
     def widened(R, triple):
         rep = s_centralizer(R, triple)
-        rep.vectors = rep.vectors + [R.coords(R.E(1, 3))]
+        rep.vectors = rep.vectors + [R.coords(E(R, 1, 3))]
         return rep
 
     monkeypatch.setattr(classification, "s_centralizer", widened)
@@ -524,6 +524,7 @@ def test_goodness_is_symmetric_under_supertranspose():
                     for H in [h] + [h + g for g in gens] \
                             + [h - g for g in gens]:
                         good = is_good(grading_from(R, H), e)
-                        assert good == is_good(grading_from(R, -H), theta_e)
+                        assert good == is_good(
+                            grading_from(R, H.scale(-1)), theta_e)
                         verdicts.append(good)
     assert (verdicts.count(True), verdicts.count(False)) == (735, 168)

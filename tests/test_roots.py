@@ -11,7 +11,7 @@ from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
                                    dynkin_pyramid_osp, realize_osp_pyramid,
                                    realize_pyramid)
 from goodgradings.roots import (MarkedBase, Root, RootSystem, RootSystemError,
-                                _base_of, build_roots, find_nonnegative_base,
+                                _base_of, find_nonnegative_base,
                                 is_isotropic, marked_equivalent,
                                 reflect_marked, root_system)
 from goodgradings.superalgebra import (EVEN, ODD, build_gl, build_osp,
@@ -19,33 +19,33 @@ from goodgradings.superalgebra import (EVEN, ODD, build_gl, build_osp,
 
 
 def test_root_counts_gl():
-    assert len(build_roots("gl", 1, 1).roots) == 2
-    sys = build_roots("gl", 2, 1)
+    assert len(root_system(build_gl(1, 1))[0].roots) == 2
+    sys = root_system(build_gl(2, 1))[0]
     assert len(sys.roots) == 6
     assert sum(1 for r in sys.roots if r.parity == EVEN) == 2
     assert sum(1 for r in sys.roots if r.parity == ODD) == 4
 
 
 def test_root_counts_osp():
-    sys = build_roots("osp", 3, 1)      # so(3) x sp(2) plus odd part
+    sys = root_system(build_osp(3, 1))[0]      # so(3) x sp(2) plus odd part
     assert len(sys.roots) == 10
     assert sum(1 for r in sys.roots if r.parity == ODD) == 6
-    sys = build_roots("osp", 4, 1)
+    sys = root_system(build_osp(4, 1))[0]
     assert len(sys.roots) == 14
     assert sum(1 for r in sys.roots if r.parity == ODD) == 8
 
 
 def test_isotropy():
-    sys = build_roots("gl", 2, 1)
+    sys = root_system(build_gl(2, 1))[0]
     assert is_isotropic(sys, sys.find((1, 0, -1)))
     assert not is_isotropic(sys, sys.find((1, -1, 0)))
-    sys = build_roots("osp", 3, 1)
+    sys = root_system(build_osp(3, 1))[0]
     assert is_isotropic(sys, sys.find((1, -1)))
     assert not is_isotropic(sys, sys.find((0, 1)))   # odd non-isotropic delta
 
 
 def test_reflect_isotropic_marks():
-    sys = build_roots("gl", 2, 1)
+    sys = root_system(build_gl(2, 1))[0]
     a1 = sys.find((1, -1, 0))
     a2 = sys.find((0, 1, -1))
     b = MarkedBase(sys, (a1, a2), (0, 1))
@@ -59,7 +59,7 @@ def test_reflect_isotropic_marks():
 
 
 def test_reflect_even_weyl():
-    sys = build_roots("gl", 2, 1)
+    sys = root_system(build_gl(2, 1))[0]
     a1 = sys.find((1, -1, 0))
     a2 = sys.find((0, 1, -1))
     b = MarkedBase(sys, (a1, a2), (1, 0))
@@ -170,7 +170,7 @@ def test_distinct_mark_multisets_not_equivalent():
 
 
 def test_reflect_checks_reflected_root(monkeypatch):
-    sys = build_roots("gl", 2, 1)
+    sys = root_system(build_gl(2, 1))[0]
     b = MarkedBase(sys, (sys.find((1, -1, 0)), sys.find((0, 1, -1))), (0, 1))
     monkeypatch.setattr(RootSystem, "find", lambda self, coeffs: None)
     with pytest.raises(RootSystemError):
@@ -203,8 +203,7 @@ def _base_by_reflections(grading, seed=3):
     """Reference: start from the generic positive system and reflect away
     the lowest negative-degree simple root until none is left."""
     R = grading.ambient
-    kind, d = ("gl", R.odd_dim) if R.kind == "gl" else ("osp", R.odd_dim // 2)
-    sys = build_roots(kind, R.m, d)
+    sys = root_system(R)[0]
     vals = degree_functional(grading)
     n = sys.eps_count + sys.delta_count
     functional = [Fraction(seed) ** (n - l) for l in range(n)]
@@ -276,8 +275,7 @@ def test_packed_base_matches_tuple_base():
     assert len(gradings) == 27 + 73 + 46
     for g in gradings:
         R = g.ambient
-        sys = build_roots(R.kind, R.m, R.odd_dim if R.kind == "gl"
-                          else R.odd_dim // 2)
+        sys = root_system(R)[0]
         vals = degree_functional(g)
         n = len(vals)
         functional = [Fraction(3) ** (n - l) for l in range(n)]
