@@ -48,10 +48,6 @@ class Matrix:
         self.nonzero = {ij: v for ij, x in nonzero.items()
                         if (v := exact(x))}
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, {})
-
     @property
     def entries(self):
         """Dense row-major view of all rows x cols entries."""
@@ -60,22 +56,12 @@ class Matrix:
             out[i * self.cols + j] = x
         return out
 
-    def _key(self, ij):
+    def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ValueError("entry (%d, %d) outside %dx%d"
                              % (i, j, self.rows, self.cols))
-        return i, j
-
-    def __getitem__(self, ij):
-        return self.nonzero.get(self._key(ij), 0)
-
-    def __setitem__(self, ij, value):
-        ij = self._key(ij)
-        if value := exact(value):
-            self.nonzero[ij] = value
-        else:
-            self.nonzero.pop(ij, None)
+        return self.nonzero.get(ij, 0)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows

@@ -11,15 +11,17 @@ gl(m|n) has the elementary-matrix basis.  For osp(m|2n) the even part is
 the Chevalley basis of so(m) x sp(2n) and the odd part is the kernel of
 the membership equations, two terms each on phi's pairing of the basis
 vectors, so its signs are consistent with the form phi.
-Each algebra is built once per process and that one realization is handed
-out; nothing changes its tables.  Each element keeps its own ker(ad e)
-record.
+Each realization is built whole by one constructor call, which checks
+the basis and derives every table from it; nothing is assigned onto it
+afterwards.  Each algebra is built once per process and that one
+realization is handed out; nothing changes its tables.  Each element
+keeps its own ker(ad e) record.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 
@@ -111,36 +113,39 @@ class AlgebraElement:
 
 @dataclass(eq=False)
 class Realization:
+    """gl(m|n) or osp(m|2n) on V = V0 + V1, built whole by one constructor
+    call: `__post_init__` checks the basis and derives every table from
+    it, so a basis it refuses yields no realization, and nothing is
+    assigned onto a realization afterwards."""
     kind: str              # "gl" or "osp"
     m: int                 # dim V0
     odd_dim: int           # dim V1: n for gl(m|n), 2n for osp(m|2n)
     labels: list           # V-basis labels in matrix-index order
+    supports: list         # homogeneous basis of g as {(a, b): c}
+    basis_parities: list
     phi: Matrix = None     # form on V (osp only)
-    supports: list = field(default_factory=list)  # basis of g as {(a, b): c}
-    basis_parities: list = field(default_factory=list)
 
     def __post_init__(self):
-        self._index_of_label = {lab: i for i, lab in enumerate(self.labels)}
-
-    def _set_basis(self, supports, parities):
-        """Install the homogeneous basis, its index strings (the grading-JSON
-        keys), a private entry per element that no other element touches,
-        and each element's entries (a, b) + (c, d) for the degree table.
-        Nothing is installed unless every element passes."""
-        touched = Counter(ab for sup in supports for ab in sup)
-        private, degree_entries = {}, []
-        for i, sup in enumerate(supports):
+        """Refuse a basis element without a private entry, one that no
+        other element touches, or with more than two entries; derive the
+        label indices, the private entries, each element's entries
+        (a, b) + (c, d) for the degree table, the index strings (the
+        grading-JSON keys) and each entry's coefficient in the even
+        supports (it signs a pyramid's e)."""
+        touched = Counter(ab for sup in self.supports for ab in sup)
+        self._private = {}
+        for i, sup in enumerate(self.supports):
             ab = next((ab for ab in sup if touched[ab] == 1), None)
             if ab is None or len(sup) > 2:
                 raise RealizationError("basis element %d needs a private "
                                        "entry and at most two" % i)
-            private[ab] = i
-            degree_entries.append(min(sup) + max(sup))
-        self.supports = supports
-        self.basis_parities = parities
-        self.degree_keys = tuple(map(str, range(len(supports))))
-        self._private = private
-        self._degree_entries = degree_entries
+            self._private[ab] = i
+        self._index_of_label = {lab: i for i, lab in enumerate(self.labels)}
+        self._degree_entries = [min(sup) + max(sup) for sup in self.supports]
+        self.degree_keys = tuple(map(str, range(len(self.supports))))
+        self.even_signs = {ab: c for sup, p in zip(self.supports,
+                                                   self.basis_parities)
+                           if p == EVEN for ab, c in sup.items()}
 
     @property
     def size(self):
@@ -278,31 +283,31 @@ def build_gl(m, n, /):
     """gl(m|n) with index order 1..m even, m+1..m+n odd.  Positional, so
     that every call of one algebra reads the one cache entry."""
     check_size("gl", m, n)
-    R = Realization("gl", m, n, list(range(1, m + n + 1)))
     pairs = [(a, b) for a in range(m + n) for b in range(m + n)]
-    R._set_basis([{ab: 1} for ab in pairs],
-                 [ODD if (a < m) != (b < m) else EVEN for a, b in pairs])
-    return R
+    return Realization("gl", m, n, list(range(1, m + n + 1)),
+                       [{ab: 1} for ab in pairs],
+                       [ODD if (a < m) != (b < m) else EVEN for a, b in pairs])
 
 
-def _osp_odd_basis(R):
+def _osp_odd_basis(m, labels, phi):
     """Supports of a kernel basis of the odd membership equations inside
-    gl(m|2n)_1.  phi pairs index a with pi(a), the index of the negated
-    label, so for even b and odd c the equation
+    gl(m|2n)_1, for the V-basis labels in matrix-index order (the first m
+    even) and the form phi on them.  phi pairs index a with pi(a), the
+    index of the negated label, so for even b and odd c the equation
     phi(z v_b, v_c) + phi(v_b, z v_c) = 0 has the two terms
     phi(v_pi(c), v_c) z[pi(c), b] and phi(v_b, v_pi(b)) z[pi(b), c]; the
     (c, b) equation is the same one, phi being symmetric on V0 and skew
     on V1."""
-    s, m = R.size, R.m
+    s = len(labels)
     positions = [(a, b) for a in range(s) for b in range(s)
                  if (a < m) != (b < m)]
     pos_index = {ab: t for t, ab in enumerate(positions)}
-    pi = [R.index(-label) for label in R.labels]
-    G = R.phi
+    index = {lab: i for i, lab in enumerate(labels)}
+    pi = [index[-lab] for lab in labels]
     equations = {}
     for row, (b, c) in enumerate(product(range(m), range(m, s))):
-        equations[row, pos_index[pi[c], b]] = G[pi[c], c]
-        equations[row, pos_index[pi[b], c]] = G[b, pi[b]]
+        equations[row, pos_index[pi[c], b]] = phi[pi[c], c]
+        equations[row, pos_index[pi[b], c]] = phi[b, pi[b]]
     return [{positions[t]: vec[t] for t in sorted(vec)}
             for vec in kernel_basis(Matrix(m * (s - m), len(positions),
                                            equations))]
@@ -313,30 +318,24 @@ def build_osp(m, n, /):
     """osp(m|2n) inside gl(m|2n), positional like `build_gl`.
 
     V0 labels: 0 (m odd only), +-1..+-k with k = floor(m/2);
-    V1 labels: +-(k+1)..+-(k+n).  phi(v_0,v_0)=2, phi(v_i,v_-j)=delta_ij.
+    V1 labels: +-(k+1)..+-(k+n).  phi(v_0, v_0) = 2 and
+    phi(v_a, v_-a) = 1 for every other label a but a < -k: phi is
+    symmetric on V0 and skew on V1.
     """
     check_size("osp", m, n)
     k = m // 2
-    even_labels = ([0] if m % 2 else []) \
-        + list(range(1, k + 1)) + [-i for i in range(1, k + 1)]
-    odd_labels = list(range(k + 1, k + n + 1)) \
-        + [-i for i in range(k + 1, k + n + 1)]
-    R = Realization("osp", m, 2 * n, even_labels + odd_labels)
-
-    G = Matrix.zero(R.size, R.size)
-    if m % 2:
-        G[R.index(0), R.index(0)] = 2
-    for i in range(1, k + 1):
-        G[R.index(i), R.index(-i)] = 1
-        G[R.index(-i), R.index(i)] = 1
-    for i in range(k + 1, k + n + 1):
-        G[R.index(i), R.index(-i)] = 1
-        G[R.index(-i), R.index(i)] = -1
-    R.phi = G
+    labels = ([0] if m % 2 else []) \
+        + list(range(1, k + 1)) + [-i for i in range(1, k + 1)] \
+        + list(range(k + 1, k + n + 1)) + [-i for i in range(k + 1, k + n + 1)]
+    index = {lab: i for i, lab in enumerate(labels)}
 
     def E(*terms):
         """Support of sum c E_{a,b} over the (a, b, c) terms, by label."""
-        return {(R.index(a), R.index(b)): c for a, b, c in terms}
+        return {(index[a], index[b]): c for a, b, c in terms}
+
+    phi = Matrix(len(labels), len(labels),
+                 E(*((a, -a, 2 if a == 0 else -1 if a < -k else 1)
+                     for a in labels)))
 
     even = []
     if m % 2:
@@ -361,14 +360,12 @@ def build_osp(m, n, /):
             even.append(E((i, -j, 1), (j, -i, 1)))
             even.append(E((-i, j, 1), (-j, i, 1)))
 
-    odd = _osp_odd_basis(R)
+    odd = _osp_odd_basis(m, labels, phi)
     if len(odd) != 2 * m * n:
         raise RealizationError("odd part of osp(%d|%d) has dimension %d, "
                                "not %d" % (m, 2 * n, len(odd), 2 * m * n))
-    R._set_basis(even + odd, [EVEN] * len(even) + [ODD] * len(odd))
-    # each entry's coefficient in the even supports: it signs a pyramid's e
-    R.even_signs = {ab: c for sup in even for ab, c in sup.items()}
-    return R
+    return Realization("osp", m, 2 * n, labels, even + odd,
+                       [EVEN] * len(even) + [ODD] * len(odd), phi)
 
 
 @cache

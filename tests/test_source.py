@@ -154,6 +154,37 @@ def test_realizations_are_built_only_by_the_cached_builders():
     assert builders == set()
 
 
+def test_realization_tables_are_set_only_when_built():
+    """A realization is built whole: no package code outside
+    `Realization.__post_init__` assigns, deletes or `setattr`s an
+    attribute named like one of a built realization's tables."""
+    names = set(vars(build_osp(3, 1)))
+    assert {"supports", "phi", "even_signs", "_private"} <= names
+
+    def sets_table(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in names \
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+        return isinstance(node, ast.Call) \
+            and getattr(node.func, "id", None) in ("setattr", "delattr") \
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant) \
+            and node.args[1].value in names
+
+    found = []
+
+    def visit(node, scope, path):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if sets_table(node) and scope != ("Realization", "__post_init__"):
+            found.append("%s:%d" % (path.name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, path)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), (), path)
+    assert found == []
+
+
 def test_classification_makes_no_bracket():
     """The classifiers and the oracle read degree tables: classification.py
     neither imports nor calls `superbracket`."""

@@ -59,7 +59,7 @@ def test_osp_membership_of_basis():
 
 def test_is_member_osp_examples():
     R = build_osp(2, 2)
-    assert is_member_osp(R, Matrix.zero(R.size, R.size), EVEN)
+    assert is_member_osp(R, Matrix(R.size, R.size, {}), EVEN)
     assert not is_member_osp(R, identity(R.size), EVEN)
 
 
@@ -89,7 +89,8 @@ def test_superbracket_matches_matrix_products():
 
 def test_build_osp_checks_odd_dimension(monkeypatch):
     # the builder body, past the cache that holds osp(2|2) once built
-    monkeypatch.setattr(superalgebra, "_osp_odd_basis", lambda R: [])
+    monkeypatch.setattr(superalgebra, "_osp_odd_basis",
+                        lambda m, labels, phi: [])
     with pytest.raises(RealizationError, match="odd part"):
         build_osp.__wrapped__(2, 1)
 
@@ -140,7 +141,7 @@ def test_odd_basis_matches_dense_equations(m, n):
     element is E_ab + c E_{pi(b), pi(a)}, pi the index of the negated
     label (the closed form)."""
     R = build_osp(m, n)
-    odd = superalgebra._osp_odd_basis(R)
+    odd = superalgebra._osp_odd_basis(R.m, R.labels, R.phi)
     assert odd == _dense_osp_odd_basis(R)
     assert odd == R.supports[R.dim - 2 * m * n:]
     pi = [R.index(-lab) for lab in R.labels]
@@ -206,8 +207,8 @@ def test_templates_are_never_changed():
         assert cached is build(m, n) and cached is not uncached
         tables = vars(uncached)
         assert {"labels", "phi", "supports", "basis_parities", "_private",
-                "_degree_entries", "_index_of_label", "degree_keys"} <= \
-            set(tables)
+                "_degree_entries", "_index_of_label", "degree_keys",
+                "even_signs"} <= set(tables)
         assert {name: getattr(cached, name) for name in tables} == tables
         assert set(vars(cached)) == set(tables)
 
@@ -290,7 +291,7 @@ def test_osp_closure():
 
 def test_adjoint_matrix():
     R = build_gl(2, 1)
-    assert adjoint_matrix(R.from_entries({})) == Matrix.zero(R.dim, R.dim)
+    assert adjoint_matrix(R.from_entries({})) == Matrix(R.dim, R.dim, {})
     h = R.diagonal({1: 1, 2: 2, 3: 5})
     ad = adjoint_matrix(h)
     # diagonal with weights h_i - h_j on the E_{ij} basis
@@ -432,7 +433,7 @@ def test_sparse_element_matches_dense_reference(R, data):
                                       zip(X.entries, Y.entries)]
     assert x.scale(-1).matrix.entries == [-a for a in X.entries]
     assert x.scale(c).matrix.entries == [c * a for a in X.entries]
-    assert x.is_zero() == (X == Matrix.zero(R.size, R.size))
+    assert x.is_zero() == (X == Matrix(R.size, R.size, {}))
     assert x.diag() == [X[i, i] for i in range(R.size)]
     assert (x - x).is_zero() and x.scale(0).is_zero()
     for z in (x, x + y, x - y, x.scale(-1), x.scale(c), superbracket(x, y)):
@@ -476,27 +477,21 @@ def test_stored_values_are_ints_where_integral(R, data):
 def test_is_member_osp_needs_osp():
     R = build_gl(2, 1)
     with pytest.raises(ValueError, match="not an osp"):
-        is_member_osp(R, Matrix.zero(3, 3), EVEN)
+        is_member_osp(R, Matrix(3, 3, {}), EVEN)
 
 
-def test_set_basis_rejects_three_entries():
-    R = Realization("gl", 1, 1, [1, 2])
-    with pytest.raises(RealizationError, match="at most two"):
-        R._set_basis([{(0, 0): 1, (0, 1): 1, (1, 1): 1}], [EVEN])
-
-
-def test_refused_set_basis_leaves_the_realization_unchanged():
-    """A basis that fails validation installs nothing: not its supports,
-    nor any table built from them before the failing element."""
-    R = Realization("gl", 1, 1, [1, 2])
-    R._set_basis([{(0, 0): 1}, {(0, 1): 1}, {(1, 0): 1}, {(1, 1): 1}],
-                 [EVEN, ODD, ODD, EVEN])
-    before = dict(vars(R))
-    for supports in ([{(1, 0): 1}, {(0, 0): 1, (0, 1): 1, (1, 1): 1}],
-                     [{(1, 0): 1}, {(0, 0): 1}, {(0, 0): 2}]):
-        with pytest.raises(RealizationError, match="basis element 1 "):
-            R._set_basis(supports, [ODD] + [EVEN] * (len(supports) - 1))
-        assert vars(R) == before
+@pytest.mark.parametrize("supports", [
+    [{(1, 0): 1}, {(0, 0): 1, (0, 1): 1, (1, 1): 1}],
+    [{(1, 0): 1}, {(0, 0): 1}, {(0, 0): 2}],
+], ids=["three-entries", "shared-entry"])
+def test_realization_refuses_a_basis_it_cannot_read(supports):
+    """A basis element needs a private entry, one no other element
+    touches, and at most two entries; the constructor refuses any other
+    basis, so a refused basis yields no realization at all."""
+    with pytest.raises(RealizationError, match="basis element 1 needs a "
+                       "private entry and at most two"):
+        Realization("gl", 1, 1, [1, 2], supports,
+                    [ODD] + [EVEN] * (len(supports) - 1))
 
 
 def _fraction_degrees(R, diag):

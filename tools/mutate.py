@@ -130,9 +130,13 @@ MUTANTS = [
      ["tests/test_superalgebra.py::"
       "test_degrees_match_fraction_differences"]),
     ("degree-keys-start-at-1", "superalgebra.py",
-     "range(len(supports))", "range(1, len(supports) + 1)",
+     "range(len(self.supports))", "range(1, len(self.supports) + 1)",
      ["tests/test_classification.py::"
       "test_grading_json_reads_the_key_table"]),
+    ("private-entry-may-be-shared", "superalgebra.py",
+     "touched[ab] == 1", "touched[ab] >= 1",
+     ["tests/test_superalgebra.py::"
+      "test_realization_refuses_a_basis_it_cannot_read"]),
     ("ad-kernel-rebuilt-per-read", "superalgebra.py",
      "@cached_property\n    def ad_kernel(self):",
      "@property\n    def ad_kernel(self):",
