@@ -318,9 +318,9 @@ def build_osp(m, n, /):
     """osp(m|2n) inside gl(m|2n), positional like `build_gl`.
 
     V0 labels: 0 (m odd only), +-1..+-k with k = floor(m/2);
-    V1 labels: +-(k+1)..+-(k+n).  phi(v_0, v_0) = 2 and
-    phi(v_a, v_-a) = 1 for every other label a but a < -k: phi is
-    symmetric on V0 and skew on V1.
+    V1 labels: +-(k+1)..+-(k+n).  phi(v_0, v_0) = 2, and phi(v_a, v_-a)
+    is -1 for the negative V1 labels a < -k and 1 for every other label
+    a != 0: phi is symmetric on V0 and skew on V1.
     """
     check_size("osp", m, n)
     k = m // 2
