@@ -1,6 +1,6 @@
-"""The classifier sweeps of tools/equivalence.py on smaller ranges (its
-SLICES: gl m+n <= 5, osp m+2n <= 8), against the slice digests that
-tools/equivalence.json records."""
+"""The classifier sweeps and the base sweep of tools/equivalence.py on
+smaller ranges (its SLICES: gl m+n <= 5, osp m+2n <= 8), against the slice
+digests that tools/equivalence.json records."""
 
 import importlib.util
 import json

@@ -15,6 +15,9 @@ The sweeps:
   then by m;
 - the polytope oracle, `brute_force_shifts`, on the same gl orbits and
   on the osp orbits with m+2n <= 14, hashed the same way;
+- `find_nonnegative_base` on every good grading of those gl orbits and
+  osp orbits with m+2n <= 14 (4,649 gradings): one line per grading,
+  json.dumps(base.to_json()) + "\\n", in classifier order;
 - `cli`: argv, exit code, stdout and stderr of `cli.main` on CLI_ARGV
   (every verb, --pretty, --bound, and malformed inputs), one JSON line
   each, with COLUMNS=80 so that argparse's usage lines do not depend on
@@ -22,8 +25,9 @@ The sweeps:
   digest is that of the Python version named in the JSON file.
 
 Stdlib only and not part of the tier-1 run; tier-1 checks the two
-classifier sweeps on smaller ranges (the `SLICES`) against the same file
-(tests/test_equivalence.py).  The full sweeps take a few seconds.
+classifier sweeps and the base sweep on smaller ranges (the `SLICES`)
+against the same file (tests/test_equivalence.py).  The full sweeps take
+a few seconds.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from goodgradings.classification import (brute_force_shifts,  # noqa: E402
 from goodgradings.cli import main as cli_main  # noqa: E402
 from goodgradings.partitions import (enumerate_super_partitions,  # noqa: E402
                                      is_orthosymplectic)
+from goodgradings.roots import find_nonnegative_base  # noqa: E402
 from goodgradings.superalgebra import build_gl, build_osp  # noqa: E402
 
 EXPECTED = ROOT / "tools" / "equivalence.json"
@@ -69,6 +74,16 @@ def osp_orbits(limit):
 def classified(classify, orbits):
     for sp in orbits:
         yield json.dumps(classify(sp).to_json(), sort_keys=True) + "\n"
+
+
+def bases(gl_limit, osp_limit):
+    """The nonnegative base of every good grading of the gl orbits with
+    m+n <= gl_limit and then of the osp orbits with m+2n <= osp_limit."""
+    for classify, orbits in ((good_gradings_gl, gl_orbits(gl_limit)),
+                             (good_gradings_osp, osp_orbits(osp_limit))):
+        for sp in orbits:
+            for g in classify(sp).gradings:
+                yield json.dumps(find_nonnegative_base(g).to_json()) + "\n"
 
 
 def oracle_gl(sp):
@@ -140,6 +155,7 @@ SWEEPS = {
                                                        gl_orbits(8)),
     "brute_force_shifts osp m+2n<=14": lambda: classified(oracle_osp,
                                                           osp_orbits(14)),
+    "find_nonnegative_base gl m+n<=8, osp m+2n<=14": lambda: bases(8, 14),
     "cli": cli_runs,
 }
 SLICES = {
@@ -147,6 +163,7 @@ SLICES = {
                                                   gl_orbits(5)),
     "good_gradings_osp m+2n<=8": lambda: classified(good_gradings_osp,
                                                     osp_orbits(8)),
+    "find_nonnegative_base gl m+n<=5, osp m+2n<=8": lambda: bases(5, 8),
 }
 
 
@@ -165,7 +182,7 @@ def main():
         verdict = "ok" if got == expected.get(name) else "DIFFERS"
         if verdict != "ok":
             differ.append(name)
-        print("%-32s %s %s" % (name, got, verdict), flush=True)
+        print("%-46s %s %s" % (name, got, verdict), flush=True)
     if differ:
         print("differ from %s: %s" % (EXPECTED.name, ", ".join(differ)))
         return 1
