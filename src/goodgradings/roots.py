@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul, sub
 
 
 class RootSystemError(ValueError):
@@ -68,7 +69,7 @@ def root_system(R):
     roots, index = [], []
     for j, sup in enumerate(R.supports):
         a, b = next(iter(sup))
-        coeffs = tuple(x - y for x, y in zip(weights[a], weights[b]))
+        coeffs = tuple(map(sub, weights[a], weights[b]))
         if any(coeffs):
             roots.append(Root(coeffs, R.basis_parities[j]))
             index.append(j)
@@ -140,21 +141,17 @@ def _generic_values(sys, seed):
     per root system object (compared by identity) and seed."""
     n = sys.eps_count + sys.delta_count
     functional = [seed ** (n - l) for l in range(n)]
-    return tuple(sum(v * c for v, c in zip(functional, r.coeffs))
+    return tuple(sum(map(mul, functional, r.coeffs)) for r in sys.roots)
+
+
+@cache
+def _codes(sys):
+    """Each root packed as sum c_i * 16**i, kept per root system object.
+    The packing is linear and injective while all |c_i| <= 7; root
+    coefficients lie in [-2, 2], so r - s is a root exactly when
+    code(r) - code(s) is a root's code (0 is none)."""
+    return tuple(sum(c << 4 * i for i, c in enumerate(r.coeffs))
                  for r in sys.roots)
-
-
-def _base_of(sys, pos):
-    """Simple roots: positive roots that are not sums of two positives.
-    Vectors are packed as sum c_i * 16**i, linear and injective while all
-    |c_i| <= 7; root coefficients lie in [-2, 2], so r - s is a root exactly
-    when code(r) - code(s) is a root's code (0 is none)."""
-    codes = [sum(c << 4 * i for i, c in enumerate(r.coeffs)) for r in pos]
-    code_set = set(codes)
-    simple = [r for r, a in zip(pos, codes)
-              if not any(a - b in code_set for b in codes)]
-    simple.sort(key=lambda r: r.coeffs)
-    return simple
 
 
 def find_nonnegative_base(grading, seed=3):
@@ -165,19 +162,32 @@ def find_nonnegative_base(grading, seed=3):
     ends at the positive system read here in one pass: every root of
     positive degree, and those of degree 0 that the generic functional
     makes positive.  A root's degree is its basis element's entry of
-    grading.degrees."""
+    grading.degrees.
+
+    In the order of their key (degree, generic value), a positive root is
+    simple when no simple root found before it differs from it by a
+    positive root.  The key is additive, so a simple alpha with r - alpha
+    positive has a smaller key than r; and each positive r that is not
+    simple has such an alpha, as the simple root vectors generate the
+    positive ones: g_r lies in [g_alpha, g_(r - alpha)] for a simple
+    alpha."""
     sys, index = root_system(grading.ambient)
-    pos, mark = [], {}
-    for r, j, generic in zip(sys.roots, index, _generic_values(sys, seed)):
+    pos = []
+    for r, j, generic, code in zip(sys.roots, index,
+                                   _generic_values(sys, seed), _codes(sys)):
         if generic == 0:
             raise RootSystemError("functional vanishes on root %s"
                                   % (r.coeffs,))
         if (grading.degrees[j], generic) > (0, 0):
-            pos.append(r)
-            mark[r.coeffs] = grading.degrees[j]
-    simple = _base_of(sys, pos)
-    return MarkedBase(sys, tuple(simple),
-                      tuple(mark[a.coeffs] for a in simple))
+            pos.append((grading.degrees[j], generic, code, r))
+    codes = {code for _, _, code, _ in pos}
+    simple = []
+    for mark, _, code, r in sorted(pos):
+        if not any(code - c in codes for _, c, _, _ in simple):
+            simple.append((r.coeffs, code, r, mark))
+    simple.sort()
+    return MarkedBase(sys, tuple(r for _, _, r, _ in simple),
+                      tuple(mark for _, _, _, mark in simple))
 
 
 def _diagram_match(b1, b2):

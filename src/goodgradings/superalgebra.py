@@ -128,20 +128,27 @@ class Realization:
     def __post_init__(self):
         """Refuse a basis element without a private entry, one that no
         other element touches, or with more than two entries; derive the
-        label indices, the private entries, each element's entries
-        (a, b) + (c, d) for the degree table, the index strings (the
-        grading-JSON keys) and each entry's coefficient in the even
-        supports (it signs a pyramid's e)."""
+        label indices, the private entries, the flat indices a*s + b in
+        the degree table of each element's least and greatest entry (a, b)
+        (None for the whole table, or for a repeat of the least), the
+        index strings (the grading-JSON keys) and each entry's coefficient
+        in the even supports (it signs a pyramid's e)."""
         touched = Counter(ab for sup in self.supports for ab in sup)
         self._private = {}
         for i, sup in enumerate(self.supports):
-            ab = next((ab for ab in sup if touched[ab] == 1), None)
-            if ab is None or len(sup) > 2:
+            for ab in sup:
+                if touched[ab] == 1 and len(sup) <= 2:
+                    self._private[ab] = i
+                    break
+            else:
                 raise RealizationError("basis element %d needs a private "
                                        "entry and at most two" % i)
-            self._private[ab] = i
         self._index_of_label = {lab: i for i, lab in enumerate(self.labels)}
-        self._degree_entries = [min(sup) + max(sup) for sup in self.supports]
+        s = self.size
+        least = [a * s + b for a, b in map(min, self.supports)]
+        greatest = [a * s + b for a, b in map(max, self.supports)]
+        self._least_picks = None if least == list(range(s * s)) else least
+        self._greatest_picks = None if greatest == least else greatest
         self.degree_keys = tuple(map(str, range(len(self.supports))))
         self.even_signs = {ab: c for sup, p in zip(self.supports,
                                                    self.basis_parities)
@@ -169,8 +176,9 @@ class Realization:
                                      if (v := exact(c))})
 
     def diagonal(self, values_by_label):
-        return self.from_entries({(self.index(lab), self.index(lab)): v
-                                  for lab, v in values_by_label.items()})
+        index = self._index_of_label
+        return self.from_entries({(i := index[lab], i): v for lab, v in
+                                  values_by_label.items()})
 
     def coords(self, x):
         """Nonzero coordinates {index: c} over the homogeneous basis of x,
@@ -205,22 +213,29 @@ class Realization:
 
     def degrees(self, diag):
         """The integer ad-eigenvalue of each basis element under the
-        diagonal element with entries diag, as a tuple: exact int
-        differences of diag scaled by the lcm den of its denominators.
-        The first basis element that is not an eigenvector, or whose
-        degree is not an integer, raises NonIntegralGrading."""
+        diagonal element with entries diag, as a tuple.  With diag scaled
+        to ints v by the lcm den of its denominators, the difference table
+        [x - y for x in v for y in v] holds den times the degree of each
+        matrix unit; an element's degree is read at its least entry and
+        must agree at its greatest.  The first basis element that is not
+        an eigenvector, or whose degree is not an integer, raises
+        NonIntegralGrading."""
         v, den = scaled_to_ints(diag)
-        out = []
-        for a, b, c, e in self._degree_entries:
-            d = v[a] - v[b]
-            if d != v[c] - v[e]:
-                raise NonIntegralGrading("basis element is not an ad-H "
-                                         "eigenvector")
-            if d % den:
-                raise NonIntegralGrading("non-integer degree %s"
-                                         % quotient(d, den))
-            out.append(d // den)
-        return tuple(out)
+        table = [x - y for x in v for y in v]
+        picks = table if self._least_picks is None \
+            else [table[k] for k in self._least_picks]
+        seconds = picks if self._greatest_picks is None \
+            else [table[k] for k in self._greatest_picks]
+        if seconds != picks or den > 1 and any([d % den for d in picks]):
+            for d, e in zip(picks, seconds):
+                if d != e:
+                    raise NonIntegralGrading("basis element is not an ad-H "
+                                             "eigenvector")
+                if d % den:
+                    raise NonIntegralGrading("non-integer degree %s"
+                                             % quotient(d, den))
+            raise RealizationError("degree picks refused, no element fails")
+        return tuple(picks) if den == 1 else tuple([d // den for d in picks])
 
 
 def _grouped(supports):

@@ -1,8 +1,8 @@
 """References and helpers that only the tests use, kept out of the package.
 
 The rank form of goodness, the Richardson test, osp membership, the
-supertrace form and the extensions of an even grading are checks the tests
-hold the package against.  The rank reference builds ad e from matrix
+supertrace form, the extensions of an even grading and the pairwise
+simple-root rule are checks the tests hold the package against.  The rank reference builds ad e from matrix
 products (`dense_ad`), so it shares no code path with the package's
 ad x, built from the cached ad b_i.  The small helpers build matrices and
 elements the way the tests write them.
@@ -142,3 +142,18 @@ def extensions_of_even_grading(sp, even_pyramids, full_set):
             if all(len({d - x for d, x in zip(diag, hx)}) == 1
                    for diag, hx in ((g.H.diag()[:sp.m], hp),
                                     (g.H.diag()[sp.m:], hq)))]
+
+
+def pairwise_base(sys, pos):
+    """Simple roots of the positive system pos, in any order, sorted by
+    coefficients: the positive roots that are not sums of two positives,
+    found by comparing each root with every other.  Vectors are packed as
+    sum c_i * 16**i, linear and injective while all |c_i| <= 7; root
+    coefficients lie in [-2, 2], so r - s is a root exactly when
+    code(r) - code(s) is a root's code (0 is none)."""
+    codes = [sum(c << 4 * i for i, c in enumerate(r.coeffs)) for r in pos]
+    code_set = set(codes)
+    simple = [r for r, a in zip(pos, codes)
+              if not any(a - b in code_set for b in codes)]
+    simple.sort(key=lambda r: r.coeffs)
+    return simple

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from goodgradings.classification import good_gradings_gl
+from goodgradings.classification import good_gradings_gl, good_gradings_osp
 from goodgradings.gradings import grading_from
 from goodgradings.partitions import (SuperPartition,
                                      enumerate_super_partitions,
@@ -11,11 +11,12 @@ from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
                                    dynkin_pyramid_osp, realize_osp_pyramid,
                                    realize_pyramid)
 from goodgradings.roots import (MarkedBase, Root, RootSystem, RootSystemError,
-                                _base_of, find_nonnegative_base,
+                                find_nonnegative_base,
                                 is_isotropic, marked_equivalent,
                                 reflect_marked, root_system)
 from goodgradings.superalgebra import (EVEN, ODD, build_gl, build_osp,
                                        superbracket)
+from reference import pairwise_base
 
 
 def test_root_counts_gl():
@@ -210,7 +211,7 @@ def _base_by_reflections(grading, seed=3):
     pos = [r for r in sys.roots
            if sum(f * c for f, c in zip(functional, r.coeffs)) > 0]
     while True:
-        simple = _base_of(sys, pos)
+        simple = pairwise_base(sys, pos)
         neg = [a for a in simple if _deg(vals, a) < 0]
         if not neg:
             return MarkedBase(sys, tuple(simple),
@@ -267,8 +268,9 @@ def _gl_dynkin_gradings(limit):
 
 
 def test_packed_base_matches_tuple_base():
-    """_base_of on the generic positive system and on the nonnegative one
-    of every grading (the latter read with Fraction arithmetic here)."""
+    """The packed pairwise reference on the generic positive system and on
+    the nonnegative one of every grading (the latter read with Fraction
+    arithmetic here), and find_nonnegative_base on the latter."""
     gs = good_gradings_gl(SuperPartition((3, 1), (4, 2)))
     gradings = list(gs.gradings) + list(_gl_dynkin_gradings(5)) \
         + list(_osp_dynkin_gradings(7))
@@ -285,8 +287,44 @@ def test_packed_base_matches_tuple_base():
             sum(v * c for v, c in zip(vals, r.coeffs)),
             sum(f * c for f, c in zip(functional, r.coeffs))) > (0, 0)]
         for pos in (generic, nonneg):
-            assert _base_of(sys, pos) == _tuple_base_of(pos)
+            assert pairwise_base(sys, pos) == _tuple_base_of(pos)
         assert find_nonnegative_base(g).simple == tuple(_tuple_base_of(nonneg))
+
+
+
+def _good_gradings(gl_limit, osp_limit):
+    """Every good grading of the gl orbits with m+n <= gl_limit and of the
+    osp orbits with m+2n <= osp_limit."""
+    for size in range(1, gl_limit + 1):
+        for m in range(size + 1):
+            for sp in enumerate_super_partitions(m, size - m):
+                yield from good_gradings_gl(sp).gradings
+    for m in range(1, osp_limit - 1):
+        for n2 in range(2, osp_limit - m + 1, 2):
+            for sp in enumerate_super_partitions(m, n2):
+                if is_orthosymplectic(sp):
+                    yield from good_gradings_osp(sp).gradings
+
+
+def test_simple_roots_by_one_subtraction_match_pairwise():
+    """find_nonnegative_base keeps a root when no simple root found before
+    it, in key order, differs from it by a positive root; the reference
+    compares every pair of positive roots, in no order."""
+    count = 0
+    for g in _good_gradings(7, 12):
+        sys, index = root_system(g.ambient)
+        n = sys.eps_count + sys.delta_count
+        mark = {}
+        for r, j in zip(sys.roots, index):
+            generic = sum(3 ** (n - l) * c for l, c in enumerate(r.coeffs))
+            if (g.degrees[j], generic) > (0, 0):
+                mark[r] = g.degrees[j]
+        simple = pairwise_base(sys, list(mark))
+        b = find_nonnegative_base(g)
+        assert b.simple == tuple(simple)
+        assert b.marks == tuple(mark[r] for r in simple)
+        count += 1
+    assert count == 2054
 
 
 def _small_realizations():

@@ -207,8 +207,8 @@ def test_templates_are_never_changed():
         assert cached is build(m, n) and cached is not uncached
         tables = vars(uncached)
         assert {"labels", "phi", "supports", "basis_parities", "_private",
-                "_degree_entries", "_index_of_label", "degree_keys",
-                "even_signs"} <= set(tables)
+                "_least_picks", "_greatest_picks", "_index_of_label",
+                "degree_keys", "even_signs"} <= set(tables)
         assert {name: getattr(cached, name) for name in tables} == tables
         assert set(vars(cached)) == set(tables)
 
@@ -503,6 +503,17 @@ def _fraction_degrees(R, diag):
         out.append(vals.pop() if len(vals) == 1 else None)
     return out
 
+
+@pytest.mark.parametrize("size", range(1, 7))
+def test_gl_degree_table_is_the_row_major_difference_table(size):
+    """On gl(m|n) every matrix unit is a basis element, in row-major
+    order, so the degree table of an integral diagonal v is the table of
+    all differences v[a] - v[b], and no pick list is stored."""
+    for m in range(size + 1):
+        R = build_gl(m, size - m)
+        assert (R._least_picks, R._greatest_picks) == (None, None)
+        v = [3 * a * a - 7 * a + m for a in range(size)]
+        assert R.degrees(v) == tuple(x - y for x in v for y in v)
 
 DEGREE_ALGEBRAS = {"gl21": build_gl(2, 1), "gl32": build_gl(3, 2),
                    "osp32": build_osp(3, 1), "osp24": build_osp(2, 2)}

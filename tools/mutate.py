@@ -123,10 +123,14 @@ MUTANTS = [
      "out[i] = quotient(v, self.supports[i][ab])", "out[i] = v",
      ["tests/test_superalgebra.py"]),
     ("degrees-not-divided-by-den", "superalgebra.py",
-     "out.append(d // den)", "out.append(d)",
+     "tuple([d // den for d in picks])", "tuple(picks)",
      ["tests/test_gradings.py", "tests/test_superalgebra.py"]),
     ("degrees-integrality-unchecked", "superalgebra.py",
-     "if d % den:", "if False:",
+     "any([d % den for d in picks])", "False",
+     ["tests/test_superalgebra.py::"
+      "test_degrees_match_fraction_differences"]),
+    ("degree-second-entry-unchecked", "superalgebra.py",
+     "seconds != picks or ", "",
      ["tests/test_superalgebra.py::"
       "test_degrees_match_fraction_differences"]),
     ("degree-keys-start-at-1", "superalgebra.py",
@@ -152,6 +156,10 @@ MUTANTS = [
      "@cache\ndef _ad_basis(R, i):", "def _ad_basis(R, i):",
      ["tests/test_superalgebra.py::"
       "test_ad_basis_brackets_each_basis_element_once"]),
+    ("simple-roots-unordered", "roots.py",
+     "in sorted(pos):", "in pos:",
+     ["tests/test_roots.py::"
+      "test_simple_roots_by_one_subtraction_match_pairwise"]),
     ("case-table-reads-ad-kernel", "classification.py",
      "sum(dim_formula_osp(sp))", "len(e.ad_kernel[1])",
      ["tests/test_source.py::"
