@@ -2,10 +2,10 @@
 
 The rank form of goodness, the Richardson test, osp membership, the
 supertrace form, the extensions of an even grading and the pairwise
-simple-root rule are checks the tests hold the package against.  The rank reference builds ad e from matrix
-products (`dense_ad`), so it shares no code path with the package's
-ad x, built from the cached ad b_i.  The small helpers build matrices and
-elements the way the tests write them.
+simple-root rule are checks the tests hold the package against.  The rank
+reference builds ad e from matrix products (`dense_ad`), so it shares no
+code path with the package's ad x, built from the cached ad b_i.  The
+small helpers build matrices and elements the way the tests write them.
 
 Not a test module: pytest collects only test_*.py files.
 """

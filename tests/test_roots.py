@@ -291,7 +291,6 @@ def test_packed_base_matches_tuple_base():
         assert find_nonnegative_base(g).simple == tuple(_tuple_base_of(nonneg))
 
 
-
 def _good_gradings(gl_limit, osp_limit):
     """Every good grading of the gl orbits with m+n <= gl_limit and of the
     osp orbits with m+2n <= osp_limit."""

@@ -515,6 +515,7 @@ def test_gl_degree_table_is_the_row_major_difference_table(size):
         v = [3 * a * a - 7 * a + m for a in range(size)]
         assert R.degrees(v) == tuple(x - y for x in v for y in v)
 
+
 DEGREE_ALGEBRAS = {"gl21": build_gl(2, 1), "gl32": build_gl(3, 2),
                    "osp32": build_osp(3, 1), "osp24": build_osp(2, 2)}
 
