@@ -203,7 +203,7 @@ def good_gradings_osp(sp):
     # C(p) and D(q) parts; the stated shift conditions admit the
     # candidates that goodness then rejects (the mirror pairing adds a
     # |s_k + t_l| constraint)
-    k, ec, dim = len(cp), R.coords(e), sum(dim_formula_osp(sp))
+    k, ec, dim = len(cp), e.coordinates, sum(dim_formula_osp(sp))
     # the constant terms of the paper's bound on the last shift, read
     # literally: p_{alpha-1} - 1 and q_beta - 1, with p_{alpha-1} the
     # smallest part of J_p except 1 and q_beta the smallest part of J_q

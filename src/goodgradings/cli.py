@@ -137,7 +137,7 @@ def cmd_verify(args):
     g = grading_from(R, R.from_entries({(i, i): v
                                         for i, v in enumerate(diag)}))
     e = _parse_e(args.e, R)
-    if R.coords(e) is None:
+    if e.coordinates is None:
         raise UsageError("e is not in %s(%d|%d)" % (args.kind, args.m, args.n))
     good = is_good(g, e)
     _emit({"good": good, "degrees": g.to_json()["degrees"]}, args)

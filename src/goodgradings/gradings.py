@@ -42,13 +42,15 @@ class Grading:
 def grading_from(R, H):
     """Grading defined by ad H; every homogeneous basis element must be an
     eigenvector with integer eigenvalue (else NonIntegralGrading)."""
-    return Grading(R, H, R.degrees(H.diag()))
+    return Grading(R, H, H.ad_degrees)
 
 
 @dataclass
 class Sl2Triple:
     """[e, f] = h, [h, e] = 2e and [h, f] = -2f, checked when the triple
-    is made (else NoSolution)."""
+    is made (else NoSolution).  Each relation compares the bracket's
+    entries with the other side's: entries are `exact` and hold no zeros,
+    so equal elements have equal entries."""
     e: object
     f: object
     h: object
@@ -58,9 +60,12 @@ class Sl2Triple:
             raise NoSolution("(e, f, h) breaks the sl2 relations")
 
     def verify(self):
-        return (superbracket(self.e, self.f) - self.h).is_zero() \
-            and (superbracket(self.h, self.e) - self.e.scale(2)).is_zero() \
-            and (superbracket(self.h, self.f) + self.f.scale(2)).is_zero()
+        # [h, e] first: with [e, f] it raises AmbientMismatch for an h or
+        # f of another realization before a comparison can return False
+        e, f, h = self.e, self.f, self.h
+        return superbracket(h, e).entries == e.scale(2).entries \
+            and superbracket(e, f).entries == h.entries \
+            and superbracket(h, f).entries == f.scale(-2).entries
 
 
 @dataclass
@@ -121,10 +126,10 @@ def complete_sl2(R, e, h):
     are solved; the triple's own relation check covers any other e.  An h
     outside g raises NoSolution; an h in g with a non-integer degree, which
     no sl2-triple has, raises NonIntegralGrading."""
-    hc = R.coords(h)
+    hc = h.coordinates
     if hc is None:
         raise NoSolution("h is not in the algebra")
-    degrees = R.degrees(h.diag())
+    degrees = h.ad_degrees
     candidates = [j for j, p in enumerate(R.basis_parities)
                   if p == EVEN and degrees[j] == -2]
     rows = [i for i, d in enumerate(degrees) if d == 0]
@@ -173,14 +178,14 @@ def s_centralizer(R, triple):
     a 1 at its free column) lies in a single degree."""
     if triple.e.parity() != EVEN:
         raise NoSolution("(e, f, h) is not an even sl2-triple")
-    degrees = R.degrees(triple.h.diag())
+    degrees = triple.h.ad_degrees
     return _report(R, [v for v in triple.e.ad_kernel[1]
                         if all(degrees[j] == 0 for j in v)])
 
 
 def _in_degree_2(g, e):
     """Is e in g(2)?  The zero element counts only for the zero grading."""
-    ec = g.ambient.coords(e)
+    ec = e.coordinates
     if ec is None or any(g.degrees[j] != 2 for j in ec):
         return False
     return not (e.is_zero() and any(g.degrees))

@@ -35,6 +35,10 @@ class MembershipFailure(ValueError):
     Jordan type, or not of degree 2 under h."""
 
 
+class NotNilpotent(ValueError):
+    """An element whose Jordan type was asked for is not nilpotent."""
+
+
 # ---------------------------------------------------------------------------
 # gl pyramids
 
@@ -274,20 +278,40 @@ def _osp_connections(P):
 
 
 def _restricted_jordan_type(mat, indices):
-    """Jordan type of a nilpotent matrix restricted to a coordinate block."""
+    """Jordan type of a nilpotent matrix restricted to a coordinate block;
+    NotNilpotent if the block is not nilpotent.
+
+    With r_k = rank(sub^k), r_(k-1) - r_k counts the blocks of size >= k,
+    and these counts form the conjugate partition.  A count of 0 with r_k
+    nonzero means the ranks stopped falling.  Once a count is 1, the one
+    block left has size k + r_k, so the counts after it are r_k ones, and
+    sub^(k + r_k) must vanish: sub^k is squared until its exponent reaches
+    k + r_k, in place of ranking the r_k powers between."""
     sub = mat.submatrix(indices, indices)
-    ranks, power = [len(indices)], sub        # rank(sub^0) = n
-    while ranks[-1]:
-        ranks.append(rank(power))
-        if ranks[-1]:
+    dual, power, k, last = [], sub, 1, len(indices)
+    while last:
+        left = rank(power)
+        if left == last:
+            raise NotNilpotent("rank %d of a power repeats" % left)
+        dual.append(last - left)
+        if last - left == 1:
+            exponent = k
+            while exponent < k + left:
+                power, exponent = power @ power, 2 * exponent
+            if power.nonzero:
+                raise NotNilpotent("one block left, of size %d, but its "
+                                   "power does not vanish" % (k + left))
+            dual += [1] * left
+            break
+        k, last = k + 1, left
+        if last:
             power = power @ sub
-    # ranks[k] = rank(sub^k); the differences form the conjugate partition
-    dual = tuple(ranks[k - 1] - ranks[k] for k in range(1, len(ranks)))
-    return dual_partition(dual)
+    return dual_partition(tuple(dual))
 
 
 def jordan_type(R, e):
-    """Jordan type of an even nilpotent element on (V0, V1)."""
+    """Jordan type of an even nilpotent element on (V0, V1); NotNilpotent
+    if a diagonal block of e is not nilpotent."""
     mat = e.matrix
     return (_restricted_jordan_type(mat, range(R.m)),
             _restricted_jordan_type(mat, range(R.m, R.size)))
@@ -307,13 +331,13 @@ def realize_osp_pyramid(P, R):
             raise MembershipFailure("e is not in osp")
         entries[ab] = R.even_signs[ab]
     e = R.from_entries(entries)
-    coords = R.coords(e)
+    coords = e.coordinates
     if coords is None or any(R.basis_parities[j] != EVEN for j in coords):
         raise MembershipFailure("e is not in osp")
     jt = jordan_type(R, e)
     if jt != (P.sp.p, P.sp.q):
         raise MembershipFailure("Jordan type %s != %s" % (jt, (P.sp.p, P.sp.q)))
-    if not (superbracket(h, e) - e.scale(2)).is_zero():
+    if superbracket(h, e).entries != e.scale(2).entries:
         raise MembershipFailure("[h, e] != 2e")
     return e, h
 

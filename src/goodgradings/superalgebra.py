@@ -15,7 +15,8 @@ Each realization is built whole by one constructor call, which checks
 the basis and derives every table from it; nothing is assigned onto it
 afterwards.  Each algebra is built once per process and that one
 realization is handed out; nothing changes its tables.  Each element
-keeps its own ker(ad e) record.
+keeps its own records, each read once: its coordinates, its ad-degree
+table and ker(ad e).
 """
 
 from __future__ import annotations
@@ -103,6 +104,20 @@ class AlgebraElement:
         return not self.entries
 
     @cached_property
+    def coordinates(self):
+        """Nonzero coordinates {index: c} over the homogeneous basis, or
+        None outside g, read once per element; the record is read, never
+        changed."""
+        return self.ambient.coords(self.entries)
+
+    @cached_property
+    def ad_degrees(self):
+        """The integer ad-degree of each basis element under this diagonal
+        element, read once per element; NonIntegralGrading is raised, and
+        nothing recorded, when one is not an integer eigenvalue."""
+        return self.ambient.degrees(self.diag())
+
+    @cached_property
     def ad_kernel(self):
         """(ad x as a Matrix, a basis of ker(ad x) as coordinates
         {index: c}), computed once per element; the record is read, never
@@ -176,19 +191,23 @@ class Realization:
                                      if (v := exact(c))})
 
     def diagonal(self, values_by_label):
+        """The diagonal element with the given value at each V-basis
+        label, values made `exact` and zeros dropped; the label indices
+        lie inside size x size, so no range check is needed."""
         index = self._index_of_label
-        return self.from_entries({(i := index[lab], i): v for lab, v in
-                                  values_by_label.items()})
+        return AlgebraElement(self, {(i := index[lab], i): v for lab, c in
+                                     values_by_label.items()
+                                     if (v := exact(c))})
 
-    def coords(self, x):
-        """Nonzero coordinates {index: c} over the homogeneous basis of x,
-        an element or its nonzero entries {(a, b): c}; None if x is
-        outside g.
+    def coords(self, entries):
+        """Nonzero coordinates {index: c} over the homogeneous basis of the
+        element with the nonzero entries {(a, b): c}; None if it is
+        outside g.  Elements read theirs once, as `x.coordinates`.
 
-        Each coordinate is read at its basis element's private entry; x is
-        in g exactly when nothing is left after subtracting the
+        Each coordinate is read at its basis element's private entry; the
+        element is in g exactly when nothing is left after subtracting the
         reconstruction."""
-        rest = dict(x if isinstance(x, dict) else x.entries)
+        rest = dict(entries)
         out = {}
         for ab, v in rest.items():
             i = self._private.get(ab)
@@ -255,23 +274,26 @@ def _bracket(m, x, grouped):
     """{j: nonzero entries of [x, y_j]} for the elements y_j grouped by
     `_grouped`, by the rule [E_ab, E_cd] = d_bc E_ad - (-1)^{|ab||cd|}
     d_da E_cb; x is {(a, b): u}, m = dim V0.  Each entry of x reaches
-    only the y_j with an entry in its column's row or its row's column,
-    and a zero bracket is left out."""
+    only the y_j with an entry in its column's row or its row's column;
+    the terms are summed in one table keyed (j, a, d), grouped by j at
+    the end, and a zero bracket is left out."""
     by_row, by_col = grouped
-    out = {}
+    sums = {}
     for (a, b), u in x.items():
         x_odd = (a < m) != (b < m)
         for j, _, d, v in by_row.get(b, ()):
-            col = out.setdefault(j, {})
-            col[a, d] = col.get((a, d), 0) + u * v
+            key = j, a, d
+            sums[key] = sums.get(key, 0) + u * v
         for j, c, _, v in by_col.get(a, ()):
-            col = out.setdefault(j, {})
+            key = j, c, b
             t = u * v
             y_odd = (c < m) != (a < m)
-            col[c, b] = col.get((c, b), 0) + (t if x_odd and y_odd else -t)
-    return {j: nonzero for j, col in out.items()
-            if (nonzero := {ab: v for ab, w in col.items()
-                            if (v := exact(w))})}
+            sums[key] = sums.get(key, 0) + (t if x_odd and y_odd else -t)
+    out = {}
+    for (j, a, d), w in sums.items():
+        if v := exact(w):
+            out.setdefault(j, {})[a, d] = v
+    return out
 
 
 def superbracket(x, y):
@@ -408,7 +430,7 @@ def adjoint_matrix(x):
     column j holds the coordinates of [x, b_j].  It is the sum of c ad b_i
     over x's coordinates {i: c}; an x outside g raises RealizationError."""
     R = x.ambient
-    coords = R.coords(x)
+    coords = x.coordinates
     if coords is None:
         raise RealizationError("element outside the algebra")
     nonzero = {}

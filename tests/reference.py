@@ -13,6 +13,7 @@ Not a test module: pytest collects only test_*.py files.
 from functools import cache
 
 from goodgradings.linalg import Matrix, exact, rank
+from goodgradings.partitions import dual_partition
 
 
 class OddGrading(ValueError):
@@ -102,11 +103,25 @@ def dense_ad(x):
     return Matrix(R.dim, R.dim, nonzero)
 
 
+def jordan_type_by_all_ranks(M):
+    """Jordan type of the nilpotent square Matrix M from the ranks of all
+    its powers: rank(M^(k-1)) - rank(M^k) counts the blocks of size >= k,
+    for k = 1 .. M.rows.  ValueError if M^(M.rows) is not zero."""
+    ranks, power = [M.rows], M
+    for _ in range(M.rows):
+        ranks.append(rank(power))
+        power = power @ M
+    if ranks[-1]:
+        raise ValueError("not nilpotent")
+    return dual_partition(tuple(d for k in range(1, len(ranks))
+                                if (d := ranks[k - 1] - ranks[k])))
+
+
 def is_good_by_ranks(g, e):
     """Definition-level check: e in g(2), the zero element only for the
     zero grading, and ad e injective g(j) -> g(j+2) for j <= -1 and
     surjective for j >= -1."""
-    ec = g.ambient.coords(e)
+    ec = e.coordinates
     if ec is None or any(g.degrees[j] != 2 for j in ec) \
             or e.is_zero() and any(g.degrees):
         return False

@@ -68,7 +68,7 @@ def test_oracle_checks_centrality(monkeypatch):
 
     def widened(R, triple):
         rep = s_centralizer(R, triple)
-        rep.vectors = rep.vectors + [R.coords(E(R, 1, 3))]
+        rep.vectors = rep.vectors + [E(R, 1, 3).coordinates]
         return rep
 
     monkeypatch.setattr(classification, "s_centralizer", widened)
@@ -172,7 +172,7 @@ def _scan_per_candidate(R, e, h, gens, candidates):
     gen_degrees = [R.degrees(z.diag()) for z in gens]
     forms = [(2 * d, tuple(gd[i] for gd in gen_degrees))
              for i, d in enumerate(R.degrees(h.diag()))]
-    e_support = list(R.coords(e))
+    e_support = list(e.coordinates)
     ker_support = {j for v in e.ad_kernel[1] for j in v}
     found = {}
     not_good = 0

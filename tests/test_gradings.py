@@ -23,8 +23,8 @@ from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
                                    realize_osp_pyramid, realize_pyramid,
                                    shift_matrix)
 from goodgradings.superalgebra import (EVEN, ODD, NonIntegralGrading,
-                                       adjoint_matrix, build_gl, build_osp,
-                                       superbracket)
+                                       Realization, adjoint_matrix, build_gl,
+                                       build_osp, superbracket)
 from reference import (E, OddGrading, basis, from_rows, invariant_form,
                        is_good_by_ranks, is_richardson, transpose)
 from test_linalg import _dense_kernel
@@ -125,6 +125,29 @@ def test_complete_sl2_checks_relations(monkeypatch):
     R = build_gl(2, 0)
     with pytest.raises(NoSolution, match="sl2 relations"):
         complete_sl2(R, E(R, 1, 2), R.diagonal({1: 1, 2: -1}))
+
+
+@pytest.mark.parametrize("R, sp", [
+    (build_osp(6, 1), SuperPartition((3, 3), (2,))),
+    (build_gl(3, 2), SuperPartition((2, 1), (2,))),
+], ids=["osp", "gl"])
+def test_sl2_triple_refuses_each_broken_relation(R, sp):
+    """Each of the three relations is checked: from a Dynkin triple
+    (e, f, h), three triples that each break exactly one are refused."""
+    _, e, h = dynkin_pair(sp, R)
+    f = complete_sl2(R, e, h).f
+
+    def holds(e, f, h):
+        return [(superbracket(e, f) - h).is_zero(),
+                (superbracket(h, e) - e.scale(2)).is_zero(),
+                (superbracket(h, f) + f.scale(2)).is_zero()]
+
+    assert holds(e, f, h) == [True, True, True]
+    for broken, triple in enumerate([(e, f.scale(2), h), (e + f, f, h),
+                                     (e, f + e, h)]):
+        assert holds(*triple) == [k != broken for k in range(3)]
+        with pytest.raises(NoSolution, match="sl2 relations"):
+            Sl2Triple(*triple)
 
 
 def test_complete_sl2_without_solution():
@@ -304,7 +327,7 @@ def test_ad_kernel_matches_dense_kernel(kind, sp):
     matrix elimination of ad e built column by column from brackets."""
     R = _algebra(kind, sp)
     _, e, _ = dynkin_pair(sp, R)
-    columns = [dense(R.coords(superbracket(e, b)), R.dim) for b in basis(R)]
+    columns = [dense(superbracket(e, b).coordinates, R.dim) for b in basis(R)]
     ad = from_rows([list(row) for row in zip(*columns)])
     assert [dense(v, R.dim) for v in e.ad_kernel[1]] == \
         _dense_kernel(ad)
@@ -378,6 +401,29 @@ def test_one_ad_kernel_record_per_element(monkeypatch):
     assert centralizer(R, twin).vectors == centralizer(R, e).vectors
     assert len(built) == 2 and built[1] is twin
     assert twin.ad_kernel is not e.ad_kernel
+
+
+def test_one_coordinate_and_degree_record_per_element(monkeypatch):
+    """Over the realization, the centralizers, the grading, goodness and
+    the sl2 completion of one Dynkin pair, e's and h's coordinates are
+    read off the realization once each, and h's degree table once."""
+    reads, tables = [], []
+    coords, degrees = Realization.coords, Realization.degrees
+    monkeypatch.setattr(Realization, "coords",
+                        lambda R, x: reads.append(x) or coords(R, x))
+    monkeypatch.setattr(Realization, "degrees",
+                        lambda R, diag: tables.append(diag) or
+                        degrees(R, diag))
+    for R, sp in [(build_osp(6, 2), SuperPartition((3, 3), (4,))),
+                  (build_gl(3, 2), SuperPartition((2, 1), (2,)))]:
+        reads.clear()
+        tables.clear()
+        _, e, h = dynkin_pair(sp, R)
+        centralizer(R, e)
+        assert is_good(grading_from(R, h), e)
+        s_centralizer(R, complete_sl2(R, e, h))
+        assert [sum(x is y.entries for x in reads) for y in (e, h)] == [1, 1]
+        assert tables == [h.diag()]
 
 
 def test_ad_kernel_records_of_e_and_its_transpose_differ():
@@ -460,7 +506,7 @@ def test_complete_sl2_matches_dense_solve(kind, pq):
     cols = [superbracket(e, basis(R)[j]).matrix.entries for j in cand]
     x = dense(solve(transpose(from_rows(cols)), h.matrix.entries),
               len(cand))
-    assert dense(R.coords(complete_sl2(R, e, h).f), R.dim) == \
+    assert dense(complete_sl2(R, e, h).f.coordinates, R.dim) == \
         [x[cand.index(j)] if j in cand else 0 for j in range(R.dim)]
 
 

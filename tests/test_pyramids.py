@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,15 @@ from goodgradings.partitions import (NotOrthosymplectic,
                                      enumerate_super_partitions,
                                      is_orthosymplectic)
 from goodgradings.pyramids import (LengthMismatch, MembershipFailure,
-                                   Pyramid, PyramidError, SizeMismatch,
+                                   NotNilpotent, Pyramid, PyramidError,
+                                   SizeMismatch, dynkin_pair,
                                    dynkin_pyramid_gl, dynkin_pyramid_osp,
                                    enumerate_pyr, jordan_type,
                                    realize_osp_pyramid, realize_pyramid,
                                    render, shift_matrix)
 from goodgradings.superalgebra import (EVEN, ODD, build_gl, build_osp,
                                        superbracket)
-from reference import is_member_osp, transpose
+from reference import is_member_osp, jordan_type_by_all_ranks, transpose
 
 
 def test_enumerate_counts():
@@ -381,6 +383,60 @@ def test_osp_realize_all_small():
                 R = build_osp(m, n2 // 2)
                 e, h = realize_osp_pyramid(dynkin_pyramid_osp(sp), R)
                 assert jordan_type(R, e) == (sp.p, sp.q)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): 1},                      # ranks 2, 1, 1: one block claimed
+    {(0, 0): 1, (1, 1): -1},          # ranks 2, 2
+    {(0, 1): 1, (1, 0): 1},           # a swap, off the diagonal
+    {(0, 0): 1, (0, 1): 1, (2, 2): 1},
+])
+def test_jordan_type_refuses_a_non_nilpotent_element(entries):
+    """A diagonal block that is not nilpotent raises NotNilpotent, also
+    where the rank falls to one block left before it stops falling."""
+    R = build_gl(2, 1)
+    with pytest.raises(NotNilpotent):
+        jordan_type(R, R.from_entries(entries))
+
+
+def test_jordan_type_equals_the_ranks_to_zero_reference():
+    """Seeded sweep: on random nilpotents, strictly upper-triangular
+    matrices of random density with their indices permuted inside each
+    parity block, the Jordan type stopped at its last block equals the
+    one read off the ranks of all powers."""
+    rng = random.Random(30)
+    for _ in range(400):
+        m = rng.randint(0, 9)
+        n = rng.randint(0 if m else 1, 9 - m)
+        R = build_gl(m, n)
+        entries = {}
+        for block in (list(range(m)), list(range(m, m + n))):
+            order = rng.sample(block, len(block))
+            density = rng.choice([0.15, 0.3, 0.5, 0.9])
+            for i, a in enumerate(order):
+                for b in order[i + 1:]:
+                    if rng.random() < density:
+                        entries[a, b] = rng.choice([1, -1, 2, Fraction(1, 2)])
+        e = R.from_entries(entries)
+        expected = tuple(jordan_type_by_all_ranks(e.matrix.submatrix(b, b))
+                         for b in (range(m), range(m, m + n)))
+        assert jordan_type(R, e) == expected, entries
+
+
+def test_every_dynkin_e_keeps_its_jordan_type():
+    """The Dynkin e of every orbit of gl(m|n), m+n <= 7, and of
+    osp(m|2n), m+2n <= 12, has Jordan type (p, q)."""
+    orbits = [(build_gl(m, size - m), sp) for size in range(1, 8)
+              for m in range(size + 1)
+              for sp in enumerate_super_partitions(m, size - m)]
+    orbits += [(build_osp(m, n2 // 2), sp) for m in range(1, 11)
+               for n2 in range(2, 13 - m, 2)
+               for sp in enumerate_super_partitions(m, n2)
+               if is_orthosymplectic(sp)]
+    assert len(orbits) > 500
+    for R, sp in orbits:
+        _, e, _ = dynkin_pair(sp, R)
+        assert jordan_type(R, e) == (sp.p, sp.q), sp
 
 
 def test_osp_pyramid_json_lists_every_box():

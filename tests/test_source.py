@@ -69,6 +69,19 @@ def test_one_ad_builder_call_site():
     assert _owners(calls_adjoint) == {"ad_kernel"}
 
 
+def test_coordinates_and_degree_tables_are_read_by_the_records():
+    """An element's coordinates and ad-degree table are read once, by its
+    records: in the package only `coordinates` calls `.coords(`, besides
+    `_ad_basis`, which reads bracket entries that are no element, and only
+    `ad_degrees` calls `.degrees(`."""
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) \
+            and getattr(node.func, "attr", None) == name
+
+    assert _owners(calls("coords")) == {"coordinates", "_ad_basis"}
+    assert _owners(calls("degrees")) == {"ad_degrees"}
+
+
 def test_one_elimination_path():
     """Exact elimination has one path: `rank` and `kernel_basis` call
     `_eliminate`, and `solve` reads a kernel vector."""
@@ -222,7 +235,7 @@ def test_case_table_calls_neither_the_oracle_nor_ad_kernel():
                 read.add(node.attr)
         todo += [f for f in called & set(functions) if f not in reached]
     assert {"is_good", "_pair_constraint_ok"} <= called
-    assert "coords" in read
+    assert "coordinates" in read
     assert not called & {"brute_force_shifts", "_good_shifts", "ad_kernel"}
     assert "ad_kernel" not in read
 

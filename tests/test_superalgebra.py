@@ -322,7 +322,7 @@ def test_adjoint_columns_are_the_bracket_coordinates(R):
         assert ad == dense_ad(x)
         for j, b in enumerate(basis(R)):
             assert {i: ad[i, j] for i in range(R.dim) if ad[i, j]} == \
-                R.coords(superbracket(x, b))
+                superbracket(x, b).coordinates
 
 
 def test_ad_basis_brackets_each_basis_element_once(monkeypatch):
@@ -457,7 +457,7 @@ def test_stored_values_are_ints_where_integral(R, data):
     c = data.draw(st.fractions(-2, 2, max_denominator=2))
     elements = [x, y, x + y, x - y, x.scale(-1), x.scale(c), x.scale(2),
                 superbracket(x, y), superbracket(x, x.scale(c))]
-    coords = [R.coords(z) for z in elements]
+    coords = [z.coordinates for z in elements]
     ad = adjoint_matrix(x)
     kernel = kernel_basis(ad)
     target = coords[7]              # [x, y] is ad x applied to y

@@ -100,9 +100,25 @@ MUTANTS = [
     ("centralizer-prediction-unchecked", "cli.py",
      'out["sCentralizerDim"] == out["predictedBlockDim"]', "True",
      ["tests/test_cli.py"]),
+    ("jordan-last-block-one-long", "pyramids.py",
+     "dual += [1] * left", "dual += [1] * (left + 1)",
+     ["tests/test_pyramids.py::"
+      "test_jordan_type_equals_the_ranks_to_zero_reference"]),
+    ("jordan-last-block-unchecked", "pyramids.py",
+     "if power.nonzero:", "if False:",
+     ["tests/test_pyramids.py::"
+      "test_jordan_type_refuses_a_non_nilpotent_element"]),
     ("osp-jordan-type-unchecked", "pyramids.py",
      "if jt != (P.sp.p, P.sp.q):", "if False:",
      ["tests/test_pyramids.py::test_realize_osp_checks_jordan_type"]),
+    ("sl2-he-relation-dropped", "gradings.py",
+     "superbracket(h, e).entries == e.scale(2).entries", "True",
+     ["tests/test_gradings.py::"
+      "test_sl2_triple_refuses_each_broken_relation"]),
+    ("sl2-hf-relation-dropped", "gradings.py",
+     "superbracket(h, f).entries == f.scale(-2).entries", "True",
+     ["tests/test_gradings.py::"
+      "test_sl2_triple_refuses_each_broken_relation"]),
     ("sl2-triple-unchecked", "gradings.py",
      'raise NoSolution("(e, f, h) breaks the sl2 relations")', "pass",
      ["tests/test_gradings.py"]),
@@ -141,6 +157,11 @@ MUTANTS = [
      "touched[ab] == 1", "touched[ab] >= 1",
      ["tests/test_superalgebra.py::"
       "test_realization_refuses_a_basis_it_cannot_read"]),
+    ("coordinates-record-rebuilt-per-read", "superalgebra.py",
+     "@cached_property\n    def coordinates(self):",
+     "@property\n    def coordinates(self):",
+     ["tests/test_gradings.py::"
+      "test_one_coordinate_and_degree_record_per_element"]),
     ("ad-kernel-rebuilt-per-read", "superalgebra.py",
      "@cached_property\n    def ad_kernel(self):",
      "@property\n    def ad_kernel(self):",
