@@ -12,8 +12,8 @@ from .pyramids import (LengthMismatch, MembershipFailure, NotNilpotent,
                        dynkin_pair, dynkin_pyramid_gl, dynkin_pyramid_osp,
                        enumerate_pyr, jordan_type, realize_osp_pyramid,
                        realize_pyramid, render, shift_matrix)
-from .gradings import (CentralizerReport, FormulaError, Grading, NoSolution,
-                       Sl2Triple, centralizer, complete_sl2, dim_formula_gl,
+from .gradings import (CentralizerReport, Grading, NoSolution, Sl2Triple,
+                       centralizer, complete_sl2, dim_formula_gl,
                        dim_formula_osp, grading_from, is_good, s_centralizer)
 from .classification import (GoodGradingSet, NotCentral, Unbounded,
                              brute_force_shifts, good_gradings_gl,

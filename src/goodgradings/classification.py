@@ -76,7 +76,8 @@ def _good_shifts(R, e, h):
     the doubled diagonal shifts z, as lists of entries, constant on each
     Jordan block (a component of e's support, so e keeps degree 2), with
     integral degrees under h + z/2 and the ker(ad e) support in degrees
-    >= 0: z_b - z_a <= 2(h_a - h_b) on each of its entries (a, b).
+    >= 0: z_b - z_a <= 2 d_j on each entry (a, b) of each basis element
+    b_j there, with d_j = h_a - h_b its degree in h's degree table.
 
     A block is anchored in gl at the first block, fixed at 0 (the identity
     grades nothing), in osp at its mirror block, whose value is its
@@ -84,7 +85,7 @@ def _good_shifts(R, e, h):
     (else Unbounded).  All blocks share one parity, odd only in osp with
     no self-mirror block.  A depth-first search checks each closed
     inequality at the later of its two blocks."""
-    size, osp, hd = R.size, R.kind == "osp", h.diag()
+    size, osp, degrees = R.size, R.kind == "osp", h.ad_degrees
     block = list(range(size))
     for a, b in e.entries:
         old, new = max(block[a], block[b]), min(block[a], block[b])
@@ -100,7 +101,7 @@ def _good_shifts(R, e, h):
     for j in {j for v in e.ad_kernel[1] for j in v}:
         for a, b in R.supports[j]:
             u, v = block[a], block[b]
-            dist[u][v] = min(dist[u][v], 2 * (hd[a] - hd[b]))
+            dist[u][v] = min(dist[u][v], 2 * degrees[j])
     for w in range(nb):
         for u in range(nb):
             for v in range(nb):

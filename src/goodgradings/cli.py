@@ -12,13 +12,13 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .classification import (brute_force_shifts, good_gradings_gl,
                              good_gradings_osp)
 from .gradings import (block_type_dim, centralizer, complete_sl2,
                        dim_formula_gl, dim_formula_osp, grading_from, is_good,
                        predicted_block_types, s_centralizer)
+from .linalg import exact
 from .partitions import (NotOrthosymplectic, SuperPartition,
                          enumerate_super_partitions, is_orthosymplectic)
 from .pyramids import dynkin_pair, dynkin_pyramid_osp, enumerate_pyr, render
@@ -91,11 +91,11 @@ def _json(text, what):
 
 
 def _rationals(items, what):
-    """Numbers or "a/b" strings as Fractions."""
+    """Numbers or "a/b" strings as `exact` values."""
     if not isinstance(items, list):
         raise UsageError("%s must be a list, got %r" % (what, items))
     try:
-        return [Fraction(str(x)) for x in items]
+        return [exact(str(x)) for x in items]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError("bad %s entry: %s" % (what, exc))
 

@@ -6,7 +6,6 @@ The rank form of goodness and the Richardson test are test-side references
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import solve
 from .partitions import (NotOrthosymplectic, is_orthosymplectic,
@@ -18,10 +17,6 @@ from .superalgebra import EVEN, adjoint_matrix, superbracket  # noqa: F401
 
 class NoSolution(ValueError):
     pass
-
-
-class FormulaError(ValueError):
-    """A closed-form dimension formula gave a non-integer."""
 
 
 @dataclass
@@ -104,19 +99,17 @@ def dim_formula_gl(sp):
 
 def dim_formula_osp(sp):
     """Closed-form centralizer dimensions for osp(m|2n); the symplectic
-    part is read with Sum(q) = 2n."""
+    part is read with Sum(q) = 2n.  The halves (Sum(p) - #odd p) / 2 and
+    (Sum(q) + #odd q) / 2 are integers, as a partition's sum and its
+    number of odd parts have the same parity."""
     if not is_orthosymplectic(sp):
         raise NotOrthosymplectic(f"{sp} is not orthosymplectic")
     p, q = sp.p, sp.q
-    so_part = Fraction(sp.m, 2) + sum((i - 1) * v for i, v in enumerate(p, 1)) \
-        - Fraction(sum(1 for v in p if v % 2 == 1), 2)
-    sp_part = Fraction(sp.n, 2) + sum((j - 1) * v for j, v in enumerate(q, 1)) \
-        + Fraction(sum(1 for v in q if v % 2 == 1), 2)
-    even = so_part + sp_part
-    if even.denominator != 1:
-        raise FormulaError("%s gives even dimension %s" % (sp, even))
+    odd_p, odd_q = sum(v % 2 for v in p), sum(v % 2 for v in q)
+    even = (sum(p) - odd_p) // 2 + sum(i * v for i, v in enumerate(p)) \
+        + (sum(q) + odd_q) // 2 + sum(j * v for j, v in enumerate(q))
     odd = sum(min(a, b) for a in p for b in q)
-    return int(even), odd
+    return even, odd
 
 
 def complete_sl2(R, e, h):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from operator import mul, sub
 
@@ -117,10 +116,10 @@ def reflect_marked(b, k):
     else:
         aa = sys.form(alpha, alpha)
         for beta, di in zip(b.simple, b.marks):
-            c = Fraction(2 * sys.form(beta, alpha), aa)
-            if c.denominator != 1:
-                raise RootSystemError("non-integral Cartan integer %s" % c)
-            c = int(c)
+            c, r = divmod(2 * sys.form(beta, alpha), aa)
+            if r:
+                raise RootSystemError("non-integral Cartan integer: "
+                                      "remainder %d of %d" % (r, aa))
             new_simple.append(_find(sys, tuple(
                 x - c * a for x, a in zip(beta.coeffs, alpha.coeffs))))
             new_marks.append(di - c * dk)

@@ -329,18 +329,17 @@ def build_gl(m, n, /):
 def _osp_odd_basis(m, labels, phi):
     """Supports of a kernel basis of the odd membership equations inside
     gl(m|2n)_1, for the V-basis labels in matrix-index order (the first m
-    even) and the form phi on them.  phi pairs index a with pi(a), the
-    index of the negated label, so for even b and odd c the equation
-    phi(z v_b, v_c) + phi(v_b, z v_c) = 0 has the two terms
-    phi(v_pi(c), v_c) z[pi(c), b] and phi(v_b, v_pi(b)) z[pi(b), c]; the
-    (c, b) equation is the same one, phi being symmetric on V0 and skew
-    on V1."""
+    even) and the form phi on them.  phi's nonzeros are exactly the pairs
+    (a, pi(a)), pi(a) the index of the negated label, so for even b and
+    odd c the equation phi(z v_b, v_c) + phi(v_b, z v_c) = 0 has the two
+    terms phi(v_pi(c), v_c) z[pi(c), b] and phi(v_b, v_pi(b)) z[pi(b), c];
+    the (c, b) equation is the same one, phi being symmetric on V0 and
+    skew on V1."""
     s = len(labels)
     positions = [(a, b) for a in range(s) for b in range(s)
                  if (a < m) != (b < m)]
     pos_index = {ab: t for t, ab in enumerate(positions)}
-    index = {lab: i for i, lab in enumerate(labels)}
-    pi = [index[-lab] for lab in labels]
+    pi = {a: b for a, b in phi.nonzero}
     equations = {}
     for row, (b, c) in enumerate(product(range(m), range(m, s))):
         equations[row, pos_index[pi[c], b]] = phi[pi[c], c]

@@ -1,19 +1,22 @@
 """References and helpers that only the tests use, kept out of the package.
 
 The rank form of goodness, the Richardson test, osp membership, the
-supertrace form, the extensions of an even grading and the pairwise
-simple-root rule are checks the tests hold the package against.  The rank
-reference builds ad e from matrix products (`dense_ad`), so it shares no
-code path with the package's ad x, built from the cached ad b_i.  The
-small helpers build matrices and elements the way the tests write them.
+supertrace form, the extensions of an even grading, the pairwise
+simple-root rule and the osp centralizer formula read by rational halves
+are checks the tests hold the package against.  The rank reference builds
+ad e from matrix products (`dense_ad`), so it shares no code path with the
+package's ad x, built from the cached ad b_i.  The small helpers build
+matrices and elements the way the tests write them.
 
 Not a test module: pytest collects only test_*.py files.
 """
 
+from fractions import Fraction
 from functools import cache
 
 from goodgradings.linalg import Matrix, exact, rank
-from goodgradings.partitions import dual_partition
+from goodgradings.partitions import (NotOrthosymplectic, dual_partition,
+                                     is_orthosymplectic)
 
 
 class OddGrading(ValueError):
@@ -172,3 +175,21 @@ def pairwise_base(sys, pos):
               if not any(a - b in code_set for b in codes)]
     simple.sort(key=lambda r: r.coeffs)
     return simple
+
+
+def dim_formula_osp_by_halves(sp):
+    """Closed-form centralizer dimensions for osp(m|2n), each half read as
+    a Fraction and the sum checked integral (else ValueError); the
+    symplectic part is read with Sum(q) = 2n."""
+    if not is_orthosymplectic(sp):
+        raise NotOrthosymplectic(f"{sp} is not orthosymplectic")
+    p, q = sp.p, sp.q
+    so_part = Fraction(sp.m, 2) + sum((i - 1) * v for i, v in enumerate(p, 1)) \
+        - Fraction(sum(1 for v in p if v % 2 == 1), 2)
+    sp_part = Fraction(sp.n, 2) + sum((j - 1) * v for j, v in enumerate(q, 1)) \
+        + Fraction(sum(1 for v in q if v % 2 == 1), 2)
+    even = so_part + sp_part
+    if even.denominator != 1:
+        raise ValueError("%s gives even dimension %s" % (sp, even))
+    odd = sum(min(a, b) for a in p for b in q)
+    return int(even), odd

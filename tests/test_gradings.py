@@ -1,14 +1,13 @@
 import functools
 import itertools
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from goodgradings import gradings, superalgebra
-from goodgradings.gradings import (FormulaError, NoSolution, Sl2Triple,
+from goodgradings import superalgebra
+from goodgradings.gradings import (NoSolution, Sl2Triple,
                                    block_type_dim, centralizer,
                                    complete_sl2, dim_formula_gl,
                                    dim_formula_osp, grading_from, is_good,
@@ -25,8 +24,9 @@ from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
 from goodgradings.superalgebra import (EVEN, ODD, NonIntegralGrading,
                                        Realization, adjoint_matrix, build_gl,
                                        build_osp, superbracket)
-from reference import (E, OddGrading, basis, from_rows, invariant_form,
-                       is_good_by_ranks, is_richardson, transpose)
+from reference import (E, OddGrading, basis, dim_formula_osp_by_halves,
+                       from_rows, invariant_form, is_good_by_ranks,
+                       is_richardson, transpose)
 from test_linalg import _dense_kernel
 
 
@@ -93,11 +93,15 @@ def test_dim_formula_osp_examples():
     assert (rep.evenDim, rep.oddDim) == dim_formula_osp(sp)
 
 
-def test_dim_formula_osp_checks_integrality(monkeypatch):
-    # parts that do not add up to m give a half-integer so(m) part
-    monkeypatch.setattr(gradings, "is_orthosymplectic", lambda sp: True)
-    with pytest.raises(FormulaError, match="1/2"):
-        dim_formula_osp(SimpleNamespace(p=(1,), q=(), m=2, n=0))
+def test_dim_formula_osp_matches_the_rational_halves():
+    """The integer formula equals the reference read by Fraction halves on
+    all 2,572 orthosymplectic orbits of osp(m|2n), m, n >= 1, m+2n <= 16."""
+    orbits = [sp for m in range(1, 15) for n in range(1, (16 - m) // 2 + 1)
+              for sp in enumerate_super_partitions(m, 2 * n)
+              if is_orthosymplectic(sp)]
+    assert len(orbits) == 2572
+    for sp in orbits:
+        assert dim_formula_osp(sp) == dim_formula_osp_by_halves(sp), sp
 
 
 def test_dim_formula_osp_rejects_non_orthosymplectic():

@@ -240,6 +240,38 @@ def test_case_table_calls_neither_the_oracle_nor_ad_kernel():
     assert "ad_kernel" not in read
 
 
+def test_oracle_reads_the_degree_table():
+    """The polytope oracle reads each constant off h's degree table, the
+    one source of ad-degrees: `_good_shifts` reads `ad_degrees` and calls
+    no `.diag()`."""
+    path = next(path for path in SOURCES if path.name == "classification.py")
+    shifts = next(node for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_good_shifts")
+    read = {node.attr for node in ast.walk(shifts)
+            if isinstance(node, ast.Attribute)}
+    called = {getattr(node.func, "attr", None) for node in ast.walk(shifts)
+              if isinstance(node, ast.Call)}
+    assert "ad_degrees" in read and "diag" not in called
+
+
+def test_rationals_are_made_in_linalg():
+    """`linalg` is the only module that builds a rational: no other module
+    of the package imports `fractions` or names `Fraction`; the others
+    make values with `exact` and `quotient`."""
+    def makes_rationals(node):
+        if isinstance(node, ast.Import):
+            return any(a.name == "fractions" for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "fractions"
+        return getattr(node, "id", getattr(node, "attr", None)) == "Fraction"
+
+    found = {path.name for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if makes_rationals(node)}
+    assert found == {"linalg.py"}
+
+
 def test_oracle_takes_no_bound():
     """The polytope oracle works its range out from e and h."""
     assert list(inspect.signature(brute_force_shifts).parameters) == \

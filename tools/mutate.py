@@ -57,7 +57,7 @@ MUTANTS = [
      "range(0, 2 * gap + 1)", "range(0, 2 * gap)",
      ["tests/test_pyramids.py"]),
     ("polytope-edge-reversed", "classification.py",
-     "2 * (hd[a] - hd[b])", "2 * (hd[b] - hd[a])",
+     "2 * degrees[j]", "-2 * degrees[j]",
      ["tests/test_classification.py"]),
     ("osp-anchor-not-mirrored", "classification.py",
      "z[anchor[B]] = -value", "z[anchor[B]] = value",
@@ -185,6 +185,11 @@ MUTANTS = [
      "sum(dim_formula_osp(sp))", "len(e.ad_kernel[1])",
      ["tests/test_source.py::"
       "test_case_table_calls_neither_the_oracle_nor_ad_kernel"]),
+    ("osp-formula-half-sign", "gradings.py",
+     "(sum(q) + odd_q) // 2", "(sum(q) - odd_q) // 2",
+     ["tests/test_gradings.py::"
+      "test_dim_formula_osp_matches_the_rational_halves",
+      "tests/test_acceptance.py::test_criterion_5_osp_suite"]),
 ]
 
 
