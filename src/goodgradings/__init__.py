@@ -19,7 +19,6 @@ from .classification import (GoodGradingSet, NotCentral, Unbounded,
                              brute_force_shifts, good_gradings_gl,
                              good_gradings_osp)
 from .roots import (MarkedBase, Root, RootSystem, RootSystemError,
-                    find_nonnegative_base, is_isotropic, marked_equivalent,
-                    reflect_marked, root_system)
+                    find_nonnegative_base, root_system)
 
 __version__ = "0.1.0"

@@ -1,13 +1,10 @@
-"""Root systems in epsilon/delta coordinates, marked bases, and the
-reflection (Weyl groupoid) action.
+"""Root systems in epsilon/delta coordinates and marked bases.
 
-Coordinates are (eps_1..eps_k, delta_1..delta_n) with the pairing
-(eps_i, eps_j) = delta_ij, (delta_i, delta_j) = -delta_ij, mixed = 0.
+Coordinates are (eps_1..eps_k, delta_1..delta_n).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from operator import mul, sub
@@ -22,31 +19,12 @@ class Root:
     coeffs: tuple          # integers over (eps_1..eps_k, delta_1..delta_n)
     parity: int            # EVEN or ODD
 
-    def __neg__(self):
-        return Root(tuple(-c for c in self.coeffs), self.parity)
-
 
 @dataclass(eq=False)
 class RootSystem:
-    kind: str
     eps_count: int
     delta_count: int
     roots: tuple
-
-    def __post_init__(self):
-        self.by_coeffs = {r.coeffs: r for r in self.roots}
-
-    def form(self, a, b):
-        k, ca, cb = self.eps_count, a.coeffs, b.coeffs
-        return sum(ca[i] * cb[i] for i in range(k)) \
-            - sum(ca[i] * cb[i] for i in range(k, len(ca)))
-
-    def find(self, coeffs):
-        return self.by_coeffs.get(tuple(coeffs))
-
-
-def is_isotropic(system, alpha):
-    return system.form(alpha, alpha) == 0
 
 
 @cache
@@ -72,7 +50,7 @@ def root_system(R):
         if any(coeffs):
             roots.append(Root(coeffs, R.basis_parities[j]))
             index.append(j)
-    return RootSystem(R.kind, k, d, tuple(roots)), tuple(index)
+    return RootSystem(k, d, tuple(roots)), tuple(index)
 
 
 @dataclass(frozen=True)
@@ -81,57 +59,9 @@ class MarkedBase:
     simple: tuple          # of Root
     marks: tuple
 
-    def __eq__(self, other):
-        return self.simple == other.simple and self.marks == other.marks
-
-    def __hash__(self):
-        return hash((self.simple, self.marks))
-
     def to_json(self):
         return {"simple": [list(r.coeffs) for r in self.simple],
                 "marks": list(self.marks)}
-
-
-def reflect_marked(b, k):
-    """Reflect a marked base at its k-th simple root: the odd-reflection
-    rule at isotropic roots, the Weyl reflection otherwise; marks follow
-    by linearity."""
-    sys = b.system
-    alpha = b.simple[k]
-    dk = b.marks[k]
-    new_simple = []
-    new_marks = []
-    if is_isotropic(sys, alpha):
-        for i, (beta, di) in enumerate(zip(b.simple, b.marks)):
-            if i == k:
-                new_simple.append(-alpha)
-                new_marks.append(-dk)
-            elif sys.form(beta, alpha) != 0:
-                new_simple.append(_find(sys, tuple(
-                    x + a for x, a in zip(beta.coeffs, alpha.coeffs))))
-                new_marks.append(di + dk)
-            else:
-                new_simple.append(beta)
-                new_marks.append(di)
-    else:
-        aa = sys.form(alpha, alpha)
-        for beta, di in zip(b.simple, b.marks):
-            c, r = divmod(2 * sys.form(beta, alpha), aa)
-            if r:
-                raise RootSystemError("non-integral Cartan integer: "
-                                      "remainder %d of %d" % (r, aa))
-            new_simple.append(_find(sys, tuple(
-                x - c * a for x, a in zip(beta.coeffs, alpha.coeffs))))
-            new_marks.append(di - c * dk)
-    return MarkedBase(sys, tuple(new_simple), tuple(new_marks))
-
-
-def _find(sys, coeffs):
-    root = sys.find(coeffs)
-    if root is None:
-        raise RootSystemError("reflected root %s left the system"
-                              % (tuple(coeffs),))
-    return root
 
 
 @cache
@@ -188,59 +118,3 @@ def find_nonnegative_base(grading, seed=3):
     return MarkedBase(sys, tuple(r for _, _, r, _ in simple),
                       tuple(mark for _, _, _, mark in simple))
 
-
-def _diagram_match(b1, b2):
-    """Is there a bijection of simple roots preserving parity, marks, and
-    all pairwise form values?"""
-    n = len(b1.simple)
-    if n != len(b2.simple) or sorted(b1.marks) != sorted(b2.marks):
-        return False
-    sys = b1.system
-    g1 = [[sys.form(a, b) for b in b1.simple] for a in b1.simple]
-    g2 = [[sys.form(a, b) for b in b2.simple] for a in b2.simple]
-    p1 = [r.parity for r in b1.simple]
-    p2 = [r.parity for r in b2.simple]
-
-    def extend(assign):
-        i = len(assign)
-        if i == n:
-            return True
-        for j in range(n):
-            if j in assign:
-                continue
-            if p1[i] != p2[j] or b1.marks[i] != b2.marks[j]:
-                continue
-            if g1[i][i] != g2[j][j]:
-                continue
-            if any(g1[i][k] != g2[j][assign[k]] or
-                   g1[k][i] != g2[assign[k]][j]
-                   for k in range(i)):
-                continue
-            assign.append(j)
-            if extend(assign):
-                return True
-            assign.pop()
-        return False
-
-    return extend([])
-
-
-def marked_equivalent(b1, b2):
-    """Do two nonnegative marked bases present the same grading?  BFS over
-    odd reflections at mark-zero isotropic simple roots, comparing marked
-    diagrams; even mark-zero reflections preserve the diagram and are
-    therefore not searched."""
-    seen = set()
-    queue = deque([b1])
-    while queue:
-        b = queue.popleft()
-        key = (b.simple, b.marks)
-        if key in seen:
-            continue
-        seen.add(key)
-        if _diagram_match(b, b2):
-            return True
-        for k, (alpha, mark) in enumerate(zip(b.simple, b.marks)):
-            if mark == 0 and is_isotropic(b.system, alpha):
-                queue.append(reflect_marked(b, k))
-    return False

@@ -3,7 +3,10 @@
 The rank form of goodness, the Richardson test, osp membership, the
 supertrace form, the extensions of an even grading, the pairwise
 simple-root rule and the osp centralizer formula read by rational halves
-are checks the tests hold the package against.  The rank reference builds
+are checks the tests hold the package against.  The odd-reflection
+(Weyl groupoid) action on marked bases and the equivalence of
+characteristics it decides (`reflect_marked`, `marked_equivalent`) are
+test-side too: no workload or CLI verb calls them.  The rank reference builds
 ad e from matrix products (`dense_ad`), so it shares no code path with the
 package's ad x, built from the cached ad b_i.  The small helpers build
 matrices and elements the way the tests write them.
@@ -11,12 +14,14 @@ matrices and elements the way the tests write them.
 Not a test module: pytest collects only test_*.py files.
 """
 
+from collections import deque
 from fractions import Fraction
 from functools import cache
 
 from goodgradings.linalg import Matrix, exact, rank
 from goodgradings.partitions import (NotOrthosymplectic, dual_partition,
                                      is_orthosymplectic)
+from goodgradings.roots import MarkedBase, Root, RootSystemError
 
 
 class OddGrading(ValueError):
@@ -193,3 +198,124 @@ def dim_formula_osp_by_halves(sp):
         raise ValueError("%s gives even dimension %s" % (sp, even))
     odd = sum(min(a, b) for a in p for b in q)
     return int(even), odd
+
+
+def form(sys, a, b):
+    """The pairing of roots a and b: (eps_i, eps_j) = delta_ij,
+    (delta_i, delta_j) = -delta_ij, mixed = 0."""
+    k, ca, cb = sys.eps_count, a.coeffs, b.coeffs
+    return sum(ca[i] * cb[i] for i in range(k)) \
+        - sum(ca[i] * cb[i] for i in range(k, len(ca)))
+
+
+def find(sys, coeffs):
+    """The root of sys with these coefficients, or None."""
+    coeffs = tuple(coeffs)
+    return next((r for r in sys.roots if r.coeffs == coeffs), None)
+
+
+def negated(root):
+    return Root(tuple(-c for c in root.coeffs), root.parity)
+
+
+def is_isotropic(sys, alpha):
+    return form(sys, alpha, alpha) == 0
+
+
+def reflect_marked(b, k):
+    """Reflect a marked base at its k-th simple root: the odd-reflection
+    rule at isotropic roots, the Weyl reflection otherwise; marks follow
+    by linearity."""
+    sys = b.system
+    alpha = b.simple[k]
+    dk = b.marks[k]
+    new_simple = []
+    new_marks = []
+    if is_isotropic(sys, alpha):
+        for i, (beta, di) in enumerate(zip(b.simple, b.marks)):
+            if i == k:
+                new_simple.append(negated(alpha))
+                new_marks.append(-dk)
+            elif form(sys, beta, alpha) != 0:
+                new_simple.append(_find(sys, tuple(
+                    x + a for x, a in zip(beta.coeffs, alpha.coeffs))))
+                new_marks.append(di + dk)
+            else:
+                new_simple.append(beta)
+                new_marks.append(di)
+    else:
+        aa = form(sys, alpha, alpha)
+        for beta, di in zip(b.simple, b.marks):
+            c, r = divmod(2 * form(sys, beta, alpha), aa)
+            if r:
+                raise RootSystemError("non-integral Cartan integer: "
+                                      "remainder %d of %d" % (r, aa))
+            new_simple.append(_find(sys, tuple(
+                x - c * a for x, a in zip(beta.coeffs, alpha.coeffs))))
+            new_marks.append(di - c * dk)
+    return MarkedBase(sys, tuple(new_simple), tuple(new_marks))
+
+
+def _find(sys, coeffs):
+    root = find(sys, coeffs)
+    if root is None:
+        raise RootSystemError("reflected root %s left the system"
+                              % (tuple(coeffs),))
+    return root
+
+
+def _diagram_match(b1, b2):
+    """Is there a bijection of simple roots preserving parity, marks, and
+    all pairwise form values?"""
+    n = len(b1.simple)
+    if n != len(b2.simple) or sorted(b1.marks) != sorted(b2.marks):
+        return False
+    sys = b1.system
+    g1 = [[form(sys, a, b) for b in b1.simple] for a in b1.simple]
+    g2 = [[form(sys, a, b) for b in b2.simple] for a in b2.simple]
+    p1 = [r.parity for r in b1.simple]
+    p2 = [r.parity for r in b2.simple]
+
+    def extend(assign):
+        i = len(assign)
+        if i == n:
+            return True
+        for j in range(n):
+            if j in assign:
+                continue
+            if p1[i] != p2[j] or b1.marks[i] != b2.marks[j]:
+                continue
+            if g1[i][i] != g2[j][j]:
+                continue
+            if any(g1[i][k] != g2[j][assign[k]] or
+                   g1[k][i] != g2[assign[k]][j]
+                   for k in range(i)):
+                continue
+            assign.append(j)
+            if extend(assign):
+                return True
+            assign.pop()
+        return False
+
+    return extend([])
+
+
+def marked_equivalent(b1, b2):
+    """Do two nonnegative marked bases present the same grading?  BFS over
+    odd reflections at mark-zero isotropic simple roots, comparing marked
+    diagrams; even mark-zero reflections preserve the diagram and are
+    therefore not searched."""
+    seen = set()
+    queue = deque([b1])
+    while queue:
+        b = queue.popleft()
+        key = (b.simple, b.marks)
+        if key in seen:
+            continue
+        seen.add(key)
+        if _diagram_match(b, b2):
+            return True
+        for k, (alpha, mark) in enumerate(zip(b.simple, b.marks)):
+            if mark == 0 and is_isotropic(b.system, alpha):
+                queue.append(reflect_marked(b, k))
+    return False

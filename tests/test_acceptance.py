@@ -21,12 +21,13 @@ from goodgradings.pyramids import (Pyramid, dynkin_pair, dynkin_pyramid_gl,
                                    dynkin_pyramid_osp, enumerate_pyr,
                                    jordan_type, realize_osp_pyramid,
                                    realize_pyramid)
-from goodgradings.roots import (find_nonnegative_base, is_isotropic,
-                                marked_equivalent, reflect_marked)
+from goodgradings.roots import find_nonnegative_base
 from goodgradings.superalgebra import (EVEN, ODD, build_gl, build_osp,
                                        superbracket)
-from reference import (basis, extensions_of_even_grading, invariant_form,
-                       is_good_by_ranks, is_member_osp, is_richardson)
+from reference import (_diagram_match, basis, extensions_of_even_grading,
+                       invariant_form, is_good_by_ranks, is_isotropic,
+                       is_member_osp, is_richardson, marked_equivalent,
+                       reflect_marked)
 
 
 def _criterion(num, desc, budget, fn):
@@ -249,7 +250,6 @@ def test_criterion_8_roots_suite():
             if any(m == 0 and is_isotropic(b.system, a)
                    for a, m in zip(b.simple, b.marks)):
                 continue
-            from goodgradings.roots import _diagram_match
             shifted = type(b)(b.system, b.simple,
                               tuple(m + 2 for m in b.marks))
             assert not marked_equivalent(b, shifted)

@@ -3,6 +3,9 @@
 import ast
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import goodgradings
@@ -12,6 +15,7 @@ from goodgradings.linalg import Matrix
 from goodgradings.superalgebra import build_gl, build_osp
 
 SOURCES = sorted(Path(goodgradings.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_no_assert_in_package():
@@ -293,7 +297,7 @@ def test_one_sl2_relation_check():
 def test_mutation_targets_are_unique():
     """Each source text that tools/mutate.py replaces occurs exactly once
     in the package, so every mutant changes the code it names."""
-    harness = Path(__file__).resolve().parents[1] / "tools" / "mutate.py"
+    harness = ROOT / "tools" / "mutate.py"
     spec = importlib.util.spec_from_file_location("mutate", harness)
     mutate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutate)
@@ -305,14 +309,12 @@ def test_mutation_targets_are_unique():
     assert counts == {name: (1, 1) for name in counts}
 
 
-
 def test_every_package_function_is_named_outside_tests():
     """Every function, method and class the package defines, dunders
     aside, is read by name somewhere in the package (not counting
     `__init__.py`) or in bench/, other than inside its own definition:
     code that only tests reach lives in tests/reference.py.  Names are
-    read from the syntax tree, so a docstring or comment does not count.
-    `marked_equivalent` waits for a caller of the odd-reflection code."""
+    read from the syntax tree, so a docstring or comment does not count."""
     def is_dunder(name):
         return name.startswith("__") and name.endswith("__")
 
@@ -340,9 +342,72 @@ def test_every_package_function_is_named_outside_tests():
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    bench = Path(__file__).resolve().parents[1] / "bench"
+    bench = ROOT / "bench"
     for path in [path for path in SOURCES if path.name != "__init__.py"] \
             + sorted(bench.glob("*.py")):
         visit(ast.parse(path.read_text(), str(path)), frozenset())
     assert len(defined) >= 100
-    assert defined - read == {"marked_equivalent"}
+    assert defined - read == set()
+
+
+# Runs tools/equivalence.py's CLI sweep under a profiler and prints, as
+# JSON, the (file name, first line) of every package function it calls.
+# argv: the equivalence tool and the package directory.
+SWEEP_UNDER_PROFILE = """
+import importlib.util, json, sys
+from pathlib import Path
+
+tool, package = sys.argv[1], Path(sys.argv[2]).resolve()
+spec = importlib.util.spec_from_file_location("equivalence", tool)
+equivalence = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(equivalence)
+codes = set()
+
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+
+sys.setprofile(profile)
+for _ in equivalence.cli_runs():
+    pass
+sys.setprofile(None)
+print(json.dumps(sorted((path.name, code.co_firstlineno) for code, path in
+                        ((c, Path(c.co_filename).resolve()) for c in codes)
+                        if path.parent == package)))
+"""
+
+
+def test_every_package_function_runs_in_the_cli_sweep():
+    """Every function and method the package defines, dunders aside and
+    nested ones included, is called by the CLI sweep of tools/equivalence.py
+    (each verb, well-formed and malformed requests), other than
+    `Matrix.entries`, which only bench/ reads.  The sweep runs in a fresh
+    process, so no cache warmed by an earlier test hides a body; code
+    that only tests call lives in tests/reference.py."""
+    defined = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, prefix + child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                first = min([child.lineno] + [d.lineno for d in
+                                              child.decorator_list])
+                name = prefix + child.name
+                if not (child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    defined[(path.name, first)] = "%s:%s" % (path.name, name)
+                visit(child, path, name + ".<locals>.")
+            else:
+                visit(child, path, prefix)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    out = subprocess.run(
+        [sys.executable, "-c", SWEEP_UNDER_PROFILE,
+         str(ROOT / "tools" / "equivalence.py"), str(SOURCES[0].parent)],
+        capture_output=True, text=True, check=True).stdout
+    called = {tuple(key) for key in json.loads(out)}
+    assert len(defined) >= 100
+    assert sorted(defined[key] for key in defined.keys() - called) == \
+        ["linalg.py:Matrix.entries"]
