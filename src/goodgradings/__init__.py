@@ -7,11 +7,11 @@ from .partitions import (SuperPartition, NotOrthosymplectic, cp_dq,
 from .superalgebra import (AlgebraElement, AmbientMismatch, DimensionError,
                            NonIntegralGrading, Realization, RealizationError,
                            adjoint_matrix, build_gl, build_osp, superbracket)
-from .pyramids import (LengthMismatch, MembershipFailure, NotNilpotent,
-                       OspPyramid, Pyramid, PyramidError, SizeMismatch,
-                       dynkin_pair, dynkin_pyramid_gl, dynkin_pyramid_osp,
-                       enumerate_pyr, jordan_type, realize_osp_pyramid,
-                       realize_pyramid, render, shift_matrix)
+from .pyramids import (MembershipFailure, NotNilpotent, OspPyramid, Pyramid,
+                       PyramidError, SizeMismatch, dynkin_pair,
+                       dynkin_pyramid_gl, dynkin_pyramid_osp, enumerate_pyr,
+                       jordan_type, realize_osp_pyramid, realize_pyramid,
+                       render, shift_rows)
 from .gradings import (CentralizerReport, Grading, NoSolution, Sl2Triple,
                        centralizer, complete_sl2, dim_formula_gl,
                        dim_formula_osp, grading_from, is_good, s_centralizer)

@@ -21,7 +21,7 @@ from .gradings import (Grading, complete_sl2, dim_formula_osp, grading_from,
                        is_good, s_centralizer)
 from .linalg import quotient
 from .partitions import SuperPartition, cp_dq
-from .pyramids import dynkin_pair, enumerate_pyr, shift_matrix
+from .pyramids import dynkin_pair, enumerate_pyr, shift_rows
 from .superalgebra import build_gl, build_osp
 
 
@@ -185,19 +185,22 @@ def good_gradings_osp(sp):
     """All good gradings for e_{p,q} in osp(m|2n): h + z(s, t) for each
     shift (s, t) of the case table, graded once, good when its degrees 0
     and 1 count `dim_formula_osp`; e must stay in degree 2, where h puts
-    it (else NotCentral).  With 1 in C(p), the last C(p) shift s_c (of
-    part 1) runs over |s_c| <= B, the least constant term of the paper's
-    bound on it, and the pair filter applies its other terms; no ad e,
-    kernel or oracle is needed.  Every candidate is integral: integer
+    it (else NotCentral).  The rows that z(s, t) moves, and their mirrors,
+    are read once per orbit (`shift_rows`), and each H is one diagonal.
+    With 1 in C(p), the last C(p) shift s_c (of part 1) runs over
+    |s_c| <= B, the least constant term of the paper's bound on it, and
+    the pair filter applies its other terms; no ad e, kernel or oracle is
+    needed.  Every candidate is integral: integer
     shifts keep h's degrees integral, and half shifts run only in the half
     case, where every box lies in a shifted row, so every entry of h + z
     is an integer plus a half.  No two share a degree map: osp(m|2n), m,
     n >= 1, has zero centre, so ad H determines H, and z(s, t) is
     injective, as each C(p), D(q) part has one nonempty shifted row
-    (`shift_matrix` checks)."""
+    (`shift_rows` checks)."""
     cp, dq = cp_dq(sp)
     R = build_osp(sp.m, sp.n // 2)
-    P, e, h = dynkin_pair(sp, R)
+    P, e, _ = dynkin_pair(sp, R)
+    rows, doubled = shift_rows(P), {lab: 2 * x for x, y, t, lab in P.boxes}
     half_case = (sp.m % 2 == 0 and set(cp) == set(sp.p)
                  and set(dq) == set(sp.q))
     # doubled shifts: integers in {-1, 0, 1}, then halves +-1/2, of the
@@ -219,8 +222,13 @@ def good_gradings_osp(sp):
         for v in product(*box):
             if not _pair_constraint_ok(cp, dq, v[:k], v[k:]):
                 continue
-            half = [quotient(a, 2) for a in v]
-            g = grading_from(R, h + shift_matrix(R, P, half[:k], half[k:]))
+            diag = dict(doubled)
+            for labels, a in zip(rows, v, strict=True):
+                for lab in labels:
+                    diag[lab] += a
+                    diag[-lab] -= a
+            g = grading_from(R, R.diagonal(
+                {lab: quotient(c, 2) for lab, c in diag.items()}))
             if not all(g.degrees[j] == 2 for j in ec):
                 raise NotCentral("a shift moves the degree of e")
             if is_good(g, e, dim):

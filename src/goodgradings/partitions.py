@@ -115,13 +115,11 @@ def psi_merge(sp):
                   key=lambda row: -row[0])
 
 
-@lru_cache(maxsize=None)
 def cp_dq(sp):
     """The shift-carrying part sets C(p), D(q), each descending.
 
     C(p): odd parts of p with multiplicity exactly 2 that do not occur in q.
     D(q): even parts of q with multiplicity exactly 2 that do not occur in p.
-    Cached per orbit (a raised NotOrthosymplectic is not cached).
     """
     if not is_orthosymplectic(sp):
         raise NotOrthosymplectic(f"{sp} is not orthosymplectic")

@@ -22,10 +22,6 @@ class SizeMismatch(ValueError):
     pass
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
 class PyramidError(ValueError):
     """A partition the pyramid rules cannot place, or a row not found."""
 
@@ -175,7 +171,7 @@ class OspPyramid:
         return self.sp.m
 
     @property
-    def n2(self):
+    def n(self):
         """dim V1 = sum of q."""
         return self.sp.n
 
@@ -320,9 +316,9 @@ def jordan_type(R, e):
 def realize_osp_pyramid(P, R):
     """(e, h) in osp(m|2n) from an orthosymplectic pyramid; each entry of e
     takes its sign from the even basis element whose support holds it."""
-    if R.kind != "osp" or P.m != R.m or P.n2 != R.odd_dim:
+    if R.kind != "osp" or P.m != R.m or P.n != R.odd_dim:
         raise SizeMismatch("pyramid (%d|%d) vs realization (%d|%d)"
-                           % (P.m, P.n2, R.m, R.odd_dim))
+                           % (P.m, P.n, R.m, R.odd_dim))
     h = R.diagonal({lab: x for x, y, t, lab in P.boxes})
     entries = {}
     for a, b in _osp_connections(P):
@@ -342,27 +338,22 @@ def realize_osp_pyramid(P, R):
     return e, h
 
 
-def shift_matrix(R, P, s, t):
-    """Diagonal z(s, t): s_i on the one upper even row of the i-th C(p) part
-    (descending), -s_i on its mirror; likewise t_j on the upper odd row of
-    the j-th D(q) part."""
+def shift_rows(P):
+    """The labels of the one upper row of each C(p) part (descending), then
+    of each D(q) part: a shift moves these boxes by its value and their
+    mirrors, labeled by negation, by minus it."""
     cp, dq = cp_dq(P.sp)
-    if len(s) != len(cp) or len(t) != len(dq):
-        raise LengthMismatch("need %d s-values and %d t-values"
-                             % (len(cp), len(dq)))
     label_at = {(x, y): lab for x, y, _, lab in P.boxes}
-    diag = {}
-    for kind, parts, values in (("even", cp, s), ("odd", dq, t)):
-        for part, val in zip(parts, values):
+    out = []
+    for kind, parts in (("even", cp), ("odd", dq)):
+        for part in parts:
             rows = [spec for spec in P.rows
                     if spec["kind"] == kind and spec["part"] == part]
             if len(rows) != 1:
                 raise PyramidError("part %s has %d shiftable rows, not 1"
                                    % (part, len(rows)))
-            for x in rows[0]["cols"]:
-                lab = label_at[x, rows[0]["y"]]
-                diag[lab], diag[-lab] = val, -val
-    return R.diagonal(diag)
+            out.append([label_at[x, rows[0]["y"]] for x in rows[0]["cols"]])
+    return out
 
 
 # ---------------------------------------------------------------------------

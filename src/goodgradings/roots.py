@@ -27,15 +27,24 @@ class RootSystem:
     roots: tuple
 
 
+SEED = 3
+
+
 @cache
 def root_system(R):
-    """The root system of the realization R and each root's basis index,
-    read once per algebra (each algebra has one realization).
+    """The root system of the realization R and, per root, its basis
+    index, generic value and packed code, read once per algebra (each
+    algebra has one realization).
 
     Every basis element off the Cartan spans a root space; its root is
     weight(a) - weight(b) at any entry (a, b) of its support, where the
     V-basis vector of label l has weight sign(l) * unit(|l| - 1) (label 0
-    has weight 0)."""
+    has weight 0).  A root's generic value is its value under the
+    functional SEED^n, ..., SEED^1, which must vanish on no root (else
+    RootSystemError).  Its code packs it as sum c_i * 16**i; the packing
+    is linear and injective while all |c_i| <= 7, and root coefficients
+    lie in [-2, 2], so r - s is a root exactly when code(r) - code(s) is
+    a root's code (0 is none)."""
     k, d = (R.m, R.odd_dim) if R.kind == "gl" else (R.m // 2, R.odd_dim // 2)
     weights = []
     for lab in R.labels:
@@ -50,7 +59,14 @@ def root_system(R):
         if any(coeffs):
             roots.append(Root(coeffs, R.basis_parities[j]))
             index.append(j)
-    return RootSystem(k, d, tuple(roots)), tuple(index)
+    functional = [SEED ** (k + d - l) for l in range(k + d)]
+    generic = tuple(sum(map(mul, functional, r.coeffs)) for r in roots)
+    if 0 in generic:
+        raise RootSystemError("functional vanishes on root %s"
+                              % (roots[generic.index(0)].coeffs,))
+    codes = tuple(sum(c << 4 * i for i, c in enumerate(r.coeffs))
+                  for r in roots)
+    return RootSystem(k, d, tuple(roots)), tuple(index), generic, codes
 
 
 @dataclass(frozen=True)
@@ -64,26 +80,7 @@ class MarkedBase:
                 "marks": list(self.marks)}
 
 
-@cache
-def _generic_values(sys, seed):
-    """Each root's value under the functional seed^n, ..., seed^1, kept
-    per root system object (compared by identity) and seed."""
-    n = sys.eps_count + sys.delta_count
-    functional = [seed ** (n - l) for l in range(n)]
-    return tuple(sum(map(mul, functional, r.coeffs)) for r in sys.roots)
-
-
-@cache
-def _codes(sys):
-    """Each root packed as sum c_i * 16**i, kept per root system object.
-    The packing is linear and injective while all |c_i| <= 7; root
-    coefficients lie in [-2, 2], so r - s is a root exactly when
-    code(r) - code(s) is a root's code (0 is none)."""
-    return tuple(sum(c << 4 * i for i, c in enumerate(r.coeffs))
-                 for r in sys.roots)
-
-
-def find_nonnegative_base(grading, seed=3):
+def find_nonnegative_base(grading):
     """A base on which the grading's degree map is nonnegative.
 
     Reflecting the negative-degree simple roots of a generic positive
@@ -100,19 +97,15 @@ def find_nonnegative_base(grading, seed=3):
     simple has such an alpha, as the simple root vectors generate the
     positive ones: g_r lies in [g_alpha, g_(r - alpha)] for a simple
     alpha."""
-    sys, index = root_system(grading.ambient)
+    sys, index, generic, codes = root_system(grading.ambient)
     pos = []
-    for r, j, generic, code in zip(sys.roots, index,
-                                   _generic_values(sys, seed), _codes(sys)):
-        if generic == 0:
-            raise RootSystemError("functional vanishes on root %s"
-                                  % (r.coeffs,))
-        if (grading.degrees[j], generic) > (0, 0):
-            pos.append((grading.degrees[j], generic, code, r))
-    codes = {code for _, _, code, _ in pos}
+    for r, j, value, code in zip(sys.roots, index, generic, codes):
+        if (grading.degrees[j], value) > (0, 0):
+            pos.append((grading.degrees[j], value, code, r))
+    positive = {code for _, _, code, _ in pos}
     simple = []
     for mark, _, code, r in sorted(pos):
-        if not any(code - c in codes for _, c, _, _ in simple):
+        if not any(code - c in positive for _, c, _, _ in simple):
             simple.append((r.coeffs, code, r, mark))
     simple.sort()
     return MarkedBase(sys, tuple(r for _, _, r, _ in simple),

@@ -63,21 +63,18 @@ class AlgebraElement:
         the one algorithm on whole matrices, the Jordan type."""
         return Matrix(self.ambient.size, self.ambient.size, self.entries)
 
-    def _plus(self, other, sign):
+    def __add__(self, other):
         self._same(other)
         out = dict(self.entries)
         for ab, c in other.entries.items():
-            if v := exact(out.get(ab, 0) + sign * c):
+            if v := exact(out.get(ab, 0) + c):
                 out[ab] = v
             else:
                 del out[ab]
         return AlgebraElement(self.ambient, out)
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
     def __sub__(self, other):
-        return self._plus(other, -1)
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = exact(c)

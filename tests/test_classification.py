@@ -16,9 +16,10 @@ from goodgradings.partitions import (SuperPartition, cp_dq,
                                      enumerate_super_partitions,
                                      is_orthosymplectic)
 from goodgradings.pyramids import (Pyramid, dynkin_pair, enumerate_pyr,
-                                   realize_pyramid, shift_matrix)
+                                   realize_pyramid)
 from goodgradings.superalgebra import build_gl, build_osp
 from reference import E, extensions_of_even_grading, is_good_by_ranks
+from test_pyramids import _row_table_shift
 
 
 def test_gl_counts():
@@ -209,11 +210,12 @@ def _gl_row_generators(R, P):
 
 
 def _osp_generators(R, sp, P):
-    """The unit shifts of the C(p) and D(q) parts; the reference sums
-    them, where the case table makes each shift with one shift_matrix."""
+    """The unit shifts of the C(p) and D(q) parts, read off the test-side
+    row table `_row_table_shift`, so the reference that sums them shares
+    no code with the case table's `shift_rows`."""
     cp, dq = cp_dq(sp)
     k, units = len(cp), range(len(cp) + len(dq))
-    return [shift_matrix(R, P, u[:k], u[k:])
+    return [R.diagonal(_row_table_shift(P, u[:k], u[k:]))
             for u in ([int(i == j) for j in units] for i in units)]
 
 
@@ -406,29 +408,34 @@ def test_each_pyramid_and_each_admitted_shift_grades_once(monkeypatch):
 
 def test_osp_classifier_reads_the_orbit_once(monkeypatch):
     """The orthosymplectic checks of one osp classification do not grow
-    with its candidates: cp_dq is cached per orbit, so `shift_matrix`
-    does not check the orbit again for each candidate."""
+    with its candidates: the shifted rows are read once per orbit, by one
+    `shift_rows` call, and each candidate is graded from them."""
     calls = Counter()
     check = partitions.is_orthosymplectic
+    rows, grade = classification.shift_rows, classification.grading_from
 
     def counting(sp):
         calls["check"] += 1
         return check(sp)
 
-    def shifting(*args):
+    def reading(P):
+        calls["rows"] += 1
+        return rows(P)
+
+    def grading(R, H):
         calls["candidate"] += 1
-        return shift_matrix(*args)
+        return grade(R, H)
 
     for module in (partitions, pyramids, gradings):
         monkeypatch.setattr(module, "is_orthosymplectic", counting)
-    monkeypatch.setattr(classification, "shift_matrix", shifting)
+    monkeypatch.setattr(classification, "shift_rows", reading)
+    monkeypatch.setattr(classification, "grading_from", grading)
     seen = []
     for p, q in [((1,), (2,)), ((3, 3, 1, 1), (4, 4))]:
-        cp_dq.cache_clear()
         calls.clear()
         good_gradings_osp(SuperPartition(p, q))
-        seen.append((calls["candidate"], calls["check"]))
-    assert seen == [(1, 3), (43, 3)]
+        seen.append((calls["candidate"], calls["rows"], calls["check"]))
+    assert seen == [(1, 1, 4), (43, 1, 4)]
 
 
 def test_last_shift_bound_equals_the_oracle(monkeypatch):
@@ -470,11 +477,10 @@ def test_oracle_points_are_good_by_ranks():
 
 
 def test_scan_refuses_a_generator_moving_e(monkeypatch):
-    # a shift of 1 on label 1 and -1 on label -1, an osp diagonal, changes
-    # the degree of e's first step; a raise, not an assert, so it holds
-    # under python -O too
-    monkeypatch.setattr(classification, "shift_matrix",
-                        lambda R, P, s, t: R.diagonal({1: 1, -1: -1}))
+    # a "row" of label 1 alone: its shift, s on label 1 and -s on label
+    # -1, an osp diagonal, changes the degree of e's first step; a raise,
+    # not an assert, so it holds under python -O too
+    monkeypatch.setattr(classification, "shift_rows", lambda P: [[1]])
     with pytest.raises(NotCentral):
         good_gradings_osp(SuperPartition((3, 3), (4,)))
 

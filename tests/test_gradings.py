@@ -20,7 +20,7 @@ from goodgradings.partitions import (NotOrthosymplectic,
 from goodgradings.pyramids import (dynkin_pair, dynkin_pyramid_gl,
                                    dynkin_pyramid_osp,
                                    realize_osp_pyramid, realize_pyramid,
-                                   shift_matrix)
+                                   shift_rows)
 from goodgradings.superalgebra import (EVEN, ODD, NonIntegralGrading,
                                        Realization, adjoint_matrix, build_gl,
                                        build_osp, superbracket)
@@ -55,7 +55,9 @@ def test_grading_non_integral():
     R = build_osp(6, 2)
     P = dynkin_pyramid_osp(sp)
     e, h = realize_osp_pyramid(P, R)
-    z = shift_matrix(R, P, [Fraction(1, 2)], [])
+    (row,) = shift_rows(P)
+    z = R.diagonal({**{lab: Fraction(1, 2) for lab in row},
+                    **{-lab: Fraction(-1, 2) for lab in row}})
     with pytest.raises(NonIntegralGrading):
         grading_from(R, h + z)
 

@@ -8,13 +8,12 @@ from goodgradings.partitions import (NotOrthosymplectic,
                                      SuperPartition, cp_dq,
                                      enumerate_super_partitions,
                                      is_orthosymplectic)
-from goodgradings.pyramids import (LengthMismatch, MembershipFailure,
-                                   NotNilpotent, Pyramid, PyramidError,
-                                   SizeMismatch, dynkin_pair,
-                                   dynkin_pyramid_gl, dynkin_pyramid_osp,
-                                   enumerate_pyr, jordan_type,
-                                   realize_osp_pyramid, realize_pyramid,
-                                   render, shift_matrix)
+from goodgradings.pyramids import (MembershipFailure, NotNilpotent,
+                                   Pyramid, PyramidError, SizeMismatch,
+                                   dynkin_pair, dynkin_pyramid_gl,
+                                   dynkin_pyramid_osp, enumerate_pyr,
+                                   jordan_type, realize_osp_pyramid,
+                                   realize_pyramid, render, shift_rows)
 from goodgradings.superalgebra import (EVEN, ODD, build_gl, build_osp,
                                        superbracket)
 from reference import is_member_osp, jordan_type_by_all_ranks, transpose
@@ -167,7 +166,7 @@ def test_osp_central_symmetry():
         P = dynkin_pyramid_osp(SuperPartition(*pq))
         shape = set(_box_shape(P))
         assert {(-x, -y, t) for x, y, t in shape} == shape
-        assert len(P.boxes) == P.m + P.n2
+        assert len(P.boxes) == P.m + P.n
 
 
 def test_realize_osp_11_2():
@@ -211,13 +210,27 @@ def test_realize_osp_rejects_connection_outside_even_part(monkeypatch):
         realize_osp_pyramid(dynkin_pyramid_osp(sp), R)
 
 
+def _shift(R, rows, values):
+    """The diagonal z moving the boxes of each row of `shift_rows` by its
+    value and their mirrors by minus it."""
+    diag = {}
+    for labels, v in zip(rows, values, strict=True):
+        for lab in labels:
+            diag[lab], diag[-lab] = v, -v
+    return R.diagonal(diag)
+
+
 def test_shift_matrix():
+    """The shift matrix z(s) of (3,3|4) from `shift_rows`: zero at s = 0,
+    and at s = 1 the one upper row of the C(p) part 3 at 1, its mirror at
+    -1; it commutes with the Dynkin e and h."""
     sp = SuperPartition((3, 3), (4,))
     R = build_osp(6, 2)
     P = dynkin_pyramid_osp(sp)
-    z = shift_matrix(R, P, [Fraction(0)], [])
-    assert z.is_zero()
-    z = shift_matrix(R, P, [Fraction(1)], [])
+    rows = shift_rows(P)
+    assert len(rows) == 1 and len(rows[0]) == 3
+    assert _shift(R, rows, [0]).is_zero()
+    z = _shift(R, rows, [1])
     vals = sorted(z.matrix[i, i] for i in range(R.size))
     assert vals == [-1, -1, -1, 0, 0, 0, 0, 1, 1, 1]
     e, h = realize_osp_pyramid(P, R)
@@ -226,35 +239,49 @@ def test_shift_matrix():
 
 
 def test_shift_matrix_commutes_1122():
+    """(1,1|2,2) has one C(p) row, of even labels, then one D(q) row, of
+    odd labels; z(1, 1) moves both and commutes with e."""
     sp = SuperPartition((1, 1), (2, 2))
     R = build_osp(2, 2)
     P = dynkin_pyramid_osp(sp)
-    z = shift_matrix(R, P, [Fraction(1)], [Fraction(1)])
+    rows = shift_rows(P)
+    assert [len(labels) for labels in rows] == [1, 2]
+    assert [R.index(labels[0]) < R.m for labels in rows] == [True, False]
+    z = _shift(R, rows, [1, 1])
     e, h = realize_osp_pyramid(P, R)
     assert superbracket(z, e).is_zero()
-
-
-def test_shift_matrix_length_check():
-    sp = SuperPartition((3, 3), (4,))
-    R = build_osp(6, 2)
-    P = dynkin_pyramid_osp(sp)
-    with pytest.raises(LengthMismatch):
-        shift_matrix(R, P, [], [Fraction(1)])
 
 
 def test_shift_matrix_checks_row_lookup():
     """Each C(p) part needs exactly one upper even row: with that row gone,
     or with it listed twice, there is no one row to shift."""
     sp = SuperPartition((3, 3), (4,))
-    R = build_osp(6, 2)
     P = dynkin_pyramid_osp(sp)
     (row,) = [spec for spec in P.rows if spec["kind"] == "even"]
     P.rows.remove(row)
     with pytest.raises(PyramidError, match="0 shiftable rows"):
-        shift_matrix(R, P, [Fraction(1)], [])
+        shift_rows(P)
     P.rows += [row, dict(row)]
     with pytest.raises(PyramidError, match="2 shiftable rows"):
-        shift_matrix(R, P, [Fraction(1)], [])
+        shift_rows(P)
+
+
+def test_every_unit_shift_commutes_with_e_and_h():
+    """On every osp orbit with m+2n <= 12, the diagonal of each row of
+    `shift_rows` at 1 and its mirror at -1 brackets to zero with the
+    Dynkin e and h: each unit shift is central in the pair."""
+    units = 0
+    for m, n, sp in _osp_orbits(12):
+        R = build_osp(m, n)
+        P, e, h = dynkin_pair(sp, R)
+        rows = shift_rows(P)
+        for i in range(len(rows)):
+            z = _shift(R, rows, [int(i == j) for j in range(len(rows))])
+            assert not z.is_zero()
+            assert superbracket(z, e).is_zero(), sp
+            assert superbracket(z, h).is_zero(), sp
+            units += 1
+    assert units == 150
 
 
 def _row_walk_connections(P):
@@ -335,7 +362,7 @@ def test_steps_and_row_lookup_match_row_walk_reference():
             diag = _row_table_shift(P, u[:k], u[k:])
             expected = {(R.index(lab), R.index(lab)): v
                         for lab, v in diag.items() if v}
-            assert shift_matrix(R, P, u[:k], u[k:]).entries == expected
+            assert _shift(R, shift_rows(P), u).entries == expected
             units += 1
     assert units == 150
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from goodgradings import roots
 from goodgradings.classification import good_gradings_gl, good_gradings_osp
 from goodgradings.gradings import grading_from
 from goodgradings.partitions import (SuperPartition,
@@ -101,22 +102,22 @@ def test_nonnegative_base_marks():
 
 
 def test_nonnegative_base_seed_independent():
+    """The package's base (functional seed 3) and the reflection
+    reference's with seed 5 are one marked base up to odd reflections."""
     sp = SuperPartition((2, 1), (2,))
     R = build_gl(3, 2)
     e, h = realize_pyramid(dynkin_pyramid_gl(sp), R)
     g = grading_from(R, h)
-    b1 = find_nonnegative_base(g, seed=3)
-    b2 = find_nonnegative_base(g, seed=5)
+    b1 = find_nonnegative_base(g)
+    b2 = _base_by_reflections(g, seed=5)
     assert marked_equivalent(b1, b2)
 
 
-def test_nonnegative_base_refuses_a_vanishing_functional():
+def test_nonnegative_base_refuses_a_vanishing_functional(monkeypatch):
     # seed 1 gives every coordinate weight 1, which vanishes on eps_1 - eps_2
-    sp = SuperPartition((2, 1), (2,))
-    R = build_gl(3, 2)
-    e, h = realize_pyramid(dynkin_pyramid_gl(sp), R)
+    monkeypatch.setattr(roots, "SEED", 1)
     with pytest.raises(RootSystemError, match="functional vanishes"):
-        find_nonnegative_base(grading_from(R, h), seed=1)
+        roots.root_system.__wrapped__(build_gl(3, 2))
 
 
 def test_marked_equivalent_reflexive_symmetric():
@@ -126,8 +127,8 @@ def test_marked_equivalent_reflexive_symmetric():
     R = build_gl(2, 1)
     e, h = realize_pyramid(dynkin_pyramid_gl(sp), R)
     g = grading_from(R, h)
-    b1 = find_nonnegative_base(g, seed=3)
-    b2 = find_nonnegative_base(g, seed=7)
+    b1 = find_nonnegative_base(g)
+    b2 = _base_by_reflections(g, seed=7)
     assert marked_equivalent(b1, b2) == marked_equivalent(b2, b1)
 
 
@@ -312,7 +313,7 @@ def test_simple_roots_by_one_subtraction_match_pairwise():
     compares every pair of positive roots, in no order."""
     count = 0
     for g in _good_gradings(7, 12):
-        sys, index = root_system(g.ambient)
+        sys, index, _, _ = root_system(g.ambient)
         n = sys.eps_count + sys.delta_count
         mark = {}
         for r, j in zip(sys.roots, index):
@@ -342,7 +343,7 @@ def test_root_system_matches_brackets():
     Cartan element t, found by brackets and not by the degree table."""
     count = 0
     for R in _small_realizations():
-        sys, index = root_system(R)
+        sys, index, _, _ = root_system(R)
         n = sys.eps_count + sys.delta_count
         weight = [5 ** i for i in range(n)]
         t = R.diagonal({lab: (1 if lab > 0 else -1) * weight[abs(lab) - 1]
@@ -394,8 +395,9 @@ def _uncached_root_system(R):
 
 def test_cached_root_system_matches_uncached_reading():
     """Every gl(m|n) with m+n <= 6 and osp(m|2n) with m+2n <= 10: the
-    cached root system is the one its supports give, and two builds of
-    one algebra read the same one."""
+    cached root system is the one its supports give, each root's generic
+    value is its value under 3^n, ..., 3^1, no two roots share a code, and
+    two builds of one algebra read the same one."""
     algebras = [(build_gl, m, size - m) for size in range(1, 7)
                 for m in range(size + 1)] \
         + [(build_osp, m, n) for m in range(1, 9)
@@ -403,7 +405,11 @@ def test_cached_root_system_matches_uncached_reading():
     assert len(algebras) == 27 + 20
     for build, m, n in algebras:
         R = build(m, n)
-        sys, index = root_system(R)
+        sys, index, generic, codes = root_system(R)
         assert [(r.coeffs, r.parity, j) for r, j in
                 zip(sys.roots, index)] == _uncached_root_system(R)
+        width = sys.eps_count + sys.delta_count
+        assert list(generic) == [sum(3 ** (width - l) * c for l, c in
+                                     enumerate(r.coeffs)) for r in sys.roots]
+        assert len(set(codes)) == len(codes)
         assert root_system(build(m, n))[0] is sys

@@ -171,6 +171,26 @@ def test_realizations_are_built_only_by_the_cached_builders():
     assert builders == set()
 
 
+def test_partitions_and_roots_cache_only_their_tables():
+    """Each orbit's and each algebra's data has one owner: partitions.py
+    caches only `partitions_of`, and roots.py only `root_system`, which
+    reads each root's generic value and code once per algebra."""
+    def cached(path):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef):
+                for d in node.decorator_list:
+                    f = getattr(d, "func", d)
+                    if getattr(f, "id", getattr(f, "attr", None)) in (
+                            "cache", "lru_cache", "cached_property"):
+                        names.add(node.name)
+        return names
+
+    modules = {path.name: path for path in SOURCES}
+    assert cached(modules["partitions.py"]) == {"partitions_of"}
+    assert cached(modules["roots.py"]) == {"root_system"}
+
+
 def test_realization_tables_are_set_only_when_built():
     """A realization is built whole: no package code outside
     `Realization.__post_init__` assigns, deletes or `setattr`s an

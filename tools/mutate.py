@@ -44,9 +44,14 @@ MUTANTS = [
     ("odd-skew-crossing-dropped", "pyramids.py",
      "conns.append((label_at[1, y], label_at[-1, -y]))", "None",
      ["tests/test_pyramids.py"]),
-    ("shift-mirror-unsigned", "pyramids.py",
-     "diag[lab], diag[-lab] = val, -val", "diag[lab], diag[-lab] = val, val",
-     ["tests/test_pyramids.py"]),
+    ("shift-mirror-unsigned", "classification.py",
+     "diag[-lab] -= a", "diag[-lab] += a",
+     ["tests/test_classification.py::"
+      "test_box_scan_matches_per_candidate_scan"]),
+    ("shift-rows-kinds-swapped", "pyramids.py",
+     '("even", cp), ("odd", dq)', '("odd", cp), ("even", dq)',
+     ["tests/test_pyramids.py::"
+      "test_steps_and_row_lookup_match_row_walk_reference"]),
     ("osp-odd-labels-start-early", "pyramids.py",
      "itertools.count(m // 2 + 1)", "itertools.count(m // 2)",
      ["tests/test_pyramids.py"]),
@@ -177,6 +182,10 @@ MUTANTS = [
      "@cache\ndef _ad_basis(R, i):", "def _ad_basis(R, i):",
      ["tests/test_superalgebra.py::"
       "test_ad_basis_brackets_each_basis_element_once"]),
+    ("root-functional-guard-dropped", "roots.py",
+     "if 0 in generic", "if False",
+     ["tests/test_roots.py::"
+      "test_nonnegative_base_refuses_a_vanishing_functional"]),
     ("simple-roots-unordered", "roots.py",
      "in sorted(pos):", "in pos:",
      ["tests/test_roots.py::"
