@@ -113,25 +113,22 @@ def dim_formula_osp(sp):
 
 
 def complete_sl2(R, e, h):
-    """Find f completing (e, h) to an sl2-triple: solve [e, f] = h in basis
-    coordinates over the (-2)-eigenspace of ad h.  With e in degree 2,
-    ad e sends that eigenspace into degree 0, so only the degree-0 rows
-    are solved; the triple's own relation check covers any other e.  An h
-    outside g raises NoSolution; an h in g with a non-integer degree, which
-    no sl2-triple has, raises NonIntegralGrading."""
+    """Find f completing (e, h) to an sl2-triple: solve [e, f] = h over all
+    of g, against the elimination that e's ker(ad e) record made.
+    [h, f] = -2f puts f in degree -2, which an even e of degree 2 sends
+    onto h's degree-0 rows; the triple's relation check covers any other
+    e.  An odd e or an h outside g raises NoSolution; an h in g with a
+    non-integer degree, which no sl2-triple has, raises NonIntegralGrading."""
     hc = h.coordinates
     if hc is None:
         raise NoSolution("h is not in the algebra")
-    degrees = h.ad_degrees
-    candidates = [j for j, p in enumerate(R.basis_parities)
-                  if p == EVEN and degrees[j] == -2]
-    rows = [i for i, d in enumerate(degrees) if d == 0]
-    x = solve(e.ad_kernel[0].submatrix(rows, candidates),
-              [hc.get(i, 0) for i in rows])
+    h.ad_degrees                    # NonIntegralGrading for such an h
+    if e.parity() != EVEN:
+        raise NoSolution("sl2 completion needs an even e")
+    x = solve(e.ad_kernel[0], [hc.get(i, 0) for i in range(R.dim)])
     if x is None:
         raise NoSolution("(e, h) does not complete to an sl2-triple")
-    return Sl2Triple(e, R.from_coords({candidates[t]: c
-                                       for t, c in x.items()}), h)
+    return Sl2Triple(e, R.from_coords(x), h)
 
 
 def predicted_block_types(R, sp):

@@ -5,8 +5,9 @@ one true division, `quotient`, keeps that form, so there is no floating
 point anywhere.  A matrix stores only its nonzero entries {(i, j): c},
 the format of the algebra elements' supports, and kernel vectors and
 solutions come back as {index: c}.  Elimination is sparse, column by
-column in index order (`_eliminate`): it touches only stored nonzeros and
-divides exactly, so all rank / kernel / solve answers are exact.
+column in index order, once per matrix (`Matrix.elimination`): it touches
+only stored nonzeros and divides exactly, so all rank / kernel / solve
+answers are exact; solve reduces b against the matrix's kept elimination.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ def quotient(a, b):
 
 class Matrix:
     """Sparse rational matrix: its shape and its nonzero entries
-    {(i, j): c}, each made `exact`."""
+    {(i, j): c}, each made `exact`; it is never changed once made."""
 
-    __slots__ = ("rows", "cols", "nonzero")
+    __slots__ = ("rows", "cols", "nonzero", "_elimination")
 
     def __init__(self, rows, cols, nonzero):
         if any(not (0 <= i < rows and 0 <= j < cols) for i, j in nonzero):
@@ -47,6 +48,13 @@ class Matrix:
         self.cols = cols
         self.nonzero = {ij: v for ij, x in nonzero.items()
                         if (v := exact(x))}
+        self._elimination = None
+
+    @property
+    def elimination(self):             # made on first read, then kept
+        if self._elimination is None:
+            self._elimination = _eliminate(self)
+        return self._elimination
 
     @property
     def entries(self):
@@ -94,45 +102,49 @@ def scaled_to_ints(row):
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
+def _reduce(v, pivots, number):
+    """Reduce v in place against the pivots, earliest first (a heap)."""
+    heap = [number[i] for i in v if i in number]
+    heapify(heap)
+    while heap:
+        r, p = pivots[heappop(heap)]
+        if r not in v:              # cancelled, or queued twice
+            continue
+        t = quotient(v[r], p[r])
+        for i, a in p.items():
+            if i not in v:
+                v[i] = -t * a
+                if i in number:
+                    heappush(heap, number[i])
+            elif x := v[i] - t * a:
+                v[i] = x
+            else:
+                del v[i]
+
+
 def _eliminate(M):
-    """Column-order sparse elimination of M: (the set of its pivot
-    columns, {free nonzero column: its kernel vector}).
+    """Column-order sparse elimination of M: (its pivots (row r, reduced
+    column), {r: that pivot's number}, the set of its pivot columns,
+    {free nonzero column: its kernel vector}).
 
     Each nonzero column, in index order, is reduced against the pivots
-    made before it, earliest pivot first (a heap of pivot numbers).  A
-    pivot is stored zero at the rows of the pivots made before it, so a
-    subtraction adds entries only at rows of later pivots and the
-    reduction ends; a column left nonzero pivots at its least row.  Each
-    column carries, at the keys rows + l, the combination of M's columns l
-    that it is.  A column that reduces to zero is free, and that
-    combination is its kernel vector: 1 at the column, and nonzero
-    elsewhere only at earlier pivot columns.
+    made before it.  A pivot is stored zero at the rows of earlier
+    pivots, so a subtraction adds entries only at rows of later pivots
+    and the reduction ends; a column left nonzero pivots at its least
+    row.  Each column carries, at the keys rows + l, the combination of
+    M's columns l that it is: for a column that reduces to zero, which is
+    free, its kernel vector, 1 at the column and nonzero elsewhere only
+    at earlier pivot columns.
     """
     n = M.rows
     columns = {}
     for (i, j), x in M.nonzero.items():
         columns.setdefault(j, {})[i] = x
-    pivots, pivot_columns, free = [], set(), {}
-    number = {}                     # pivot row -> its index in pivots
+    pivots, number, pivot_columns, free = [], {}, set(), {}
     for j in sorted(columns):
         v = columns[j]
         v[n + j] = 1
-        heap = [number[i] for i in v if i in number]
-        heapify(heap)
-        while heap:
-            r, p = pivots[heappop(heap)]
-            if r not in v:              # cancelled, or queued twice
-                continue
-            t = quotient(v[r], p[r])
-            for i, a in p.items():
-                if i not in v:
-                    v[i] = -t * a
-                    if i in number:
-                        heappush(heap, number[i])
-                elif x := v[i] - t * a:
-                    v[i] = x
-                else:
-                    del v[i]
+        _reduce(v, pivots, number)
         r = min(v)
         if r < n:
             number[r] = len(pivots)
@@ -140,39 +152,35 @@ def _eliminate(M):
             pivot_columns.add(j)
         else:
             free[j] = {i - n: exact(c) for i, c in v.items()}
-    return pivot_columns, free
+    return pivots, number, pivot_columns, free
 
 
 def rank(M):
     """Rank of M over the rationals: its number of pivot columns."""
-    return len(_eliminate(M)[0])
+    return len(M.elimination[2])
 
 
 def kernel_basis(M):
     """Basis of the right null space of M, one vector {index: c} per free
-    column, in column order.
-
-    A free column is one in the span of the columns before it, and its
-    vector has a 1 there and 0 at the other free columns, so neither
-    depends on the elimination order; a zero column is free with a unit
-    vector.
-    """
-    pivot_columns, free = _eliminate(M)
+    column in column order, with a 1 there and 0 at the other free
+    columns (a unit vector for a zero column); a free column is one in the
+    span of the columns before it, so neither depends on the order."""
+    _, _, pivot_columns, free = M.elimination
     return [free.get(j) or {j: 1} for j in range(M.cols)
             if j not in pivot_columns]
 
 
 def solve(A, b):
     """A particular solution x of A x = b as {index: c}, or None if
-    inconsistent: minus the kernel vector of [A | b] for its last column,
-    which is free exactly when b is in A's column space; x is 0 at A's
-    free columns."""
+    inconsistent: b, marked 1 at key rows + cols, is reduced as [A | b]'s
+    last column would be, to minus the combination of A's columns that is
+    b, or to a row entry; x is 0 at A's free columns."""
     if len(b) != A.rows:
         raise ValueError("right-hand side length is not the row count")
-    n = A.cols
-    augmented = dict(A.nonzero)
-    augmented.update(((i, n), x) for i, x in enumerate(b) if x)
-    vecs = kernel_basis(Matrix(A.rows, n + 1, augmented))
-    if vecs and n in vecs[-1]:
-        return {j: -c for j, c in vecs[-1].items() if j != n}
-    return None
+    n, marker = A.rows, A.rows + A.cols
+    v = {i: c for i, x in enumerate(b) if (c := exact(x))}
+    v[marker] = 1
+    _reduce(v, *A.elimination[:2])
+    if min(v) < n:
+        return None
+    return {i - n: exact(-c) for i, c in v.items() if i != marker}

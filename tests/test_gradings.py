@@ -6,13 +6,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from goodgradings import superalgebra
+from goodgradings import linalg, superalgebra
 from goodgradings.gradings import (NoSolution, Sl2Triple,
                                    block_type_dim, centralizer,
                                    complete_sl2, dim_formula_gl,
                                    dim_formula_osp, grading_from, is_good,
                                    predicted_block_types, s_centralizer)
-from goodgradings.linalg import kernel_basis, solve
+from goodgradings.linalg import Matrix, kernel_basis, solve
 from goodgradings.partitions import (NotOrthosymplectic,
                                      SuperPartition, dual_partition,
                                      enumerate_super_partitions,
@@ -26,7 +26,7 @@ from goodgradings.superalgebra import (EVEN, ODD, NonIntegralGrading,
                                        build_osp, superbracket)
 from reference import (E, OddGrading, basis, dim_formula_osp_by_halves,
                        from_rows, invariant_form, is_good_by_ranks,
-                       is_richardson, transpose)
+                       is_richardson)
 from test_linalg import _dense_kernel
 
 
@@ -495,25 +495,73 @@ def test_kernel_criterion_equals_rank_definition(name, parity, data):
     assert is_good(g, e) == is_good_by_ranks(g, e)
 
 
-@pytest.mark.parametrize("kind, pq", [
-    ("gl", ((3, 1), (4, 2))),
-    ("gl", ((2, 2), (1,))),
-    ("osp", ((3, 3), (4,))),
-    ("osp", ((3, 3, 1, 1), (2, 2))),
-])
-def test_complete_sl2_matches_dense_solve(kind, pq):
-    # reference: [e, f] = h solved over matrix entries with the dense basis
-    sp = SuperPartition(*pq)
-    R = build_gl(sp.m, sp.n) if kind == "gl" else build_osp(sp.m, sp.n // 2)
+# the Dynkin orbits of gl(m|n), m + n <= 6 with m, n >= 1, and of
+# osp(m|2n), m + 2n <= 10
+SL2_ORBITS = [("gl", sp) for size in range(2, 7) for m in range(1, size)
+              for sp in enumerate_super_partitions(m, size - m)] \
+    + [("osp", sp) for size in range(3, 11) for m in range(1, size - 1)
+       if (size - m) % 2 == 0
+       for sp in enumerate_super_partitions(m, size - m)
+       if is_orthosymplectic(sp)]
+
+
+@pytest.mark.parametrize("kind, sp", [
+    pytest.param("gl", SuperPartition((3, 1), (4, 2)), id="gl-pq0"),
+    pytest.param("gl", SuperPartition((2, 2), (1,)), id="gl-pq1"),
+    pytest.param("osp", SuperPartition((3, 3), (4,)), id="osp-pq2"),
+    pytest.param("osp", SuperPartition((3, 3, 1, 1), (2, 2)), id="osp-pq3"),
+] + [pytest.param(kind, sp, id="%s%s%s" % (kind, sp.p, sp.q))
+     for kind, sp in SL2_ORBITS])
+def test_complete_sl2_matches_dense_solve(kind, sp):
+    # reference: [e, f] = h solved over matrix entries with the dense
+    # basis, on the even degree -2 candidates only (none for e = 0)
+    R = _algebra(kind, sp)
     _, e, h = dynkin_pair(sp, R)
     degrees = R.degrees(h.diag())
     cand = [j for j, p in enumerate(R.basis_parities)
             if p == EVEN and degrees[j] == -2]
     cols = [superbracket(e, basis(R)[j]).matrix.entries for j in cand]
-    x = dense(solve(transpose(from_rows(cols)), h.matrix.entries),
-              len(cand))
+    A = Matrix(R.size ** 2, len(cand), {(i, t): c for t, col in
+                                        enumerate(cols)
+                                        for i, c in enumerate(col)})
+    x = dense(solve(A, h.matrix.entries), len(cand))
     assert dense(complete_sl2(R, e, h).f.coordinates, R.dim) == \
         [x[cand.index(j)] if j in cand else 0 for j in range(R.dim)]
+
+
+def test_complete_sl2_refuses_an_odd_e():
+    """In osp(1|2), [e, f] = h with e odd has a solution over all of g
+    that passes the sl2 relations: the completion refuses it by e's
+    parity, as an sl2-triple is even."""
+    R = build_osp(1, 1)
+    e = R.from_entries({(0, 2): Fraction(-1, 2), (1, 0): 1})
+    h = R.diagonal({0: 0, 1: 2, -1: -2})
+    assert e.parity() == ODD
+    hc = h.coordinates
+    f = R.from_coords(solve(e.ad_kernel[0],
+                            [hc.get(i, 0) for i in range(R.dim)]))
+    assert f.entries == {(0, 1): 2, (2, 0): 4}
+    assert Sl2Triple(e, f, h).verify()
+    with pytest.raises(NoSolution, match="even e"):
+        complete_sl2(R, e, h)
+
+
+def test_one_elimination_per_ad_e(monkeypatch):
+    """The centralizer, goodness, the sl2 completion and the
+    sl2-centralizer of a Dynkin pair eliminate ad e once between them:
+    the solve reduces h against the elimination that ker(ad e) made."""
+    eliminated = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate",
+                        lambda M: eliminated.append(M) or eliminate(M))
+    for R, sp in [(build_osp(6, 2), SuperPartition((3, 3), (4,))),
+                  (build_gl(3, 2), SuperPartition((2, 1), (2,)))]:
+        _, e, h = dynkin_pair(sp, R)
+        eliminated.clear()
+        centralizer(R, e)
+        assert is_good(grading_from(R, h), e)
+        s_centralizer(R, complete_sl2(R, e, h))
+        assert len(eliminated) == 1 and eliminated[0] is e.ad_kernel[0]
 
 
 def test_complete_sl2_needs_h_in_algebra():

@@ -314,6 +314,17 @@ def test_solve_matches_dense_elimination(system):
         assert apply(A, dense(x, A.cols)) == b
 
 
+@given(systems())
+def test_solve_after_rank_and_kernel_matches_a_fresh_matrix(system):
+    """The kept elimination answers as a fresh one: solve after
+    kernel_basis and rank equals solve on a new Matrix of the same
+    entries, None included."""
+    A, b = system
+    kernel_basis(A)
+    rank(A)
+    assert solve(A, b) == solve(Matrix(A.rows, A.cols, A.nonzero), b)
+
+
 def test_solve_is_zero_at_free_columns():
     # columns 1 and 2 are free: a copy of column 0 and a zero column
     A = M([[1, 1, 0, 2], [0, 0, 0, 1]])

@@ -87,12 +87,18 @@ def test_coordinates_and_degree_tables_are_read_by_the_records():
 
 
 def test_one_elimination_path():
-    """Exact elimination has one path: `rank` and `kernel_basis` call
-    `_eliminate`, and `solve` reads a kernel vector."""
-    callers = _owners(lambda node: isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Name)
-                      and node.func.id == "_eliminate")
-    assert callers == {"rank", "kernel_basis"}
+    """Exact elimination has one path and one owner: only the Matrix
+    accessor `elimination` calls `_eliminate`, which keeps its record;
+    `_reduce` is the one reduction loop, and `solve` calls it on b, builds
+    no Matrix and calls no `kernel_basis`."""
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) \
+            and isinstance(node.func, ast.Name) and node.func.id == name
+
+    assert _owners(calls("_eliminate")) == {"elimination"}
+    assert _owners(calls("_reduce")) == {"_eliminate", "solve"}
+    assert "solve" not in _owners(calls("kernel_basis")) \
+        | _owners(calls("Matrix"))
 
 
 def test_matrix_shape_is_positional():
@@ -112,7 +118,7 @@ def test_matrix_shape_is_positional():
     calls = [node for tree in trees.values() for node in ast.walk(tree)
              if builds(node, "Matrix")] \
         + [node for node in ast.walk(matrix_class) if builds(node, "cls")]
-    assert len(calls) >= 7
+    assert len(calls) >= 6
     bad = [node.lineno for node in calls
            if len(node.args) < 2
            or any(isinstance(a, ast.Starred) for a in node.args[:2])

@@ -137,6 +137,15 @@ MUTANTS = [
     ("fill-in-pivot-row-never-queued", "linalg.py",
      "heappush(heap, number[i])", "pass",
      ["tests/test_linalg.py::test_fill_in_at_a_later_pivot_row"]),
+    ("solve-accepts-unreduced-rhs", "linalg.py",
+     "if min(v) < n:", "if False:",
+     ["tests/test_linalg.py"]),
+    ("elimination-not-kept", "linalg.py",
+     "if self._elimination is None:", "if True:",
+     ["tests/test_gradings.py::test_one_elimination_per_ad_e"]),
+    ("sl2-parity-guard-dropped", "gradings.py",
+     "if e.parity() != EVEN:", "if False:",
+     ["tests/test_gradings.py::test_complete_sl2_refuses_an_odd_e"]),
     ("bracket-column-side-dropped", "superalgebra.py",
      "by_col.get(a, ())", "()",
      ["tests/test_superalgebra.py"]),
